@@ -9,5 +9,3 @@ obstructions), su2 (representation-arc signature counts), diagram
 """
 
 __version__ = "0.1.0"
-
-from .kernels import BACKEND as kernel_backend  # noqa: F401

@@ -1,10 +1,8 @@
-"""Hermitian pivot reduction over a cyclotomic field, pure Python.
+"""Hermitian pivot reduction over a cyclotomic field.
 
-This is the reference implementation of the hot kernel; _inertia.pyx is a
-Cython transcription of the same code.  Field elements are packed pairs
-(nums, den): a list of `deg` integers over the power basis and a positive
-integer denominator.  The matrix is Hermitian with respect to the
-involution described by `conjmat`.
+Entries are packed elements of a `cyclo._CyclotomicField` and all
+arithmetic goes through that field's methods.  The matrix is Hermitian
+with respect to the field's conjugation.
 
 The reduction is classical congruence diagonalisation with symmetric
 pivoting: nonzero diagonal pivots are consumed first; if the remaining
@@ -13,134 +11,49 @@ hyperbolic 2x2 block [[0, b], [conj(b), 0]] is split off (it contributes
 one positive and one negative eigenvalue).  All arithmetic is exact.
 """
 
-from math import gcd
 
-BACKEND = "python"
-
-
-def _norm(nums, den):
-    if den < 0:
-        nums = [-x for x in nums]
-        den = -den
-    g = den
-    for x in nums:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                break
-    if g > 1:
-        nums = [x // g for x in nums]
-        den //= g
-    return nums, den
-
-
-def _mul(a, b, red, deg):
-    an, ad = a
-    bn, bd = b
-    if deg == 1:
-        return _norm([an[0] * bn[0]], ad * bd)
-    raw = [0] * (2 * deg - 1)
-    for i in range(deg):
-        ai = an[i]
-        if ai:
-            for j in range(deg):
-                bj = bn[j]
-                if bj:
-                    raw[i + j] += ai * bj
-    out = raw[:deg]
-    for i in range(deg, 2 * deg - 1):
-        c = raw[i]
-        if c:
-            row = red[i - deg]
-            for j in range(deg):
-                out[j] += c * row[j]
-    return _norm(out, ad * bd)
-
-
-def _sub(a, b, deg):
-    an, ad = a
-    bn, bd = b
-    g = gcd(ad, bd)
-    la = bd // g
-    lb = ad // g
-    return _norm([x * la - y * lb for x, y in zip(an, bn)], ad * la)
-
-
-def _add(a, b, deg):
-    an, ad = a
-    bn, bd = b
-    g = gcd(ad, bd)
-    la = bd // g
-    lb = ad // g
-    return _norm([x * la + y * lb for x, y in zip(an, bn)], ad * la)
-
-
-def _apply(basis_images, a, deg):
-    an, ad = a
-    out = [0] * deg
-    for j in range(deg):
-        c = an[j]
-        if c:
-            img = basis_images[j]
-            for i in range(deg):
-                out[i] += c * img[i]
-    return _norm(out, ad)
-
-
-def _inv(a, red, conjmat, sigmas, deg):
-    """1/a; sigmas are the basis images of the nontrivial Galois maps."""
-    an, ad = a
-    adj = ([1] + [0] * (deg - 1), 1)
-    for sg in sigmas:
-        adj = _mul(adj, _apply(sg, (an, 1), deg), red, deg)
-    nn, nd = _mul((an, 1), adj, red, deg)
-    for x in nn[1:]:
-        assert x == 0, "field norm must be rational"
-    assert nn[0] != 0
-    return _norm([x * ad * nd for x in adj[0]], adj[1] * nn[0])
-
-
-def hermitian_pivots(size, deg, red, conjmat, sigmas, nums, dens):
+def hermitian_pivots(F, matrix):
     """Reduce a Hermitian matrix, returning (pivots, two_blocks, zero_dim).
 
-    nums/dens: flattened row-major packed entries.  `pivots` lists the
-    nonzero diagonal pivots (true Schur complement values) in consumption
-    order; each hyperbolic block adds one to two_blocks; zero_dim is the
-    dimension of the final zero block (the radical).
+    `pivots` lists the nonzero diagonal pivots (true Schur complement
+    values) in consumption order; each hyperbolic block adds one to
+    two_blocks; zero_dim is the dimension of the final zero block (the
+    radical).
     """
-    A = [[(list(nums[i * size + j]), dens[i * size + j]) for j in range(size)]
-         for i in range(size)]
-    active = list(range(size))
+    mul, add, sub, conj = F.mul, F.add, F.sub, F.conj
+    inverse, is_zero = F.inverse, F.is_zero
+    A = [list(row) for row in matrix]
+    active = list(range(len(A)))
     pivots = []
     two_blocks = 0
     while active:
         pi = -1
         for i in active:
-            if any(A[i][i][0]):
+            if not is_zero(A[i][i]):
                 pi = i
                 break
         if pi >= 0:
             p = A[pi][pi]
-            pivots.append((list(p[0]), p[1]))
-            ip = _inv(p, red, conjmat, sigmas, deg)
+            pivots.append(p)
+            ip = inverse(p)
             rest = [i for i in active if i != pi]
             m = len(rest)
-            w = [_mul(A[r][pi], ip, red, deg) for r in rest]
+            w = [mul(A[r][pi], ip) for r in rest]
             for ri in range(m):
                 r = rest[ri]
                 wr = w[ri]
                 for ci in range(ri, m):
                     c = rest[ci]
-                    upd = _sub(A[r][c], _mul(wr, A[pi][c], red, deg), deg)
+                    upd = sub(A[r][c], mul(wr, A[pi][c]))
                     A[r][c] = upd
                     if ci != ri:
-                        A[c][r] = _apply(conjmat, upd, deg)
+                        A[c][r] = conj(upd)
             active = rest
             continue
         fi = fj = -1
         for ii in range(len(active)):
             for jj in range(ii + 1, len(active)):
-                if any(A[active[ii]][active[jj]][0]):
+                if not is_zero(A[active[ii]][active[jj]]):
                     fi, fj = active[ii], active[jj]
                     break
             if fi >= 0:
@@ -148,25 +61,23 @@ def hermitian_pivots(size, deg, red, conjmat, sigmas, nums, dens):
         if fi < 0:
             return pivots, two_blocks, len(active)
         two_blocks += 1
-        b = A[fi][fj]
-        ib = _inv(b, red, conjmat, sigmas, deg)
-        ibc = _apply(conjmat, ib, deg)
+        ib = inverse(A[fi][fj])
+        ibc = conj(ib)
         rest = [i for i in active if i != fi and i != fj]
         m = len(rest)
         # A[r][c] -= A[r][fj]*(1/b)*A[fi][c] + A[r][fi]*(1/conj(b))*A[fj][c]
-        u = [_mul(A[r][fj], ib, red, deg) for r in rest]
-        v = [_mul(A[r][fi], ibc, red, deg) for r in rest]
+        u = [mul(A[r][fj], ib) for r in rest]
+        v = [mul(A[r][fi], ibc) for r in rest]
         for ri in range(m):
             r = rest[ri]
             ur = u[ri]
             vr = v[ri]
             for ci in range(ri, m):
                 c = rest[ci]
-                t = _add(_mul(ur, A[fi][c], red, deg),
-                         _mul(vr, A[fj][c], red, deg), deg)
-                upd = _sub(A[r][c], t, deg)
+                t = add(mul(ur, A[fi][c]), mul(vr, A[fj][c]))
+                upd = sub(A[r][c], t)
                 A[r][c] = upd
                 if ci != ri:
-                    A[c][r] = _apply(conjmat, upd, deg)
+                    A[c][r] = conj(upd)
         active = rest
     return pivots, two_blocks, 0

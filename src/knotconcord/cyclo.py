@@ -22,6 +22,8 @@ import json
 import math
 from fractions import Fraction
 
+from .errors import InternalInvariantViolation
+
 
 # ---------------------------------------------------------------------------
 # modular integers
@@ -438,28 +440,30 @@ class _CyclotomicField:
 
     # -- packed arithmetic ---------------------------------------------
 
-    def reduce_poly(self, coeffs):
-        """Reduce an integer coefficient list of length <= 2*deg-1 mod Phi."""
-        out = list(coeffs[: self.deg]) + [0] * max(0, self.deg - len(coeffs))
-        for i in range(self.deg, len(coeffs)):
-            c = coeffs[i]
-            if c:
-                row = self.red[i - self.deg]
-                for j in range(self.deg):
-                    out[j] += c * row[j]
-        return out
-
     def mul(self, a, b):
         an, ad = a
         bn, bd = b
-        m = self.deg
-        raw = [0] * (2 * m - 1)
-        for i, ai in enumerate(an):
+        deg = self.deg
+        if deg == 1:
+            return self.normalize(([an[0] * bn[0]], ad * bd))
+        raw = [0] * (2 * deg - 1)
+        for i in range(deg):
+            ai = an[i]
             if ai:
-                for j, bj in enumerate(bn):
+                for j in range(deg):
+                    bj = bn[j]
                     if bj:
                         raw[i + j] += ai * bj
-        return self.normalize((self.reduce_poly(raw), ad * bd))
+        # reduce x^i, i >= deg, with the precomputed rows
+        out = raw[:deg]
+        red = self.red
+        for i in range(deg, 2 * deg - 1):
+            c = raw[i]
+            if c:
+                row = red[i - deg]
+                for j in range(deg):
+                    out[j] += c * row[j]
+        return self.normalize((out, ad * bd))
 
     def add(self, a, b):
         an, ad = a
@@ -469,8 +473,11 @@ class _CyclotomicField:
         return self.normalize(([x * la + y * lb for x, y in zip(an, bn)], ad * la))
 
     def sub(self, a, b):
+        an, ad = a
         bn, bd = b
-        return self.add(a, ([-x for x in bn], bd))
+        g = math.gcd(ad, bd)
+        la, lb = bd // g, ad // g
+        return self.normalize(([x * la - y * lb for x, y in zip(an, bn)], ad * la))
 
     def neg(self, a):
         return ([-x for x in a[0]], a[1])
@@ -479,25 +486,33 @@ class _CyclotomicField:
         return self.normalize(([x * num for x in a[0]], a[1] * den))
 
     def normalize(self, a):
+        """Positive denominator, coprime to the numerators; zero has
+        denominator 1.  The numerator list may be the caller's own."""
         an, ad = a
         if ad < 0:
             an = [-x for x in an]
             ad = -ad
-        g = math.gcd(ad, *(abs(x) for x in an)) if any(an) else ad
+        g = ad
+        gcd = math.gcd
+        for x in an:
+            if x:
+                g = gcd(g, x)
+                if g == 1:
+                    return an, ad
         if g > 1:
             an = [x // g for x in an]
             ad //= g
-        if not any(an):
-            return [0] * self.deg, 1
-        return list(an), ad
+        return an, ad
 
     def apply_basis_map(self, basis_images, a):
         an, ad = a
-        out = [0] * self.deg
-        for j, c in enumerate(an):
+        deg = self.deg
+        out = [0] * deg
+        for j in range(deg):
+            c = an[j]
             if c:
                 img = basis_images[j]
-                for i in range(self.deg):
+                for i in range(deg):
                     out[i] += c * img[i]
         return self.normalize((out, ad))
 
@@ -523,7 +538,9 @@ class _CyclotomicField:
             adj = self.mul(adj, (self.galois((an, 1), k)))
         norm = self.mul((an, 1), adj)
         nn, nd = norm
-        assert not any(nn[1:]), "field norm must be rational"
+        if any(nn[1:]) or not nn[0]:
+            raise InternalInvariantViolation(
+                "field norm must be a nonzero rational in Q(zeta_%d)" % self.n)
         # a/ad * adj*ad / (nn[0]/nd) = 1  =>  inverse = adj * ad * nd / nn[0]
         return self.normalize(([x * ad * nd for x in adj[0]], adj[1] * nn[0]))
 

@@ -1,62 +1,32 @@
-"""Kernel selection and the exact Hermitian inertia entry point.
+"""The exact Hermitian inertia entry point.
 
-The compiled Cython kernel is used when available; setting the environment
-variable KNOTCONCORD_PURE=1 forces the pure Python implementation.  Both
-expose the same `hermitian_pivots` and are compared in the benchmark and
-in the test suite.
+`_inertia_py.hermitian_pivots` reduces the matrix over the cyclotomic
+field; this module checks the shape and counts the certified pivot signs.
 """
 
-import os
-
 from . import _inertia_py
-
-if os.environ.get("KNOTCONCORD_PURE"):
-    _impl = _inertia_py
-else:
-    try:
-        from . import _inertia as _impl
-    except ImportError:
-        _impl = _inertia_py
-
-BACKEND = _impl.BACKEND
+from .errors import InternalInvariantViolation, PreconditionError
 
 
-def available_backends():
-    out = {"python": _inertia_py}
-    try:
-        from . import _inertia
-        out["cython"] = _inertia
-    except ImportError:
-        pass
-    return out
-
-
-def hermitian_inertia(field, packed_matrix, impl=None):
+def hermitian_inertia(field, packed_matrix):
     """Inertia (n_plus, n_minus, n_zero) of a Hermitian matrix over a
     cyclotomic field.  `packed_matrix` is a square list-of-lists of packed
     field elements; Hermitian-ness is the caller's responsibility."""
     size = len(packed_matrix)
-    if size == 0:
-        return (0, 0, 0)
-    mod = impl or _impl
-    nums = []
-    dens = []
-    for row in packed_matrix:
-        assert len(row) == size
-        for e in row:
-            nums.append(list(e[0]))
-            dens.append(e[1])
-    sigmas = [field.sigma_mat(k) for k in field.units[1:]]
-    pivots, two_blocks, zero_dim = mod.hermitian_pivots(
-        size, field.deg, field.red, field.conj_mat, sigmas, nums, dens)
+    if any(len(row) != size for row in packed_matrix):
+        raise PreconditionError("Hermitian matrix must be square")
+    pivots, two_blocks, zero_dim = _inertia_py.hermitian_pivots(
+        field, packed_matrix)
     plus = minus = 0
     for p in pivots:
         s = field.sign_real(p)
-        assert s != 0
         if s > 0:
             plus += 1
-        else:
+        elif s < 0:
             minus += 1
+        else:
+            raise InternalInvariantViolation(
+                "a nonzero pivot has certified sign 0")
     plus += two_blocks
     minus += two_blocks
     return (plus, minus, zero_dim)

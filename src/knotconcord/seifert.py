@@ -30,7 +30,7 @@ class SeifertMatrix:
             if len(r) != n:
                 raise PreconditionError("Seifert matrix must be square")
             for x in r:
-                if not isinstance(x, int):
+                if isinstance(x, bool) or not isinstance(x, int):
                     raise PreconditionError("Seifert matrix entries must be integers")
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         if linalg.det_bareiss(skew) != 1:
@@ -404,6 +404,27 @@ class KnotModel:
         return KnotModel([Summand(s.matrix.mirror()) for s in self.summands])
 
 
+def _get(d, key, where):
+    """d[key]; a missing field raises PreconditionError."""
+    if key not in d:
+        raise PreconditionError("field %r is missing from %s" % (key, where))
+    return d[key]
+
+
+def _integer(value, what):
+    """value itself when it is an int; bools, floats and strings are refused
+    rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _dicts(value, what):
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, dict) for x in value):
+        raise PreconditionError("%s must be a list of dicts" % what)
+    return value
+
+
 def build(spec):
     """Build a KnotModel from a plain-dict description.
 
@@ -417,31 +438,43 @@ def build(spec):
       {"kind": "satellite", "base": spec, "base_token": str or None,
        "infections": [{"curve": str, "companion": spec,
                        "pattern": "double_lift"|"triple_lift", "param": int}, ...]}
+
+    "sign", "base_token" and "infections" may be omitted; every other field
+    is required.  Integers must be ints, not bools, floats or strings.
+    Anything else raises PreconditionError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise PreconditionError("knot description must be a dict with a 'kind' field")
     kind = spec["kind"]
+    where = "the %s knot description" % (kind,)
     if kind == "matrix":
-        return KnotModel([Summand(SeifertMatrix(spec["entries"]))], spec)
+        rows = _get(spec, "entries", where)
+        if (not isinstance(rows, (list, tuple))
+                or not all(isinstance(r, (list, tuple)) for r in rows)):
+            raise PreconditionError("'entries' must be a list of rows")
+        return KnotModel([Summand(SeifertMatrix(rows))], spec)
     if kind == "torus":
-        return KnotModel([Summand(torus_matrix(int(spec["p"]), int(spec["q"])))], spec)
+        p = _integer(_get(spec, "p", where), "'p'")
+        q = _integer(_get(spec, "q", where), "'q'")
+        return KnotModel([Summand(torus_matrix(p, q))], spec)
     if kind == "twisted_double":
-        return KnotModel([Summand(twisted_double_matrix(int(spec["a"]))) ], spec)
+        a = _integer(_get(spec, "a", where), "'a'")
+        return KnotModel([Summand(twisted_double_matrix(a))], spec)
     if kind == "mirror":
-        return KnotModel(build(spec["knot"]).mirror().summands, spec)
+        return KnotModel(build(_get(spec, "knot", where)).mirror().summands, spec)
     if kind == "sum":
         summands = []
-        for item in spec["summands"]:
-            sign = int(item.get("sign", 1))
+        for item in _dicts(_get(spec, "summands", where), "'summands'"):
+            sign = _integer(item.get("sign", 1), "summand sign")
             if sign not in (1, -1):
                 raise PreconditionError("summand sign must be +1 or -1")
-            part = build(item["knot"])
+            part = build(_get(item, "knot", "a summand"))
             if sign == -1:
                 part = part.mirror()
             summands.extend(part.summands)
         return KnotModel(summands, spec)
     if kind == "order_two":
-        companion = build(spec["companion"])
+        companion = build(_get(spec, "companion", where))
         if not companion.matrix_only:
             raise PreconditionError("companion knots must be matrix-presented")
         base = SeifertMatrix(_GENUS1_BASE)
@@ -449,11 +482,15 @@ def build(spec):
                Infection("B2", companion.mirror(), "double_lift", 2)]
         return KnotModel([Summand(base, None, inf)], spec)
     if kind == "satellite":
-        base = build(spec["base"])
+        base = build(_get(spec, "base", where))
         if not base.matrix_only:
             raise PreconditionError("satellite base must be matrix-presented")
         token = spec.get("base_token")
-        infections = [Infection(i["curve"], build(i["companion"]), i["pattern"], i["param"])
-                      for i in spec.get("infections", ())]
+        infections = [
+            Infection(_get(i, "curve", "an infection"),
+                      build(_get(i, "companion", "an infection")),
+                      _get(i, "pattern", "an infection"),
+                      _integer(_get(i, "param", "an infection"), "infection 'param'"))
+            for i in _dicts(spec.get("infections", ()), "'infections'")]
         return KnotModel([Summand(base.matrix, token, infections)], spec)
     raise PreconditionError("unknown knot kind %r" % (kind,))

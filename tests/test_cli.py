@@ -269,6 +269,32 @@ def test_exit_code_precondition(capsys):
     assert code == 2
 
 
+MALFORMED_SPECS = [
+    ({"kind": "twisted_double", "a": 2.7}, "'a' must be an integer, got 2.7"),
+    ({"kind": "twisted_double", "a": True}, "'a' must be an integer, got True"),
+    ({"kind": "twisted_double", "a": "x"}, "'a' must be an integer, got 'x'"),
+    ({"kind": "torus", "p": 2.0, "q": 3}, "'p' must be an integer, got 2.0"),
+    ({"kind": "sum",
+      "summands": [{"sign": "1", "knot": {"kind": "torus", "p": 2, "q": 3}}]},
+     "summand sign must be an integer, got '1'"),
+    ({"kind": "twisted_double"},
+     "field 'a' is missing from the twisted_double knot description"),
+    ({"kind": "sum"},
+     "field 'summands' is missing from the sum knot description"),
+]
+
+
+@pytest.mark.parametrize("spec,message", MALFORMED_SPECS)
+def test_malformed_knot_spec_exits_2(capsys, tmp_path, spec, message):
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(spec))
+    code = main(["signature", "--knot", str(path), "--t", "1/3", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"precondition violated: {message}\n"
+
+
 def test_exit_code_budget(capsys):
     code = main(["metabolizers", "--knot", fx("sum_double_a2_n2.json"),
                  "--d", "2", "--budget", "2"])

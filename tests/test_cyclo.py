@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knotconcord.cyclo import (
     CycLaurent,
@@ -68,6 +70,21 @@ def test_field_axioms_random():
             # conjugation is an involutive ring map
             assert F.conj(F.conj(a)) == F.normalize(a)
             assert F.conj(F.mul(a, b)) == F.mul(F.conj(a), F.conj(b))
+
+
+@st.composite
+def field_elements(draw):
+    F = CyclotomicField(draw(st.integers(1, 40)))
+    nums = draw(st.lists(st.integers(-9, 9), min_size=F.deg, max_size=F.deg))
+    return F, F.normalize((nums, draw(st.integers(1, 12))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(field_elements())
+def test_inverse_is_multiplicative_inverse(case):
+    F, a = case
+    assume(not F.is_zero(a))
+    assert F.mul(a, F.inverse(a)) == F.one()
 
 
 def test_conj_fixes_real_combination():

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotconcord import linalg
 from knotconcord.cyclo import CyclotomicField
-from knotconcord.kernels import available_backends, hermitian_inertia
+from knotconcord.errors import PreconditionError
+from knotconcord.kernels import hermitian_inertia
 
 
 def rational_matrix(F, rows):
@@ -113,15 +116,41 @@ def test_trefoil_signature_value_frozen():
     assert hermitian_inertia(F, B) == (0, 2, 0)
 
 
-def test_backends_agree():
-    backends = available_backends()
-    if "cython" not in backends:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(303)
-    F = CyclotomicField(7)
-    for _ in range(8):
-        n = rng.randint(1, 4)
-        A = random_hermitian(rng, F, n)
-        got_py = hermitian_inertia(F, A, impl=backends["python"])
-        got_cy = hermitian_inertia(F, A, impl=backends["cython"])
-        assert got_py == got_cy
+def test_non_square_matrix_is_a_precondition_error():
+    F = CyclotomicField(5)
+    with pytest.raises(PreconditionError, match="square"):
+        hermitian_inertia(F, [[F.one(), F.zero()], [F.zero()]])
+    with pytest.raises(PreconditionError, match="square"):
+        hermitian_inertia(F, [[F.one(), F.zero()]])
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """A field and two Hermitian matrices over it; a matrix may have an
+    all-zero diagonal, which forces the hyperbolic-block branch."""
+    F = CyclotomicField(draw(st.integers(1, 12)))
+    coeff = st.integers(-3, 3)
+
+    def matrix():
+        n = draw(st.integers(1, 3))
+        C = [[(draw(st.lists(coeff, min_size=F.deg, max_size=F.deg)), 1)
+              for _ in range(n)] for _ in range(n)]
+        A = [[F.add(C[i][j], F.conj(C[j][i])) for j in range(n)]
+             for i in range(n)]
+        if draw(st.booleans()):
+            for i in range(n):
+                A[i][i] = F.zero()
+        return A
+
+    return F, matrix(), matrix()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(hermitian_pairs())
+def test_inertia_is_additive_on_block_sums(case):
+    F, A, B = case
+    n, m = len(A), len(B)
+    S = [A[i] + [F.zero()] * m for i in range(n)]
+    S += [[F.zero()] * n + B[i] for i in range(m)]
+    a, b = hermitian_inertia(F, A), hermitian_inertia(F, B)
+    assert hermitian_inertia(F, S) == tuple(x + y for x, y in zip(a, b))
