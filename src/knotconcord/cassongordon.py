@@ -19,6 +19,7 @@ sums over the 3-fold cover with its mod-7 eigencharacter calculus.
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from . import linalg
@@ -430,12 +431,21 @@ class HypothesisRecord:
 def satellite_sigma(base, J, a, p):
     """Signature-growth shift from one infection: the companion's signature
     at (a mod p)/p is added to the growth coefficient.  Value 0 contributes
-    nothing; a singular evaluation point propagates SingularAtT."""
+    nothing; a singular evaluation point propagates SingularAtT.
+
+    Signatures are memoised on (companion matrix entries, (a mod p)/p), so
+    the drivers' tables and witness replays compute each one once; a
+    singular point is not memoised and raises every time."""
     a = int(a) % int(p)
     if a == 0:
         return SigGrowth(base.coefficient)
-    V = _companion_matrix(J)
-    return SigGrowth(base.coefficient + lt_signature(V, Fraction(a, p)))
+    entries = tuple(tuple(r) for r in _companion_matrix(J).entries)
+    return SigGrowth(base.coefficient + _companion_signature(entries, Fraction(a, p)))
+
+
+@cache
+def _companion_signature(entries, t):
+    return lt_signature(SeifertMatrix(entries), t)
 
 
 def satellite_delta(base, J, lift_values, p=None):
@@ -520,16 +530,6 @@ def norm_test(e, hypotheses=None):
 
 # ---------------------------------------------------------------------------
 # character plumbing shared by the drivers
-
-_sig_cache = {}
-
-
-def _cached_sigma(V, a, p):
-    key = (tuple(tuple(r) for r in V.entries), int(a) % int(p), int(p))
-    if key not in _sig_cache:
-        _sig_cache[key] = satellite_sigma(SigGrowth(0), V, a, p).coefficient
-    return _sig_cache[key]
-
 
 def _span_vectors(basis, p, budget, include_zero=False):
     """All vectors in the row span of an independent basis mod p."""
@@ -731,7 +731,8 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
                                "family; no claim is made"})
         return report
     companion = torus_matrix(-a, a + 1)
-    sig = {j: _cached_sigma(companion, j, p) for j in range(1, p)}
+    sig = {j: satellite_sigma(SigGrowth(0), companion, j, p).coefficient
+           for j in range(1, p)}
     all_positive = all(v > 0 for v in sig.values())
     V = twisted_double_matrix(a)
     one = linking_form(V, 2)
@@ -812,7 +813,8 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
                                         "infections")
             V = inf.companion.matrix
             per.append({u: (Fraction(0) if (inf.param * u) % p == 0
-                            else _cached_sigma(V, inf.param * u, p))
+                            else satellite_sigma(SigGrowth(0), V, inf.param * u,
+                                                 p).coefficient)
                         for u in range(p)})
         tables.append(per)
 

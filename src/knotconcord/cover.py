@@ -34,7 +34,9 @@ def _alexander_root_order(V, d):
     # 1 + x + ... + x^{d-1}; integer Sylvester determinant, no floats.
     delta = alexander(V)
     lo, hi = delta.degree_span()
-    assert lo == 0, "alexander() must return the normalised polynomial"
+    if lo != 0:
+        raise InternalInvariantViolation(
+            "alexander() must return the normalised polynomial")
     f = [int(delta.coeffs.get(e, 0)) for e in range(hi + 1)]
     n = len(f) - 1
     if n == 0:
@@ -47,7 +49,8 @@ def _alexander_root_order(V, d):
         rows.append([0] * i + f[::-1] + [0] * (m - 1 - i))
     for i in range(n):
         rows.append([0] * i + g[::-1] + [0] * (n - 1 - i))
-    assert all(len(r) == size for r in rows)
+    if any(len(r) != size for r in rows):
+        raise InternalInvariantViolation("Sylvester matrix rows have unequal length")
     return abs(linalg.det_bareiss(rows))
 
 

@@ -5,93 +5,31 @@ The ground rings used throughout the package are
   * Q, represented by fractions.Fraction;
   * Q[t, 1/t], Laurent polynomials with rational coefficients (RatLaurent);
   * Q(zeta_n) = Q[x]/Phi_n(x), with zeta_n a primitive n-th root of unity
-    (CyclotomicField); for prime p the modulus is 1 + x + ... + x^(p-1);
-  * Q(zeta_p)[t, 1/t], Laurent polynomials over a prime cyclotomic field
-    (CycLaurent).
+    (CyclotomicField); for prime p the modulus is 1 + x + ... + x^(p-1).
 
 Field elements are coefficient vectors on the power basis 1, zeta, ...,
-zeta^(phi(n)-1).  Conjugation is the ring involution zeta -> 1/zeta,
-t -> 1/t.  Signs of nonzero real (self-conjugate) elements are certified
-by rational interval arithmetic: the element is evaluated on intervals
-enclosing cos(2*pi*j/n), refined until zero is excluded.  A lower bound on
-the modulus of a nonzero element (via the field norm) guarantees
-termination, so no floating point is ever trusted.
+zeta^(phi(n)-1).  Conjugation is the ring involution zeta -> 1/zeta.
+Inverses come from the extended Euclidean algorithm modulo Phi_n, run
+over the integers (_euclid, which also computes gcds in Q[t]).  Signs of
+nonzero real (self-conjugate) elements are certified by rational interval
+arithmetic: the element is evaluated on intervals enclosing
+cos(2*pi*j/n), refined until zero is excluded.  A lower bound on the
+modulus of a nonzero element (via the field norm) guarantees termination,
+and pi is enclosed by Machin's formula in integer arithmetic, so no
+floating point is ever trusted.
 """
 
 import json
 import math
 from fractions import Fraction
 
-from .errors import InternalInvariantViolation
-
-
-# ---------------------------------------------------------------------------
-# modular integers
-
-class ModInt:
-    """An integer residue with its modulus attached."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        assert modulus > 1
-        self.modulus = modulus
-        self.value = value % modulus
-
-    def _coerce(self, other):
-        if isinstance(other, ModInt):
-            assert other.modulus == self.modulus, "modulus mismatch"
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return ModInt(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ModInt(self.value - self._coerce(other), self.modulus)
-
-    def __rsub__(self, other):
-        return ModInt(self._coerce(other) - self.value, self.modulus)
-
-    def __neg__(self):
-        return ModInt(-self.value, self.modulus)
-
-    def __mul__(self, other):
-        return ModInt(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return ModInt(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        if not isinstance(other, ModInt):
-            other = ModInt(int(other), self.modulus)
-        return self * other.inverse()
-
-    def __pow__(self, k):
-        return ModInt(pow(self.value, k, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, ModInt):
-            return self.modulus == other.modulus and self.value == other.value
-        return self.value == int(other) % self.modulus
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return "ModInt(%d, %d)" % (self.value, self.modulus)
+from .errors import InternalInvariantViolation, PreconditionError
 
 
 def cube_roots_mod(n):
     """All residues r mod n with r^3 = 1, as a sorted list."""
-    assert 1 < n <= 10 ** 6
+    if not 1 < n <= 10 ** 6:
+        raise PreconditionError("cube roots are taken modulo 2 .. 10^6")
     return [r for r in range(n) if pow(r, 3, n) == 1]
 
 
@@ -226,29 +164,55 @@ class RatLaurent:
 def poly_gcd_q(f, g):
     """gcd of two Laurent polynomials over Q (monic, as a RatLaurent)."""
     def to_list(p):
-        lo, hi = p.degree_span()
-        return [p.coeffs.get(i, Fraction(0)) for i in range(0, hi - lo + 1)], lo
+        nums, _ = p.normalized().primitive_integer()
+        return [nums.get(i, 0) for i in range(max(nums, default=-1) + 1)]
 
-    a, _ = to_list(f.normalized())
-    b, _ = to_list(g.normalized())
-    while any(b):
-        # a mod b
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] -= q * b[i]
-            a.pop()
-        a, b = b, a
-        while b and b[-1] == 0:
-            b.pop()
-    if not any(a):
-        return RatLaurent()
-    lead = a[-1]
-    return RatLaurent({i: c / lead for i, c in enumerate(a) if c})
+    r, _ = _euclid(to_list(f), to_list(g))
+    return RatLaurent({i: Fraction(c, r[-1]) for i, c in enumerate(r)})
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _eliminate(u, p, v, q, off):
+    """u*p - v*x^off*q on integer coefficient lists (low degree first)."""
+    out = [u * x for x in p]
+    out += [0] * (len(q) + off - len(out))
+    for i, y in enumerate(q):
+        if y:
+            out[off + i] -= v * y
+    return _trim(out)
+
+
+def _euclid(f, g):
+    """Extended Euclid over Z on integer polynomials (coefficient lists,
+    low degree first).
+
+    Returns (r, s): r is the last nonzero remainder, a rational multiple of
+    gcd(f, g), and s*g = r modulo f ((r, s) = ([], []) when f = g = 0).
+    Each remainder step cancels leading terms by integer combinations;
+    after each division the common content of the (remainder, cofactor)
+    pair is divided out, which keeps the coefficients small.
+    """
+    r0, s0 = _trim(list(f)), []
+    r1, s1 = _trim(list(g)), [1]
+    while r1:
+        b = r1[-1]
+        while len(r0) >= len(r1):
+            a = r0[-1]
+            c = math.gcd(a, b)
+            off = len(r0) - len(r1)
+            r0 = _eliminate(b // c, r0, a // c, r1, off)
+            s0 = _eliminate(b // c, s0, a // c, s1, off)
+        c = math.gcd(*r0, *s0)
+        if c > 1:
+            r0 = [x // c for x in r0]
+            s0 = [x // c for x in s0]
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    return r0, s0
 
 
 # ---------------------------------------------------------------------------
@@ -275,44 +239,47 @@ def _poly_div_exact(a, b):
     a = list(a)
     out = [0] * (len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
-        q, r = divmod(a[i + len(b) - 1], b[-1])
-        assert r == 0
+        q = a[i + len(b) - 1] // b[-1]
         out[i] = q
         if q:
             for j in range(len(b)):
                 a[i + j] -= q * b[j]
-    assert not any(a[: len(b) - 1])
-    return out
-
-
-def _euler_phi(n):
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    if any(a):
+        raise InternalInvariantViolation("cyclotomic division left a remainder")
     return out
 
 
 _PI_CACHE = {}
 
 
+def _arctan_inv(x, scale):
+    """scale * arctan(1/x) for an integer x > 1, to within the number of
+    terms + 1: each term of the alternating series is floored once, and
+    the first term that floors to 0 bounds the tail."""
+    total = 0
+    power = scale // x
+    k = 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        power //= x * x
+        k += 1
+    return total
+
+
 def _pi_bounds(digits):
-    """Fractions (lo, hi) with lo < pi < hi and hi - lo <= 10^(2-digits)."""
+    """Fractions (lo, hi) with lo < pi < hi and hi - lo <= 10^(2-digits),
+    from Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239)."""
     if digits in _PI_CACHE:
         return _PI_CACHE[digits]
-    import mpmath
-
-    with mpmath.workdps(digits + 10):
-        s = mpmath.nstr(mpmath.pi, digits + 5, strip_zeros=False)
-    val = Fraction(s)
-    eps = Fraction(1, 10 ** (digits - 2))
+    # each arctan has fewer terms than scale has digits, so approx is off
+    # pi * scale by less than 20 * (digits of scale + 1) < guard / 10
+    guard = 10 ** (len(str(digits)) + 3)
+    scale = 10 ** (digits + 4) * guard
+    approx = 16 * _arctan_inv(5, scale) - 4 * _arctan_inv(239, scale)
+    # pi rounded to digits + 4 decimals, |val - pi| < 10^-(digits+4)
+    val = Fraction((approx + guard // 2) // guard, 10 ** (digits + 4))
+    eps = Fraction(1, 2 * 10 ** (digits - 2))
     _PI_CACHE[digits] = (val - eps, val + eps)
     return _PI_CACHE[digits]
 
@@ -365,37 +332,28 @@ class _CyclotomicField:
     """Q(zeta_n) on the power basis, with packed integer arithmetic.
 
     A packed element is a pair (nums, den): a list of phi(n) integers and a
-    positive integer denominator.  The class also accepts tuples of
-    Fractions on the same basis (the "unpacked" form used by callers that
-    do not care about speed).
+    positive integer denominator.
     """
 
     def __init__(self, n):
-        assert n >= 1
+        if not isinstance(n, int) or n < 1:
+            raise PreconditionError("a cyclotomic field needs an order n >= 1")
         self.n = n
-        self.phi = cyclotomic_polynomial(n) if n > 1 else [-1, 1]
-        self.deg = len(self.phi) - 1 if n > 1 else 1
-        if n == 1:
-            self.deg = 1
+        self.phi = cyclotomic_polynomial(n)
+        self.deg = len(self.phi) - 1
         # x^deg mod Phi, and reduction rows x^(deg+i) for i = 0 .. deg-2
         self.redbase = [-c for c in self.phi[:-1]]
-        if len(self.redbase) < self.deg:
-            self.redbase += [0] * (self.deg - len(self.redbase))
-        self.red = []
-        if self.deg > 1:
-            self.red.append(list(self.redbase))
-            for _ in range(self.deg - 2):
-                prev = self.red[-1]
-                nxt = [0] + prev[:-1]
-                carry = prev[-1]
-                if carry:
-                    for j in range(self.deg):
-                        nxt[j] += carry * self.redbase[j]
-                self.red.append(nxt)
+        self.red = [self.redbase]
+        for _ in range(self.deg - 2):
+            prev = self.red[-1]
+            nxt = [0] + prev[:-1]
+            carry = prev[-1]
+            if carry:
+                for j in range(self.deg):
+                    nxt[j] += carry * self.redbase[j]
+            self.red.append(nxt)
         self._zeta_cache = {}
-        self.units = [k for k in range(1, max(n, 2)) if math.gcd(k, n) == 1] or [1]
         self.conj_mat = [self.zeta_pow(-j) for j in range(self.deg)]
-        self._sigma_cache = {}
 
     # -- basis vectors ------------------------------------------------
 
@@ -409,7 +367,7 @@ class _CyclotomicField:
 
     def zeta_pow(self, k):
         """Integer coefficient vector of zeta^k on the power basis."""
-        k %= max(self.n, 1)
+        k %= self.n
         if k in self._zeta_cache:
             return list(self._zeta_cache[k])
         if k < self.deg:
@@ -431,12 +389,6 @@ class _CyclotomicField:
     def zeta_elt(self, k):
         """zeta^k as a packed field element."""
         return (self.zeta_pow(k), 1)
-
-    def sigma_mat(self, k):
-        """Basis images under the Galois map zeta -> zeta^k."""
-        if k not in self._sigma_cache:
-            self._sigma_cache[k] = [self.zeta_pow(j * k) for j in range(self.deg)]
-        return self._sigma_cache[k]
 
     # -- packed arithmetic ---------------------------------------------
 
@@ -479,9 +431,6 @@ class _CyclotomicField:
         la, lb = bd // g, ad // g
         return self.normalize(([x * la - y * lb for x, y in zip(an, bn)], ad * la))
 
-    def neg(self, a):
-        return ([-x for x in a[0]], a[1])
-
     def scale(self, a, num, den=1):
         return self.normalize(([x * num for x in a[0]], a[1] * den))
 
@@ -504,58 +453,47 @@ class _CyclotomicField:
             ad //= g
         return an, ad
 
-    def apply_basis_map(self, basis_images, a):
+    def conj(self, a):
+        """Image under zeta -> 1/zeta, from the basis images conj_mat."""
         an, ad = a
         deg = self.deg
         out = [0] * deg
         for j in range(deg):
             c = an[j]
             if c:
-                img = basis_images[j]
+                img = self.conj_mat[j]
                 for i in range(deg):
                     out[i] += c * img[i]
         return self.normalize((out, ad))
 
-    def conj(self, a):
-        return self.apply_basis_map(self.conj_mat, a)
-
-    def galois(self, a, k):
-        return self.apply_basis_map(self.sigma_mat(k), a)
-
     def is_zero(self, a):
         return not any(a[0])
 
-    def is_rational(self, a):
-        return not any(a[0][1:])
-
     def inverse(self, a):
-        """1/a via the product of the nontrivial Galois conjugates."""
+        """1/a by the extended Euclidean algorithm modulo Phi_n: Phi_n is
+        irreducible, so a nonzero a leaves a constant last remainder c with
+        s*a = c, and 1/a = s/c."""
         an, ad = a
         if not any(an):
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.n)
-        adj = self.one()
-        for k in self.units[1:]:
-            adj = self.mul(adj, (self.galois((an, 1), k)))
-        norm = self.mul((an, 1), adj)
-        nn, nd = norm
-        if any(nn[1:]) or not nn[0]:
+        r, s = _euclid(self.phi, an)
+        if len(r) != 1:
             raise InternalInvariantViolation(
-                "field norm must be a nonzero rational in Q(zeta_%d)" % self.n)
-        # a/ad * adj*ad / (nn[0]/nd) = 1  =>  inverse = adj * ad * nd / nn[0]
-        return self.normalize(([x * ad * nd for x in adj[0]], adj[1] * nn[0]))
+                "a nonzero element of Q(zeta_%d) must be coprime to Phi_%d"
+                % (self.n, self.n))
+        s += [0] * (self.deg - len(s))
+        return self.normalize(([x * ad for x in s], r[0]))
 
     # -- conversions ----------------------------------------------------
 
     def pack(self, fracs):
         """Tuple of Fractions -> packed (nums, den)."""
         fracs = [Fraction(x) for x in fracs]
-        assert len(fracs) == self.deg
+        if len(fracs) != self.deg:
+            raise PreconditionError("Q(zeta_%d) elements have %d coordinates"
+                                    % (self.n, self.deg))
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         return self.normalize(([int(f * den) for f in fracs], den))
-
-    def unpack(self, a):
-        an, ad = a
-        return tuple(Fraction(x, ad) for x in an)
 
     def from_rational(self, q):
         q = Fraction(q)
@@ -601,9 +539,6 @@ class _CyclotomicField:
             digits = max(digits * 4, cap + 1) if digits * 4 > cap else digits * 4
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials over Q(zeta_p), p prime
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -613,160 +548,3 @@ def _is_prime(p):
             return False
         i += 1
     return True
-
-
-class CycLaurent:
-    """Laurent polynomial over Q(zeta_p) for prime p.
-
-    Coefficients are tuples of Fractions of length p-1 on the power basis.
-    """
-
-    __slots__ = ("p", "field", "coeffs")
-
-    def __init__(self, p, coeffs=None):
-        assert _is_prime(p), "the cyclotomic Laurent ring is over prime p"
-        self.p = p
-        self.field = CyclotomicField(p)
-        self.coeffs = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = tuple(Fraction(x) for x in v)
-                if any(v):
-                    self.coeffs[int(e)] = v
-
-    @classmethod
-    def from_rat(cls, p, f):
-        """Embed a RatLaurent."""
-        deg = CyclotomicField(p).deg
-        return cls(p, {e: (c,) + (Fraction(0),) * (deg - 1)
-                       for e, c in f.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, CycLaurent) and self.p == other.p
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        assert self.p == other.p
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            if e in out:
-                s = tuple(a + b for a, b in zip(out[e], v))
-                if any(s):
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = v
-        return CycLaurent(self.p, out)
-
-    def __neg__(self):
-        return CycLaurent(self.p, {e: tuple(-x for x in v)
-                                   for e, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        assert isinstance(other, CycLaurent) and self.p == other.p
-        F = self.field
-        acc = {}
-        for e1, v1 in self.coeffs.items():
-            p1 = F.pack(v1)
-            for e2, v2 in other.coeffs.items():
-                p2 = F.pack(v2)
-                prod = F.mul(p1, p2)
-                e = e1 + e2
-                if e in acc:
-                    acc[e] = F.add(acc[e], prod)
-                else:
-                    acc[e] = prod
-        return CycLaurent(self.p, {e: F.unpack(v) for e, v in acc.items()
-                                   if not F.is_zero(v)})
-
-    def conj(self):
-        """The involution zeta -> 1/zeta, t -> 1/t."""
-        F = self.field
-        return CycLaurent(self.p, {-e: F.unpack(F.conj(F.pack(v)))
-                                   for e, v in self.coeffs.items()})
-
-    def scale_unit(self, zeta_exp=0, t_exp=0, rational=1):
-        """Multiply by the unit rational * zeta^zeta_exp * t^t_exp."""
-        F = self.field
-        z = (F.zeta_pow(zeta_exp), 1)
-        q = Fraction(rational)
-        out = {}
-        for e, v in self.coeffs.items():
-            w = F.mul(F.pack(v), z)
-            w = F.scale(w, q.numerator, q.denominator)
-            out[e + t_exp] = F.unpack(w)
-        return CycLaurent(self.p, out)
-
-    def associate_of(self, other):
-        """True when self = c * zeta^m * t^k * other for some rational c."""
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        for m in range(self.p):
-            for k_candidate in {min(self.coeffs) - min(other.coeffs)}:
-                cand = other.scale_unit(zeta_exp=m, t_exp=k_candidate)
-                # match a rational scale on the lowest term
-                e0 = min(self.coeffs)
-                if e0 not in cand.coeffs:
-                    continue
-                v_self, v_cand = self.coeffs[e0], cand.coeffs[e0]
-                scale = None
-                ok = True
-                for a, b in zip(v_self, v_cand):
-                    if b == 0:
-                        if a != 0:
-                            ok = False
-                            break
-                        continue
-                    r = Fraction(a, 1) / b
-                    if scale is None:
-                        scale = r
-                    elif scale != r:
-                        ok = False
-                        break
-                if not ok or scale is None:
-                    continue
-                if cand.scale_unit(rational=scale) == self:
-                    return True
-        return False
-
-    def to_json(self):
-        """{exponent: [numerator, denominator, primitive integer vector]}
-        with coefficient = (numerator/denominator) * sum(v_i * zeta^i)."""
-        out = {}
-        for e, v in sorted(self.coeffs.items()):
-            den = math.lcm(*(x.denominator for x in v))
-            ints = [int(x * den) for x in v]
-            g = math.gcd(*(abs(i) for i in ints))
-            out[str(e)] = [g, den, [i // g for i in ints]]
-        return {"p": self.p, "coeffs": out}
-
-    @classmethod
-    def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        p = data["p"]
-        coeffs = {}
-        for e, (num, den, vec) in data["coeffs"].items():
-            coeffs[int(e)] = tuple(Fraction(num * x, den) for x in vec)
-        return cls(p, coeffs)
-
-    def __repr__(self):
-        return "CycLaurent(p=%d, %d terms)" % (self.p, len(self.coeffs))
-
-
-def cyc_eval(f, shift, p):
-    """Substitute t -> zeta_p^shift * t in a RatLaurent, landing in
-    Q(zeta_p)[t, 1/t]."""
-    F = CyclotomicField(p)
-    out = {}
-    for e, c in f.coeffs.items():
-        z = F.zeta_pow(shift * e)
-        out[e] = tuple(Fraction(c) * x for x in z)
-    return CycLaurent(p, out)

@@ -7,6 +7,8 @@ point anywhere.  Matrices are lists of lists (rows) of ints or Fractions.
 from fractions import Fraction
 from math import gcd
 
+from .errors import PreconditionError
+
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -29,7 +31,8 @@ def transpose(M):
 def mat_mul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    assert all(len(row) == k for row in A)
+    if any(len(row) != k for row in A):
+        raise PreconditionError("matrix shapes do not match for a product")
     C = [[0] * m for _ in range(n)]
     for i in range(n):
         Ai = A[i]
@@ -124,14 +127,9 @@ def invert_rational(M):
 def invert_integer(M):
     """Inverse of an integer matrix with determinant +-1."""
     inv = invert_rational(M)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            assert x.denominator == 1, "matrix is not unimodular"
-            r.append(int(x))
-        out.append(r)
-    return out
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise PreconditionError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------

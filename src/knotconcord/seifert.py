@@ -16,7 +16,8 @@ from math import gcd
 
 from . import linalg
 from .cyclo import CyclotomicField, RatLaurent
-from .errors import PreconditionError, SingularAtT, UnsupportedGenus
+from .errors import (InternalInvariantViolation, PreconditionError, SingularAtT,
+                     UnsupportedGenus)
 from .kernels import hermitian_inertia
 
 
@@ -106,10 +107,9 @@ def _interpolate_integer_poly(values):
             basis = nxt
         for i, c in enumerate(basis):
             coeffs[i] += Fraction(v, denom) * c
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(c.numerator)
+    if any(c.denominator != 1 for c in coeffs):
+        raise InternalInvariantViolation("a determinant polynomial must be integral")
+    out = [c.numerator for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -199,14 +199,11 @@ def _rational_factors(poly):
     with multiplicities.  Unit content is dropped."""
     from sympy import Poly, Symbol, factor_list
 
-    norm = poly.normalized()
-    deg = max(norm.coeffs) if norm.coeffs else 0
-    ints = [0] * (deg + 1)
-    for e, c in norm.coeffs.items():
-        assert c.denominator == 1
-        ints[e] = c.numerator
+    nums, _ = poly.normalized().primitive_integer()
+    deg = max(nums, default=0)
     if deg == 0:
         return []
+    ints = [nums.get(e, 0) for e in range(deg + 1)]
     x = Symbol("x")
     expr = sum(c * x ** e for e, c in enumerate(ints))
     _, facs = factor_list(Poly(expr, x))

@@ -7,6 +7,7 @@ parities were derived by hand mod 7 before being frozen here.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -229,8 +230,10 @@ def test_satellite_sigma_torus_examples():
 
 def test_satellite_sigma_singular_point_propagates():
     trefoil = torus_matrix(2, 3)
-    with pytest.raises(SingularAtT):
-        satellite_sigma(SigGrowth(0), trefoil, 1, 6)
+    # signatures are memoised, singular points are not
+    for _ in range(2):
+        with pytest.raises(SingularAtT):
+            satellite_sigma(SigGrowth(0), trefoil, 1, 6)
 
 
 def test_satellite_delta_shifts():
@@ -354,6 +357,26 @@ def test_twisted_double_multiple_summands():
         assert rep["metabolizer_count"] >= 1
         for case in rep["cases"]:
             assert case["all_coefficients_positive"]
+
+
+def test_twisted_double_signatures_computed_once(monkeypatch, capsys):
+    # the witness of every metabolizer replays companion signatures that
+    # the table already holds: 4 distinct (V, t), so 4 inertia calls
+    from knotconcord import cassongordon, seifert
+    from knotconcord.cli import main
+
+    cassongordon._companion_signature.cache_clear()
+    calls = []
+    inertia = seifert.hermitian_inertia
+
+    def counted(*args):
+        calls.append(args)
+        return inertia(*args)
+
+    monkeypatch.setattr(seifert, "hermitian_inertia", counted)
+    assert main(["obstruct-twisted-double", "--a", "2", "--n", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["obstructed"]
+    assert len(calls) == 4
 
 
 def test_twisted_double_budget():

@@ -6,13 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotconcord.cyclo import (
-    CycLaurent,
     CyclotomicField,
     RatLaurent,
+    _pi_bounds,
     cube_roots_mod,
-    cyc_eval,
     cyclotomic_polynomial,
+    poly_gcd_q,
 )
+from knotconcord.errors import PreconditionError
+
+# pi truncated to 110 decimals
+PI_110 = Fraction(
+    "3.14159265358979323846264338327950288419716939937510582097494459230781"
+    "640628620899862803482534211706798214808651")
 
 
 def test_cyclotomic_polynomials_small():
@@ -87,6 +93,35 @@ def test_inverse_is_multiplicative_inverse(case):
     assert F.mul(a, F.inverse(a)) == F.one()
 
 
+@pytest.mark.parametrize("n, count", [(101, 3), (105, 3), (211, 2)])
+def test_inverse_large_fields(n, count):
+    # Phi_105 is the first cyclotomic polynomial with a coefficient -2
+    F = CyclotomicField(n)
+    rng = random.Random(n)
+    for _ in range(count):
+        nums = [rng.choice([x for x in range(-9, 10) if x]) for _ in range(F.deg)]
+        a = F.normalize((nums, rng.randint(1, 12)))
+        assert F.mul(a, F.inverse(a)) == F.one()
+    assert F.inverse(F.zeta_elt(1)) == F.normalize(F.zeta_elt(n - 1))
+
+
+def test_cyclotomic_field_rejects_bad_order():
+    for n in (0, -3):
+        with pytest.raises(PreconditionError):
+            CyclotomicField(n)
+    with pytest.raises(PreconditionError):
+        CyclotomicField(7).pack([1, 2])
+
+
+def test_pi_bounds_bracket_pi():
+    assert len(str(PI_110.denominator)) == 111
+    for digits in (32, 104):
+        lo, hi = _pi_bounds(digits)
+        # PI_110 <= pi < PI_110 + 10^-110
+        assert lo < PI_110 and PI_110 + Fraction(1, 10 ** 110) < hi
+        assert hi - lo <= Fraction(1, 10 ** (digits - 2))
+
+
 def test_conj_fixes_real_combination():
     F = CyclotomicField(7)
     x = F.add(F.zeta_elt(1), F.zeta_elt(6))
@@ -110,19 +145,6 @@ def test_sign_real_certified_values():
     assert F5.sign_real(y) == -1
 
 
-def test_galois_maps_are_automorphisms():
-    rng = random.Random(202)
-    F = CyclotomicField(7)
-    for k in F.units[1:]:
-        for _ in range(5):
-            a = random_element(rng, F)
-            b = random_element(rng, F)
-            assert F.galois(F.mul(a, b), k) == F.mul(F.galois(a, k), F.galois(b, k))
-    # sigma_k(zeta) = zeta^k
-    for k in F.units:
-        assert F.galois(F.zeta_elt(1), k) == F.normalize(F.zeta_elt(k))
-
-
 def test_rat_laurent_basics():
     f = RatLaurent.from_list([2, -5, 2])          # 2 - 5t + 2t^2
     assert f.eval_fraction(Fraction(1)) == -1
@@ -142,36 +164,14 @@ def test_rat_laurent_json_roundtrip():
     assert RatLaurent.from_json(f.to_json()).coeffs == f.coeffs
 
 
-def test_cyc_laurent_substitution_pinned():
-    # t -> zeta^2 t applied to 2t^2 - 5t + 2 over Q(zeta_7)
-    f = RatLaurent.from_list([2, -5, 2])
-    g = cyc_eval(f, 2, 7)
-    F = g.field
-    assert F.pack(g.coeffs[0]) == F.from_rational(2)
-    assert F.pack(g.coeffs[1]) == F.scale(F.zeta_elt(2), -5)
-    assert F.pack(g.coeffs[2]) == F.scale(F.zeta_elt(4), 2)
-
-
-def test_cyc_laurent_conj_and_associates():
-    f = RatLaurent.from_list([2, -5, 2])
-    g = cyc_eval(f, 3, 7)
-    # conj then conj is identity
-    assert g.conj().conj().coeffs == g.coeffs
-    # unit multiples are associates
-    h = g.scale_unit(zeta_exp=4, t_exp=2, rational=Fraction(3, 5))
-    assert g.associate_of(h)
-    assert h.associate_of(g)
-    # and a non-unit multiple is not
-    k = g * cyc_eval(RatLaurent.from_list([1, 1]), 0, 7)
-    assert not g.associate_of(k)
-
-
-def test_cyc_laurent_json_roundtrip():
-    f = cyc_eval(RatLaurent.from_list([2, -5, 2]), 2, 7)
-    data = f.to_json()
-    assert data["p"] == 7
-    g = CycLaurent.from_json(data)
-    assert g.coeffs == f.coeffs
+def test_poly_gcd_q():
+    common = RatLaurent.from_list([-2, 1])                    # t - 2
+    f = common * RatLaurent.from_list([1, 1]) * Fraction(3, 4)
+    g = (common * RatLaurent.from_list([1, 0, 1])).shift(-3)
+    assert poly_gcd_q(f, g) == common
+    assert poly_gcd_q(f, RatLaurent.from_list([1, 0, 1])) == RatLaurent.term(1)
+    assert poly_gcd_q(RatLaurent(), g) == (common * RatLaurent.from_list([1, 0, 1]))
+    assert poly_gcd_q(RatLaurent(), RatLaurent()).is_zero()
 
 
 def test_cube_roots_mod():

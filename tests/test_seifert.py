@@ -129,6 +129,10 @@ def test_signature_matches_lattice_count():
             except SingularAtT:
                 continue
             assert got == litherland_count(p, q, t)
+    # large fields: phi(d) = 210, 150 and 112
+    for p, q, t in [(2, 3, Fraction(1, 211)), (2, 3, Fraction(40, 151)),
+                    (2, 5, Fraction(33, 113))]:
+        assert lt_signature(torus_matrix(p, q), t) == litherland_count(p, q, t)
 
 
 def test_signature_mirror_negates():
