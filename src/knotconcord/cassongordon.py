@@ -244,7 +244,17 @@ def _resolve_poly(J):
         return J
     if isinstance(J, (list, tuple)) and not (J and isinstance(J[0], (list, tuple))):
         return _poly_from_key(J)
-    return alexander(_companion_matrix(J))
+    entries = tuple(tuple(r) for r in _companion_matrix(J).entries)
+    return _poly_from_key(_companion_alexander(entries))
+
+
+@cache
+def _companion_alexander(entries):
+    """_poly_key of the companion's Alexander polynomial (() when it is 0),
+    memoised on the matrix entries: the drivers resolve each companion
+    once per case."""
+    poly = alexander(SeifertMatrix(entries))
+    return () if poly.is_zero() else _poly_key(poly)
 
 
 def _squarefree_part(n):

@@ -11,12 +11,12 @@ Field elements are coefficient vectors on the power basis 1, zeta, ...,
 zeta^(phi(n)-1).  Conjugation is the ring involution zeta -> 1/zeta.
 Inverses come from the extended Euclidean algorithm modulo Phi_n, run
 over the integers (_euclid, which also computes gcds in Q[t]).  Signs of
-nonzero real (self-conjugate) elements are certified by rational interval
-arithmetic: the element is evaluated on intervals enclosing
-cos(2*pi*j/n), refined until zero is excluded.  A lower bound on the
-modulus of a nonzero element (via the field norm) guarantees termination,
-and pi is enclosed by Machin's formula in integer arithmetic, so no
-floating point is ever trusted.
+nonzero real (self-conjugate) elements are certified in integer fixed
+point: each field keeps, per precision, a table of integers within 1 of
+2^bits * cos(2*pi*j/n) (pi from Machin's formula), and a sign is
+accepted only when the exact integer sum clears its error bound.  A lower
+bound on the modulus of a nonzero element (via the field norm) caps the
+precision, so no floating-point value is ever computed.
 """
 
 import json
@@ -249,9 +249,6 @@ def _poly_div_exact(a, b):
     return out
 
 
-_PI_CACHE = {}
-
-
 def _arctan_inv(x, scale):
     """scale * arctan(1/x) for an integer x > 1, to within the number of
     terms + 1: each term of the alternating series is floored once, and
@@ -267,56 +264,53 @@ def _arctan_inv(x, scale):
     return total
 
 
-def _pi_bounds(digits):
-    """Fractions (lo, hi) with lo < pi < hi and hi - lo <= 10^(2-digits),
-    from Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239)."""
-    if digits in _PI_CACHE:
-        return _PI_CACHE[digits]
-    # each arctan has fewer terms than scale has digits, so approx is off
-    # pi * scale by less than 20 * (digits of scale + 1) < guard / 10
-    guard = 10 ** (len(str(digits)) + 3)
-    scale = 10 ** (digits + 4) * guard
-    approx = 16 * _arctan_inv(5, scale) - 4 * _arctan_inv(239, scale)
-    # pi rounded to digits + 4 decimals, |val - pi| < 10^-(digits+4)
-    val = Fraction((approx + guard // 2) // guard, 10 ** (digits + 4))
-    eps = Fraction(1, 2 * 10 ** (digits - 2))
-    _PI_CACHE[digits] = (val - eps, val + eps)
-    return _PI_CACHE[digits]
+def _pi_fixed(w):
+    """An integer within 4w + 40 of 2^w * pi, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239): at scale 2^w the two series
+    have at most w/4.6 + 1 and w/15 + 1 terms."""
+    scale = 1 << w
+    return 16 * _arctan_inv(5, scale) - 4 * _arctan_inv(239, scale)
 
 
-def _cos_series_bounds(x, tol):
-    """Interval for cos(x) at an exact rational x in [0, 1.6]."""
-    s = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    x2 = x * x
-    while True:
-        k += 1
-        term = term * x2 / ((2 * k - 1) * (2 * k))
-        s += -term if k % 2 else term
-        # alternating tail bound once terms decrease (true for x <= 2, k >= 1)
-        if term < tol:
-            break
-    return s - term, s + term
+def _cos_table(n, count, bits):
+    """Integers C_j, j < count, with |C_j - 2^bits cos(2 pi j/n)| < 1, for
+    bits >= 64.
 
-
-def _cos_2pi_bounds(r, digits):
-    """Interval enclosing cos(2*pi*r) for rational r, width ~10^-digits."""
-    r = r - math.floor(r)
-    sign = 1
-    if 2 * r > 1:
-        r = 1 - r
-    if 4 * r > 1:
-        r = Fraction(1, 2) - r
-        sign = -1
-    pil, pih = _pi_bounds(digits + 8)
-    tol = Fraction(1, 10 ** (digits + 2))
-    # theta = 2*pi*r in [0, pi/2]; cos is decreasing there
-    lo = _cos_series_bounds(2 * r * pih, tol)[0]
-    hi = _cos_series_bounds(2 * r * pil, tol)[1]
-    if sign < 0:
-        lo, hi = -hi, -lo
-    return lo, hi
+    Error analysis, in units of 2^-w at the working precision w = bits + g
+    with g = bits.bit_length() + 6:
+      * P = _pi_fixed(w) is within 4w + 40 of 2^w pi.
+      * j/n is folded exactly: cos(2 pi j/n) = s cos(pi p/n) with s = +-1
+        and 0 <= p/n <= 1/2.  X = floor(P p/n) is within 2w + 21 of 2^w x,
+        x = pi p/n in [0, pi/2]; as |cos'| <= 1, cos(X 2^-w) is within
+        2w + 21 of cos x.
+      * Taylor series of cos(X 2^-w): t_0 = 2^w and t_k = floor(t_(k-1)
+        X^2 / (2^2w (2k-1) 2k)), summed with alternating signs until the
+        first t_K = 0 (shifting first is the same single floor).  The
+        ratio of consecutive exact terms is below 1.24 for k = 1 and below
+        0.21 after, so each t_k falls short of its exact term by less than
+        1.3, K < w/2 + 3, and the tail is below the first omitted exact
+        term, itself below 1.3: the sum is within w + 6 of 2^w cos(X 2^-w).
+      * The total, 3w + 27, is below 2^(g-1), so rounding off the g guard
+        bits leaves an error below 1/2 + 1/2.
+    """
+    g = bits.bit_length() + 6
+    w = bits + g
+    pi = _pi_fixed(w)
+    table = []
+    for j in range(count):
+        r = j % n
+        if 2 * r > n:
+            r = n - r
+        s, p = (1, 2 * r) if 4 * r <= n else (-1, n - 2 * r)
+        x2 = (pi * p // n) ** 2
+        total = term = 1 << w
+        k = 0
+        while term:
+            k += 1
+            term = (term * x2 >> (2 * w)) // ((2 * k - 1) * 2 * k)
+            total += -term if k % 2 else term
+        table.append(s * ((total + (1 << (g - 1))) >> g))
+    return table
 
 
 _field_cache = {}
@@ -345,15 +339,15 @@ class _CyclotomicField:
         self.redbase = [-c for c in self.phi[:-1]]
         self.red = [self.redbase]
         for _ in range(self.deg - 2):
-            prev = self.red[-1]
-            nxt = [0] + prev[:-1]
-            carry = prev[-1]
-            if carry:
-                for j in range(self.deg):
-                    nxt[j] += carry * self.redbase[j]
-            self.red.append(nxt)
+            self.red.append(self._times_zeta(self.red[-1]))
         self._zeta_cache = {}
-        self.conj_mat = [self.zeta_pow(-j) for j in range(self.deg)]
+        self._cos_tables = {}
+        # conj_mat[j] = zeta^(n-j): one walk up to zeta^(n-deg+1), then
+        # one multiplication by zeta per row
+        rows = [self.zeta_pow(n - self.deg + 1)] if self.deg > 1 else []
+        while len(rows) < self.deg - 1:
+            rows.append(self._times_zeta(rows[-1]))
+        self.conj_mat = [self.zeta_pow(0)] + rows[::-1]
 
     # -- basis vectors ------------------------------------------------
 
@@ -370,20 +364,21 @@ class _CyclotomicField:
         k %= self.n
         if k in self._zeta_cache:
             return list(self._zeta_cache[k])
-        if k < self.deg:
-            v = [0] * self.deg
-            v[k] = 1
-        else:
-            # multiply x^(deg-1) by x repeatedly, reducing at each step
-            v = [0] * self.deg
-            v[self.deg - 1] = 1
-            for _ in range(k - self.deg + 1):
-                carry = v[-1]
-                v = [0] + v[:-1]
-                if carry:
-                    for j in range(self.deg):
-                        v[j] += carry * self.redbase[j]
+        v = [0] * self.deg
+        # multiply x^(deg-1) by x repeatedly, reducing at each step
+        v[min(k, self.deg - 1)] = 1
+        for _ in range(k - self.deg + 1):
+            v = self._times_zeta(v)
         self._zeta_cache[k] = list(v)
+        return v
+
+    def _times_zeta(self, v):
+        """Coefficient vector of zeta * v."""
+        carry = v[-1]
+        v = [0] + v[:-1]
+        if carry:
+            for j in range(self.deg):
+                v[j] += carry * self.redbase[j]
         return v
 
     def zeta_elt(self, k):
@@ -503,40 +498,40 @@ class _CyclotomicField:
 
     # -- sign certification ----------------------------------------------
 
+    def cos_table(self, bits):
+        """_cos_table for this field at 2^bits, built once per precision."""
+        if bits not in self._cos_tables:
+            self._cos_tables[bits] = _cos_table(self.n, self.deg, bits)
+        return self._cos_tables[bits]
+
     def sign_real(self, a):
-        """Sign (-1, 0, 1) of a self-conjugate element, certified by
-        interval refinement; termination is backed by the norm lower bound
-        |a| >= 1 / (sum |coeffs|)^(deg-1) for nonzero integral a."""
-        an, ad = a
+        """Sign (-1, 0, 1) of a self-conjugate element.
+
+        With C_j from cos_table(bits), S = sum c_j C_j is within
+        W = sum |c_j| of 2^bits * den * a, so |S| > W certifies the sign;
+        otherwise bits is quadrupled.  A nonzero den * a is a real
+        algebraic integer with conjugates of modulus at most W and a
+        nonzero integer norm, so |den * a| >= W^-(deg-1), and every
+        bits > deg * W.bit_length() separates it: failing there means
+        a is not self-conjugate.
+        """
+        an = a[0]
         if not any(an):
             return 0
         if not any(an[1:]):
             return 1 if an[0] > 0 else -1
         weight = sum(abs(x) for x in an)
-        # enough digits to separate a nonzero value from 0, plus guard
-        cap = (self.deg - 1) * len(str(weight)) + 12
-        digits = 24
+        cap = self.deg * weight.bit_length() + 1
+        bits = 64
         while True:
-            lo = hi = Fraction(0)
-            for j, c in enumerate(an):
-                if not c:
-                    continue
-                clo, chi = _cos_2pi_bounds(Fraction(j, self.n), digits)
-                if c > 0:
-                    lo += c * clo
-                    hi += c * chi
-                else:
-                    lo += c * chi
-                    hi += c * clo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if digits > cap:
+            s = sum(c * C for c, C in zip(an, self.cos_table(bits)) if c)
+            if abs(s) > weight:
+                return 1 if s > 0 else -1
+            if bits >= cap:
                 raise ArithmeticError(
                     "sign of a provably nonzero element did not separate; "
                     "element may not be self-conjugate")
-            digits = max(digits * 4, cap + 1) if digits * 4 > cap else digits * 4
+            bits *= 4
 
 
 def _is_prime(p):

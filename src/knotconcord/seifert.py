@@ -16,8 +16,8 @@ from math import gcd
 
 from . import linalg
 from .cyclo import CyclotomicField, RatLaurent
-from .errors import (InternalInvariantViolation, PreconditionError, SingularAtT,
-                     UnsupportedGenus)
+from .errors import (BudgetExceeded, InternalInvariantViolation,
+                     PreconditionError, SingularAtT, UnsupportedGenus)
 from .kernels import hermitian_inertia
 
 
@@ -115,10 +115,28 @@ def _interpolate_integer_poly(values):
     return out
 
 
+# Largest field degree phi(d) that lt_signature works over.  Fixtures, tests
+# and benchmark workloads need at most 210; the trefoil takes about 0.5 s at
+# t = 1/1021 (phi = 1020) and 2 s at 1/4620 (phi = 960).
+MAX_FIELD_DEGREE = 1024
+
+
+def _euler_phi(n):
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
 def lt_signature(V, t):
     """Signature of (1-w)V + (1-conj(w))V^T at w = exp(2*pi*i*t), t in (0,1).
 
-    Computed exactly over the cyclotomic field of the reduced denominator.
+    Computed exactly over the cyclotomic field of the reduced denominator;
+    raises BudgetExceeded when its degree exceeds MAX_FIELD_DEGREE.
     Raises SingularAtT when the form is singular there, which happens
     exactly when w is a root of the Alexander polynomial.
     """
@@ -130,6 +148,11 @@ def lt_signature(V, t):
     a, d = t.numerator, t.denominator
     if V.size == 0:
         return 0
+    # phi(d) >= sqrt(d/2), so a larger d needs no factoring
+    if d > 2 * MAX_FIELD_DEGREE ** 2 or _euler_phi(d) > MAX_FIELD_DEGREE:
+        raise BudgetExceeded("t = %s needs Q(zeta_%d), whose degree phi(%d) "
+                             "exceeds the budget of %d"
+                             % (t, d, d, MAX_FIELD_DEGREE), MAX_FIELD_DEGREE)
     F = CyclotomicField(d)
     one = F.one()
     c1 = F.sub(one, F.zeta_elt(a))          # 1 - w

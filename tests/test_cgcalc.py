@@ -379,6 +379,29 @@ def test_twisted_double_signatures_computed_once(monkeypatch, capsys):
     assert len(calls) == 4
 
 
+def test_mutant_sum_alexander_computed_once(monkeypatch, capsys):
+    # both summands of the pair share one companion matrix: its Alexander
+    # polynomial is computed once, not once per lift and per case
+    from pathlib import Path
+
+    from knotconcord import cassongordon
+    from knotconcord.cli import main
+
+    cassongordon._companion_alexander.cache_clear()
+    calls = []
+    alexander = cassongordon.alexander
+
+    def counted(*args):
+        calls.append(args)
+        return alexander(*args)
+
+    monkeypatch.setattr(cassongordon, "alexander", counted)
+    spec = Path(__file__).parent / "fixtures" / "mutant_equal_pair.json"
+    assert main(["obstruct-mutant-sum", "--knot", str(spec), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["obstructed"]
+    assert len(calls) == 1
+
+
 def test_twisted_double_budget():
     with pytest.raises(BudgetExceeded):
         twisted_double_obstruction(3, n=3, budget=5)

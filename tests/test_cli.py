@@ -301,6 +301,17 @@ def test_exit_code_budget(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("t, d", [("1/1031", 1031), ("1/3000001", 3000001)])
+def test_field_degree_budget_exits_3(capsys, t, d):
+    code = main(["signature", "--knot", fx("torus_2_3.json"), "--t", t])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: t = %s needs Q(zeta_%d), whose "
+                            "degree phi(%d) exceeds the budget of 1024\n"
+                            % (t, d, d))
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("KNOTCONCORD_BUDGET", "2")
     code = main(["metabolizers", "--knot", fx("sum_double_a2_n2.json"),

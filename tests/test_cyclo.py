@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotconcord.cyclo import (
     CyclotomicField,
     RatLaurent,
-    _pi_bounds,
+    _cos_table,
+    _pi_fixed,
     cube_roots_mod,
     cyclotomic_polynomial,
     poly_gcd_q,
@@ -115,11 +117,12 @@ def test_cyclotomic_field_rejects_bad_order():
 
 def test_pi_bounds_bracket_pi():
     assert len(str(PI_110.denominator)) == 111
-    for digits in (32, 104):
-        lo, hi = _pi_bounds(digits)
+    for w in (100, 320):
+        # _pi_fixed(w) is within 4w + 40 of 2^w pi
+        P, err = _pi_fixed(w), 4 * w + 40
+        lo, hi = Fraction(P - err, 2 ** w), Fraction(P + err, 2 ** w)
         # PI_110 <= pi < PI_110 + 10^-110
         assert lo < PI_110 and PI_110 + Fraction(1, 10 ** 110) < hi
-        assert hi - lo <= Fraction(1, 10 ** (digits - 2))
 
 
 def test_conj_fixes_real_combination():
@@ -180,3 +183,88 @@ def test_cube_roots_mod():
     assert cube_roots_mod(5) == [1]
     for r in cube_roots_mod(49):
         assert pow(r, 3, 49) == 1
+
+
+# ---------------------------------------------------------------------------
+# the sign layer against an oracle that does not use cyclo: sympy's cosines
+
+
+def _oracle_cos(j, n, digits):
+    return sp.cos(2 * sp.pi * sp.Rational(j, n)).evalf(digits)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_cos_table_within_one_unit(bits):
+    # |C_j - 2^bits cos(2 pi j/n)| < 1 for every entry
+    digits = bits * 3 // 10 + 30
+    scale = sp.Integer(2) ** bits
+    for n in list(range(1, 61)) + [211]:
+        table = _cos_table(n, n, bits)
+        for j, C in enumerate(table):
+            assert abs(C - scale * _oracle_cos(j, n, digits)) < 1, (n, j)
+    assert CyclotomicField(211).cos_table(bits) == _cos_table(211, 210, bits)
+
+
+def _oracle_sign(F, a):
+    """Sign of sum c_j cos(2 pi j/n) in sympy, at a precision the norm
+    bound |den * a| >= W^-(deg-1) proves sufficient."""
+    nums, _ = a
+    weight = sum(abs(c) for c in nums)
+    digits = F.deg * weight.bit_length() * 3 // 10 + 30
+    value = sum(c * _oracle_cos(j, F.n, digits) for j, c in enumerate(nums) if c)
+    assert abs(value) > sp.Float(10, digits) ** (20 - digits) * weight
+    return 1 if value > 0 else -1
+
+
+@st.composite
+def real_elements(draw, orders):
+    F = CyclotomicField(draw(orders))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=F.deg, max_size=F.deg))
+    a = F.normalize((nums, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        return F, F.add(a, F.conj(a))
+    r = Fraction(draw(st.integers(0, 40 * F.deg)), draw(st.integers(1, 3)))
+    return F, F.sub(F.mul(a, F.conj(a)), F.from_rational(r))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(real_elements(st.integers(3, 60)))
+def test_sign_real_matches_oracle(case):
+    F, a = case
+    assert F.conj(a) == a
+    assume(not F.is_zero(a))
+    assert F.sign_real(a) == _oracle_sign(F, a)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(real_elements(st.sampled_from([101, 103, 107, 211])))
+def test_sign_real_matches_oracle_large_primes(case):
+    F, a = case
+    assume(not F.is_zero(a))
+    assert F.sign_real(a) == _oracle_sign(F, a)
+
+
+def test_sign_real_refines_fibonacci_cancellation():
+    # F_k (zeta + zeta^4) - F_(k-1) = -psi^k in Q(zeta_5), psi = (1 - sqrt 5)/2,
+    # since zeta + zeta^4 = -psi and psi^k = F_k psi + F_(k-1)
+    F = CyclotomicField(5)
+    fib = [0, 1]
+    while fib[-2] <= 2 ** 80:
+        fib.append(fib[-1] + fib[-2])
+    for k in (len(fib) - 2, len(fib) - 1):
+        x = F.add(F.zeta_elt(1), F.zeta_elt(4))
+        a = F.sub(F.scale(x, fib[k]), F.from_rational(fib[k - 1]))
+        weight = sum(abs(c) for c in a[0])
+        # 64 bits cannot separate |a| ~ 2^-81 from an error of up to 2^82
+        s64 = sum(c * C for c, C in zip(a[0], F.cos_table(64)))
+        assert abs(s64) <= weight
+        assert F.sign_real(a) == (1 if k % 2 else -1)
+
+
+@pytest.mark.parametrize("n", [5, 211])
+def test_sign_real_rejects_non_real_at_cap(n):
+    # zeta - 1/zeta is purely imaginary: its real part is 0 at every
+    # precision, so the norm-bound cap must stop the refinement
+    F = CyclotomicField(n)
+    with pytest.raises(ArithmeticError):
+        F.sign_real(F.sub(F.zeta_elt(1), F.zeta_elt(-1)))
