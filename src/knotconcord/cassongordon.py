@@ -250,11 +250,10 @@ def _resolve_poly(J):
 
 @cache
 def _companion_alexander(entries):
-    """_poly_key of the companion's Alexander polynomial (() when it is 0),
-    memoised on the matrix entries: the drivers resolve each companion
-    once per case."""
-    poly = alexander(SeifertMatrix(entries))
-    return () if poly.is_zero() else _poly_key(poly)
+    """_poly_key of the companion's Alexander polynomial, memoised on the
+    matrix entries: the drivers resolve each companion once per case.
+    The polynomial is never 0: its value at t = 1 is det(V - V^T) = 1."""
+    return _poly_key(alexander(SeifertMatrix(entries)))
 
 
 def _squarefree_part(n):
