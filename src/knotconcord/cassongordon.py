@@ -23,12 +23,13 @@ from functools import cache
 from math import gcd, isqrt
 
 from . import linalg
-from .cover import linking_form, direct_sum
+from .cover import direct_sum, dual_linking, linking_form
 from .cyclo import RatLaurent, poly_gcd_q, _is_prime
 from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
                      BudgetExceeded, InternalInvariantViolation)
 from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
-                           vanishing_chars, find_odd_char, admissible_pair)
+                           vanishing_chars, find_odd_char, admissible_pair,
+                           span_vectors)
 from .seifert import (SeifertMatrix, KnotModel, build, alexander, lt_signature,
                       torus_matrix, twisted_double_matrix)
 
@@ -244,16 +245,7 @@ def _resolve_poly(J):
         return J
     if isinstance(J, (list, tuple)) and not (J and isinstance(J[0], (list, tuple))):
         return _poly_from_key(J)
-    entries = tuple(tuple(r) for r in _companion_matrix(J).entries)
-    return _poly_from_key(_companion_alexander(entries))
-
-
-@cache
-def _companion_alexander(entries):
-    """_poly_key of the companion's Alexander polynomial, memoised on the
-    matrix entries: the drivers resolve each companion once per case.
-    The polynomial is never 0: its value at t = 1 is det(V - V^T) = 1."""
-    return _poly_key(alexander(SeifertMatrix(entries)))
+    return alexander(_companion_matrix(J))
 
 
 def _squarefree_part(n):
@@ -445,7 +437,10 @@ def satellite_sigma(base, J, a, p):
     Signatures are memoised on (companion matrix entries, (a mod p)/p), so
     the drivers' tables and witness replays compute each one once; a
     singular point is not memoised and raises every time."""
-    a = int(a) % int(p)
+    p = int(p)
+    if p < 2:
+        raise PreconditionError("character order must be at least 2, got %d" % p)
+    a = int(a) % p
     if a == 0:
         return SigGrowth(base.coefficient)
     entries = tuple(tuple(r) for r in _companion_matrix(J).entries)
@@ -540,82 +535,34 @@ def norm_test(e, hypotheses=None):
 # ---------------------------------------------------------------------------
 # character plumbing shared by the drivers
 
-def _span_vectors(basis, p, budget, include_zero=False):
-    """All vectors in the row span of an independent basis mod p."""
-    dim = len(basis)
-    if p ** dim > budget:
-        raise BudgetExceeded("character space of dimension %d exceeds the "
-                             "budget" % dim, budget)
-    n = len(basis[0]) if basis else 0
-    out = []
-    for coeffs in itertools.product(range(p), repeat=dim):
-        if not include_zero and not any(coeffs):
-            continue
-        vec = tuple(sum(c * row[i] for c, row in zip(coeffs, basis)) % p
-                    for i in range(n))
-        out.append(vec)
-    return out
-
-
-def _block_pairing_unit(form, u, v, p=7):
-    """Linking pairing transported to mod-p characters of one block.
-
-    A mod-p character row u corresponds under the form to the p-torsion
-    element x_u = p * y_u with lk(x_u, .) = u/p; since the linking form is
-    trivial on the p-torsion itself, the surviving pairing is
-    B(u, v) = lk(y_u, x_v), well defined in (1/p)Z/Z because changing u by
-    a multiple of p moves y_u by a p-torsion element.  Returns p * B(u, v)
-    as an element of Z_p; it is symmetric and vanishes on each deck
-    eigenspace, pairing the two eigenspaces with each other."""
-    pe = form.group[0]
-    if any(f != pe for f in form.group) or pe != p * p:
-        raise InternalInvariantViolation("block must be homogeneous of height two")
-    k = len(form.group)
-    mint = []
-    for row in form.gram:
-        out = []
-        for x in row:
-            scaled = x * pe
-            if scaled.denominator != 1:
-                raise InternalInvariantViolation("pairing is finer than the block")
-            out.append(int(scaled) % pe)
-        mint.append(out)
-    minv = linalg.modm_inverse(mint, pe)
-    y = [sum(u[t] * minv[t][i] for t in range(k)) % pe for i in range(k)]
-    x = [p * sum(v[t] * minv[t][i] for t in range(k)) % pe for i in range(k)]
-    total = sum(y[i] * mint[i][j] * x[j] for i in range(k) for j in range(k))
-    if total % p:
-        raise InternalInvariantViolation("character pairing misses the 1/p grid")
-    return (total // p) % p
-
-
 def _dual_eigenpair(form, sign=1, p=7):
-    """For a 2-generator block whose deck acts with eigenvalues 2 and 4 on
-    the mod-p character space: the dual eigenvectors and the matrix taking
-    ambient character coordinates to eigencoordinates.
+    """For a 2-generator block of height two whose deck acts with
+    eigenvalues 2 and 4 on the mod-p character space: the dual
+    eigenvectors and the matrix taking ambient character coordinates to
+    eigencoordinates.
 
-    The right eigenvector is rescaled so that the transported pairing
-    between the two eigenvectors equals sign/p; with that normalization the
-    vanishing constraint on a character with eigencoordinates (a_s, b_s)
-    per summand is exactly sum(sign_s * a_s * b_s) = 0 mod p."""
-    act = [[form.deck[i][j] % p for i in range(2)] for j in range(2)]
-    vecs = {}
-    for lam in (2, 4):
-        shifted = [[(act[i][j] - (lam if i == j else 0)) % p for j in range(2)]
-                   for i in range(2)]
-        kern = linalg.modp_kernel(shifted, p)
-        if len(kern) != 1:
-            raise InternalInvariantViolation(
-                "block does not carry the split 2/4 eigencharacter calculus")
-        vecs[lam] = tuple(x % p for x in kern[0])
-    w2, w4 = vecs[2], vecs[4]
-    unit = _block_pairing_unit(form, list(w2), list(w4), p)
+    The eigenvectors and their pairing come from dual_linking, reduced
+    mod p.  The right eigenvector is rescaled so that the transported
+    pairing between the two eigenvectors equals sign/p; with that
+    normalization the vanishing constraint on a character with
+    eigencoordinates (a_s, b_s) per summand is exactly
+    sum(sign_s * a_s * b_s) = 0 mod p."""
+    dual = dual_linking(form, p)
+    if dual.modulus != p * p or len(form.group) != 2:
+        raise InternalInvariantViolation("block must be homogeneous of height two")
+    labels = [lam % p for lam in dual.eigenvalues]
+    if sorted(labels) != [2, 4]:
+        raise InternalInvariantViolation(
+            "block does not carry the split 2/4 eigencharacter calculus")
+    i2, i4 = labels.index(2), labels.index(4)
+    w2 = tuple(x % p for x in dual.basis[i2])
+    unit = dual.matrix[i2][i4] % p
     if unit == 0:
         raise InternalInvariantViolation(
             "dual eigenvectors pair degenerately")
     scale = (sign % p) * pow(unit, -1, p) % p
-    w4 = tuple(scale * x % p for x in w4)
-    if _block_pairing_unit(form, list(w2), list(w4), p) != sign % p:
+    w4 = tuple(scale * x % p for x in dual.basis[i4])
+    if scale * unit % p != sign % p:
         raise InternalInvariantViolation("pairing normalization failed")
     det = (w2[0] * w4[1] - w4[0] * w2[1]) % p
     if det == 0:
@@ -751,7 +698,7 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
     obstructed = all_positive and bool(mets)
     for A in mets:
         S = vanishing_chars(form, A, p)
-        chars = _span_vectors(S.basis, p, budget)
+        chars = list(span_vectors(S.basis, p, budget))
         coeffs = {}
         for u in chars:
             coeffs[u] = sum(sig[x] for x in u if x)
@@ -839,7 +786,7 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
     canonical = None
     for A in mets:
         S = vanishing_chars(form, A, p)
-        chars = _span_vectors(S.basis, p, budget)
+        chars = list(span_vectors(S.basis, p, budget))
         entries = []
         nonzero_found = False
         for u in sorted(chars):

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import su2
 from .cassongordon import (DiscExpr, SigGrowth, mutant_sum_obstruction,
@@ -51,16 +52,20 @@ def _load_text(path):
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
+    if args.budget is not None:
+        budget, source = args.budget, "--budget"
+    elif BUDGET_ENV in os.environ:
+        env, source = os.environ[BUDGET_ENV], BUDGET_ENV
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise PreconditionError(
                 f"{BUDGET_ENV} must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+    else:
+        return DEFAULT_BUDGET
+    if budget < 1:
+        raise PreconditionError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _fraction(text):
@@ -165,7 +170,11 @@ def _cmd_cg_sigma(args):
 
 def _cmd_cg_delta(args):
     spec = _load_json(args.knot)
-    lifts = [int(x) for x in args.lifts.split(",") if x.strip() != ""]
+    try:
+        lifts = [int(x) for x in args.lifts.split(",") if x.strip() != ""]
+    except ValueError:
+        raise PreconditionError(
+            f"--lifts must be comma separated integers, got {args.lifts!r}")
     expr = satellite_delta(DiscExpr(args.p), spec, lifts)
     return ({"companion": spec, "lifts": lifts, "p": args.p},
             expr.to_json(),
@@ -253,7 +262,9 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process."""
     top = argparse.ArgumentParser(
         prog="knotconcord",
         description="Exact concordance obstructions from Seifert data, "

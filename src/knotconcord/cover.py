@@ -19,9 +19,15 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .errors import (InfiniteHomology, InhomogeneousGroup,
-                     InternalInvariantViolation, UnsupportedShape)
+from .errors import (BudgetExceeded, InfiniteHomology, InhomogeneousGroup,
+                     InternalInvariantViolation, PreconditionError,
+                     UnsupportedShape)
 from .seifert import SeifertMatrix, alexander
+
+# largest layered presentation, (d - 1) layers of rank max(n, 1), that
+# branched_cover builds; the fixtures need at most 24, and the cost of the
+# Smith form and of the linking form grows steeply with the size
+MAX_LAYERED_SIZE = 64
 
 
 def unit_roots_mod(d, m):
@@ -163,9 +169,15 @@ def branched_cover(V, d):
     if not isinstance(V, SeifertMatrix):
         V = SeifertMatrix(V)
     if d < 2:
-        raise ValueError("cover degree must be at least 2")
+        raise PreconditionError("cover degree must be at least 2, got %d" % d)
     M = V.entries
     n = len(M)
+    if max(n, 1) * (d - 1) > MAX_LAYERED_SIZE:
+        raise BudgetExceeded(
+            "the %d-fold cover of a %d x %d Seifert matrix needs a layered "
+            "presentation of size %d, over the budget of %d"
+            % (d, n, n, max(n, 1) * (d - 1), MAX_LAYERED_SIZE),
+            MAX_LAYERED_SIZE)
 
     expected = _alexander_root_order(V, d)
     if expected == 0:
@@ -346,35 +358,69 @@ def direct_sum(*forms):
 
 
 class CharSpace:
-    """A space of Z_p characters with the induced deck action.
+    """A space of Z_p characters with its deck eigenspaces.
 
     Coordinates are dual to the homology generators whose invariant
-    factor p divides; action is the transpose deck matrix mod p.  basis
-    spans the subspace at hand (the whole dual space by default, or the
-    characters vanishing on a metabolizer).
+    factor p divides.  basis spans the subspace at hand (the whole dual
+    space, or the characters vanishing on a metabolizer); eigen maps each
+    root of x^degree = 1 mod p to a basis of its eigenspace inside that
+    subspace, and split says the eigenspaces span it.
     """
 
-    def __init__(self, p, degree, indices, action, eigen, split, basis=None):
+    def __init__(self, p, basis, eigen):
         self.p = p
-        self.degree = degree
-        self.indices = tuple(indices)
-        self.action = tuple(tuple(r) for r in action)
-        if basis is None:
-            k = len(self.indices)
-            basis = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
         self.basis = tuple(tuple(v) for v in basis)
         self.dim = len(self.basis)
-        self.eigen = {lam: tuple(tuple(v) for v in basis_)
-                      for lam, basis_ in eigen.items()}
-        self.split = split
+        self.eigen = {lam: tuple(tuple(v) for v in vecs)
+                      for lam, vecs in eigen.items()}
+        self.split = sum(len(vecs) for vecs in self.eigen.values()) == self.dim
 
     def eigenvalues(self):
         return sorted(l for l, b in self.eigen.items() if b)
 
-    def to_json(self):
-        return {"p": self.p, "dim": self.dim,
-                "eigenspaces": {str(l): [list(v) for v in b]
-                                for l, b in self.eigen.items()}}
+
+def deck_eigenspaces(T, p, e, degree, constraints=()):
+    """Deck eigenspaces of T acting on column vectors over Z_q, q = p^e.
+
+    For each root lam of x^degree = 1 mod q, the Lagrange projector
+    P_lam = prod_{mu != lam} (T - mu) / (lam - mu) mod q is applied to the
+    mod-p kernel basis of [constraints; T - lam].  Returns
+    ({lam: basis}, split), where split means T P_lam = lam P_lam mod q for
+    every root, so that the projectors decompose (Z_q)^k into eigenspaces.
+    P_lam fixes every lam-eigenvector mod p, so for e = 1 each basis is
+    the kernel basis itself, whether or not T splits; for e > 1 and a
+    split T it is the lift of that basis to the image of P_lam.  Roots
+    that agree mod p (possible only when p divides degree and e > 1)
+    raise UnsupportedShape.
+    """
+    q = p ** e
+    k = len(T)
+    roots = unit_roots_mod(degree, q)
+
+    def shifted(lam):
+        return [[T[i][j] - (lam if i == j else 0) for j in range(k)]
+                for i in range(k)]
+
+    eigen = {}
+    split = True
+    for lam in roots:
+        proj = linalg.identity(k)
+        for mu in roots:
+            if mu != lam:
+                if (lam - mu) % p == 0:
+                    raise UnsupportedShape(
+                        "roots %d and %d of x^%d = 1 agree mod %d, so no "
+                        "projector separates them" % (mu, lam, degree, p))
+                c = pow(lam - mu, -1, q)
+                proj = [[x * c % q for x in row]
+                        for row in linalg.modm_mat_mul(shifted(mu), proj, q)]
+        if linalg.modm_mat_mul(T, proj, q) != [[lam * x % q for x in row]
+                                               for row in proj]:
+            split = False
+        kernel = linalg.modp_kernel(list(constraints) + shifted(lam), p)
+        eigen[lam] = [tuple(x % q for x in linalg.mat_vec(proj, v))
+                      for v in kernel]
+    return eigen, split
 
 
 def char_space(H, p):
@@ -382,17 +428,9 @@ def char_space(H, p):
     if gcd(p, H.degree) != 1:
         raise ValueError("character modulus must be coprime to the degree")
     idx = [i for i, f in enumerate(H.factors) if f % p == 0]
-    k = len(idx)
     action = [[H.deck[i][j] % p for i in idx] for j in idx]
-    eigen = {}
-    covered = 0
-    for lam in unit_roots_mod(H.degree, p):
-        A = [[(action[i][j] - (lam if i == j else 0)) % p for j in range(k)]
-             for i in range(k)]
-        basis = linalg.modp_kernel(A, p)
-        eigen[lam] = basis
-        covered += len(basis)
-    return CharSpace(p, H.degree, idx, action, eigen, covered == k)
+    eigen, _ = deck_eigenspaces(action, p, 1, H.degree)
+    return CharSpace(p, linalg.identity(len(idx)), eigen)
 
 
 class DualLinking:
@@ -405,11 +443,6 @@ class DualLinking:
         self.basis = tuple(tuple(v) for v in basis)
         self.matrix = tuple(tuple(int(x) % modulus for x in row)
                             for row in matrix)
-
-    def to_json(self):
-        return {"modulus": self.modulus,
-                "eigenvalues": list(self.eigenvalues),
-                "matrix": [list(r) for r in self.matrix]}
 
 
 def _matrix_order_mod(T, m, cap=512):
@@ -462,32 +495,13 @@ def dual_linking(L, p):
     # deck restricted to the p-part in the h basis
     T = [[L.deck[idx[a]][idx[b]] * cof[b] * pow(cof[a], -1, q) % q
           for b in range(k)] for a in range(k)]
-    Tt = linalg.transpose(T)
-    if L.homology is not None:
-        degree = L.homology.degree
-    else:
-        degree = _matrix_order_mod(T, q)
-    roots = unit_roots_mod(degree, q) or [1]
-    basis = []
-    labels = []
-    total = linalg.zeros(k, k)
-    for lam in roots:
-        proj = linalg.identity(k)
-        for mu in roots:
-            if mu == lam:
-                continue
-            A = [[(Tt[i][j] - (mu if i == j else 0)) for j in range(k)]
-                 for i in range(k)]
-            c = pow((lam - mu) % q, -1, q)
-            proj = [[sum(a * b for a, b in zip(row, col)) * c % q
-                     for col in zip(*A)] for row in proj]
-        total = [[(x + y) % q for x, y in zip(r1, r2)]
-                 for r1, r2 in zip(total, proj)]
-        for v in linalg.modm_image_basis(proj, q):
-            basis.append(v)
-            labels.append(lam)
-    if total != linalg.identity(k):
+    degree = (L.homology.degree if L.homology is not None
+              else _matrix_order_mod(T, q))
+    eigen, split = deck_eigenspaces(linalg.transpose(T), p, e, degree)
+    if not split:
         raise UnsupportedShape("deck eigenvalues do not split mod %d" % q)
+    labels = [lam for lam, vecs in eigen.items() for _ in vecs]
+    basis = [v for vecs in eigen.values() for v in vecs]
     out = []
     for u in basis:
         row = []

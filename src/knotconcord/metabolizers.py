@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from . import linalg
-from .cover import CharSpace, LinkingForm, _matrix_order_mod, unit_roots_mod
+from .cover import CharSpace, LinkingForm, _matrix_order_mod, deck_eigenspaces
 from .errors import BudgetExceeded, InternalInvariantViolation
 
 DEFAULT_BUDGET = 10 ** 6
@@ -259,28 +259,27 @@ def project_metabolizer(L1, L2, A, A1):
 
 def vanishing_chars(L, A, p):
     """Z_p characters vanishing on A, with the deck eigenspace split."""
-    group = L.group
-    idx = [i for i, f in enumerate(group) if f % p == 0]
-    k = len(idx)
+    idx = [i for i, f in enumerate(L.group) if f % p == 0]
     constraints = [[row[i] % p for i in idx] for row in A.basis]
-    basis = linalg.modp_kernel(constraints, p)
     action = [[L.deck[i][j] % p for i in idx] for j in idx]
-    if L.homology is not None:
-        degree = L.homology.degree
-    else:
-        degree = _matrix_order_mod([[L.deck[i][j] for j in idx] for i in idx],
-                                   p) if k else 1
-    eigen = {}
-    covered = 0
-    for lam in unit_roots_mod(degree, p):
-        stacked = [list(r) for r in constraints]
-        stacked += [[(action[i][j] - (lam if i == j else 0)) % p
-                     for j in range(k)] for i in range(k)]
-        vecs = linalg.modp_kernel(stacked, p)
-        eigen[lam] = vecs
-        covered += len(vecs)
-    return CharSpace(p, degree, idx, action, eigen, covered == len(basis),
-                     basis=basis)
+    degree = (L.homology.degree if L.homology is not None
+              else _matrix_order_mod(action, p))
+    eigen, _ = deck_eigenspaces(action, p, 1, degree, constraints)
+    return CharSpace(p, linalg.modp_kernel(constraints, p), eigen)
+
+
+def span_vectors(basis, p, budget=DEFAULT_BUDGET):
+    """The nonzero vectors of the row span of an independent basis mod p,
+    in lexicographic order of their coefficients."""
+    dim = len(basis)
+    if p ** dim > budget:
+        raise BudgetExceeded("span of dimension %d exceeds the budget" % dim,
+                             budget)
+    n = len(basis[0]) if basis else 0
+    for coeffs in product(range(p), repeat=dim):
+        if any(coeffs):
+            yield tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) % p
+                        for j in range(n))
 
 
 def _weight(vec):
@@ -329,17 +328,8 @@ def find_odd_char(basis, n, p=7, budget=DEFAULT_BUDGET):
             raise InternalInvariantViolation("parity argument failed")
         return tuple(vec)
     # square nonsingular reduced block: certify by exhausting the span
-    if p ** m > budget:
-        raise BudgetExceeded(
-            "span of dimension %d exceeds the certificate budget" % m, budget)
-    for coeffs in product(range(p), repeat=m):
-        if not any(coeffs):
-            continue
-        vec = [sum(c * row[j] for c, row in zip(coeffs, red)) % p
-               for j in range(n)]
-        if _weight(vec) % 2:
-            return tuple(vec)
-    return None
+    return next((v for v in span_vectors(red, p, budget) if _weight(v) % 2),
+                None)
 
 
 def check_diagonal_lemma(p, k, budget=DEFAULT_BUDGET):

@@ -12,6 +12,7 @@ feeds the slice-obstruction drivers.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from . import linalg
@@ -74,19 +75,27 @@ class SeifertMatrix:
 
 def alexander(V):
     """Alexander polynomial det(V - t V^T), normalized to lowest exponent 0
-    and positive leading coefficient."""
+    and positive leading coefficient; a fresh polynomial on every call."""
     if isinstance(V, KnotModel):
         V = V.matrix
-    n = V.size
-    if n == 0:
-        return RatLaurent({0: Fraction(1)})
+    return RatLaurent.from_list(_alexander_coeffs(tuple(map(tuple, V.entries))))
+
+
+@cache
+def _alexander_coeffs(entries):
+    """Integer coefficients of the normalized Alexander polynomial, lowest
+    exponent first, memoised on the matrix entries.  The polynomial is
+    never 0: its value at t = 1 is det(V - V^T) = 1."""
+    n = len(entries)
     # degree <= n, so n+1 integer sample points determine the polynomial
     samples = []
     for k in range(n + 1):
-        M = [[V.entries[i][j] - k * V.entries[j][i] for j in range(n)] for i in range(n)]
+        M = [[entries[i][j] - k * entries[j][i] for j in range(n)] for i in range(n)]
         samples.append(linalg.det_bareiss(M))
     coeffs = _interpolate_integer_poly(samples)
-    return RatLaurent({e: Fraction(c) for e, c in enumerate(coeffs) if c}).normalized()
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return tuple(c if coeffs[-1] > 0 else -c for c in coeffs)
 
 
 def _interpolate_integer_poly(values):

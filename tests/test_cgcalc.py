@@ -380,26 +380,26 @@ def test_twisted_double_signatures_computed_once(monkeypatch, capsys):
 
 
 def test_mutant_sum_alexander_computed_once(monkeypatch, capsys):
-    # both summands of the pair share one companion matrix: its Alexander
-    # polynomial is computed once, not once per lift and per case
+    # both summands of the pair share one companion matrix: the Alexander
+    # memo misses on it once, not once per lift and per case
+    from functools import cache
     from pathlib import Path
 
-    from knotconcord import cassongordon
+    from knotconcord import seifert
     from knotconcord.cli import main
 
-    cassongordon._companion_alexander.cache_clear()
-    calls = []
-    alexander = cassongordon.alexander
+    misses = []
+    compute = seifert._alexander_coeffs.__wrapped__
 
-    def counted(*args):
-        calls.append(args)
-        return alexander(*args)
+    def counted(entries):
+        misses.append(entries)
+        return compute(entries)
 
-    monkeypatch.setattr(cassongordon, "alexander", counted)
+    monkeypatch.setattr(seifert, "_alexander_coeffs", cache(counted))
     spec = Path(__file__).parent / "fixtures" / "mutant_equal_pair.json"
     assert main(["obstruct-mutant-sum", "--knot", str(spec), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["obstructed"]
-    assert len(calls) == 1
+    assert misses.count(((-1, 1), (0, 3))) == 1
 
 
 def test_twisted_double_budget():

@@ -295,6 +295,49 @@ def test_malformed_knot_spec_exits_2(capsys, tmp_path, spec, message):
     assert captured.err == f"precondition violated: {message}\n"
 
 
+BAD_ARGUMENTS = [
+    (["cover", "--knot", fx("torus_2_3.json"), "--d", "1"], {}),
+    (["cover", "--knot", fx("torus_2_3.json"), "--d", "0"], {}),
+    (["cover", "--knot", fx("torus_2_3.json"), "--d", "-3"], {}),
+    (["linking", "--knot", fx("torus_2_3.json"), "--d", "1"], {}),
+    (["metabolizers", "--knot", fx("torus_2_3.json"), "--d", "1"], {}),
+    (["cg-sigma", "--knot", fx("torus_2_3.json"), "--a", "1", "--p", "0"], {}),
+    (["cg-sigma", "--knot", fx("torus_2_3.json"), "--a", "1", "--p", "-3"], {}),
+    (["cg-sigma", "--knot", fx("torus_2_3.json"), "--a", "1", "--p", "1"], {}),
+    (["cg-delta", "--knot", fx("torus_2_3.json"), "--lifts", "1,x"], {}),
+    (["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--budget", "0"],
+     {}),
+    (["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--budget", "-1"],
+     {}),
+    (["obstruct-order2", "--i", "1", "--j", "2"], {"KNOTCONCORD_BUDGET": "0"}),
+]
+
+
+@pytest.mark.parametrize("argv, env", BAD_ARGUMENTS, ids=[
+    "cover-d1", "cover-d0", "cover-d-3", "linking-d1", "metabolizers-d1",
+    "cg-sigma-p0", "cg-sigma-p-3", "cg-sigma-p1", "cg-delta-lifts",
+    "budget-0", "budget-minus-1", "budget-env-0"])
+def test_bad_arguments_exit_2(capsys, monkeypatch, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violated: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cover_degree_budget_exits_3(capsys):
+    code = main(["cover", "--knot", fx("torus_2_3.json"), "--d", "400"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: the 400-fold cover of a 2 x 2 "
+                            "Seifert matrix needs a layered presentation of "
+                            "size 798, over the budget of 64\n")
+
+
 def test_exit_code_budget(capsys):
     code = main(["metabolizers", "--knot", fx("sum_double_a2_n2.json"),
                  "--d", "2", "--budget", "2"])

@@ -9,13 +9,15 @@ alternative block circulant presentation built by hand in this file.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotconcord import linalg
 from knotconcord.cover import (CoverHomology, LinkingForm, branched_cover,
-                               char_space, dual_linking, linking_form,
-                               unit_roots_mod)
+                               char_space, deck_eigenspaces, dual_linking,
+                               linking_form, unit_roots_mod)
 from knotconcord.errors import (InfiniteHomology, InhomogeneousGroup,
-                                InternalInvariantViolation)
+                                InternalInvariantViolation, UnsupportedShape)
 from knotconcord.seifert import (SeifertMatrix, torus_matrix,
                                  twisted_double_matrix)
 
@@ -275,6 +277,74 @@ def test_dual_linking_trivial_part():
     D = dual_linking(L, 7)
     assert D.modulus == 1
     assert D.eigenvalues == ()
+
+
+@st.composite
+def split_actions(draw):
+    """(T, p, e, degree, eigenvalue list) with T = U diag(lam) U^-1 mod p^e,
+    U unit lower triangular times upper triangular with unit diagonal."""
+    p, e = draw(st.sampled_from([(7, 1), (7, 2), (5, 1), (5, 2)]))
+    q = p ** e
+    degree = draw(st.sampled_from([d for d in range(1, p) if (p - 1) % d == 0]))
+    roots = [x for x in range(1, q) if x % p and pow(x, degree, q) == 1]
+    k = draw(st.integers(1, 4))
+    lams = draw(st.lists(st.sampled_from(roots), min_size=k, max_size=k))
+    entry = st.integers(0, q - 1)
+    unit = entry.filter(lambda x: x % p)
+    lower = [[1 if i == j else (draw(entry) if j < i else 0)
+              for j in range(k)] for i in range(k)]
+    upper = [[draw(unit) if i == j else (draw(entry) if j > i else 0)
+              for j in range(k)] for i in range(k)]
+    U = linalg.modm_mat_mul(lower, upper, q)
+    D = [[lams[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    T = linalg.modm_mat_mul(linalg.modm_mat_mul(U, D, q),
+                            linalg.modm_inverse(U, q), q)
+    return T, p, e, degree, lams
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(split_actions())
+def test_deck_eigenspaces_split_actions(case):
+    T, p, e, degree, lams = case
+    q = p ** e
+    k = len(T)
+    eigen, split = deck_eigenspaces(T, p, e, degree)
+    assert split
+    columns = []
+    for lam, basis in eigen.items():
+        assert len(basis) == lams.count(lam)
+        for v in basis:
+            assert [x % q for x in linalg.mat_vec(T, v)] == \
+                [lam * x % q for x in v]
+        if e == 1:
+            shifted = [[T[i][j] - (lam if i == j else 0) for j in range(k)]
+                       for i in range(k)]
+            assert basis == linalg.modp_kernel(shifted, p)
+        columns += basis
+    # the union is a basis of (Z_q)^k: k vectors, a unit determinant
+    assert len(columns) == k
+    assert linalg.det_bareiss([list(r) for r in zip(*columns)]) % p
+
+
+def test_dual_linking_refuses_non_split_deck():
+    # the deck ((0,1),(1,1)) of the trefoil's 3-fold cover fixes no nonzero
+    # vector mod 2, so x^3 = 1 has no root mod 2 that carries it
+    L = linking_form(torus_matrix(2, 3), 3)
+    assert L.group == (2, 2)
+    with pytest.raises(UnsupportedShape):
+        dual_linking(L, 2)
+    C = char_space(branched_cover(torus_matrix(2, 3), 3), 2)
+    assert not C.split
+    assert C.dim == 2 and C.eigen[1] == ()
+
+
+def test_dual_linking_refuses_roots_equal_mod_p():
+    # the 6-fold cover of the figure eight has 2-part Z_8 + Z_8, and the
+    # roots 1 and 7 of x^6 = 1 mod 8 agree mod 2
+    L = linking_form(SeifertMatrix([[-1, 1], [0, 1]]), 6)
+    assert L.group == (8, 40)
+    with pytest.raises(UnsupportedShape):
+        dual_linking(L, 2)
 
 
 def test_homology_json_round_trip():

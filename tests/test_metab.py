@@ -18,7 +18,7 @@ from knotconcord.metabolizers import (Metabolizer, _canonical_basis,
                                       enumerate_metabolizers, find_odd_char,
                                       is_metabolizer, project_metabolizer,
                                       vanishing_chars)
-from knotconcord.seifert import SeifertMatrix
+from knotconcord.seifert import SeifertMatrix, build
 
 GENUS2_MODEL = SeifertMatrix([[-1, 1, 1, 1],
                               [0, 2, 0, 0],
@@ -227,6 +227,27 @@ def test_vanishing_dimension_at_least_summand_count():
         S = vanishing_chars(L, A, 7)
         assert S.dim >= 2
         assert S.split
+
+
+def _torus_sum(signs, q):
+    return build({"kind": "sum", "summands": [
+        {"sign": s, "knot": {"kind": "torus", "p": 2, "q": q}} for s in signs]})
+
+
+# Closed forms for the number of maximal isotropic subspaces (Taylor, The
+# Geometry of the Classical Groups): the split orthogonal 6-space over F_5
+# has prod_{i=0}^{2} (5^i + 1) = 312, the symplectic 8-space over F_2 has
+# prod_{i=1}^{4} (2^i + 1) = 2295, and the deck-invariant ones on (Z_2)^8 at
+# d = 3, a unitary 4-space over F_4, number (2 + 1)(2^3 + 1) = 27.
+@pytest.mark.parametrize("signs, q, d, total, invariant", [
+    ((1, 1, 1, -1, -1, -1), 5, 2, 312, 312),
+    ((1, 1, 1, 1), 3, 3, 2295, 27),
+    ((1, 1, -1, -1), 3, 3, 2295, 27),
+], ids=["t25x3_mt25x3_d2", "t23x4_d3", "t23x2_mt23x2_d3"])
+def test_metabolizer_counts_match_closed_forms(signs, q, d, total, invariant):
+    L = linking_form(_torus_sum(signs, q).matrix, d)
+    assert len(enumerate_metabolizers(L)) == total
+    assert len(enumerate_metabolizers(L, invariant_only=True)) == invariant
 
 
 def _in_span_mod_p(basis, vec, p):
