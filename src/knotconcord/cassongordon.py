@@ -20,11 +20,11 @@ sums over the 3-fold cover with its mod-7 eigencharacter calculus.
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import isqrt
 
 from . import linalg
 from .cover import direct_sum, dual_linking, linking_form
-from .cyclo import RatLaurent, poly_gcd_q, _is_prime
+from .cyclo import poly_gcd, _is_prime
 from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
                      BudgetExceeded, InternalInvariantViolation)
 from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
@@ -206,8 +206,9 @@ def _canonical_char_token(a, b, p=7):
 
 
 def _companion_matrix(J):
-    if isinstance(J, (list, tuple)) and J and isinstance(J[0], (list, tuple)):
-        return SeifertMatrix([list(r) for r in J])
+    if (isinstance(J, (list, tuple)) and J
+            and all(isinstance(r, (list, tuple)) for r in J)):
+        return SeifertMatrix(J)
     if isinstance(J, SeifertMatrix):
         return J
     if isinstance(J, KnotModel):
@@ -220,31 +221,22 @@ def _companion_matrix(J):
         "companion must be a Seifert matrix, a knot model, or a build() description")
 
 
-def _poly_key(poly):
-    """Canonical integer coefficient tuple (ascending, lowest exponent 0,
-    positive leading coefficient) identifying a polynomial factor."""
-    norm = poly.normalized()
-    if norm.is_zero():
-        raise PreconditionError("zero polynomial cannot be a discriminant factor")
-    lo, hi = norm.degree_span()
-    out = []
-    for e in range(hi + 1):
-        c = norm.coeffs.get(e, Fraction(0))
-        if c.denominator != 1:
-            raise PreconditionError("factor polynomials must have integer coefficients")
-        out.append(int(c))
-    return tuple(out)
-
-
-def _poly_from_key(key):
-    return RatLaurent.from_list([Fraction(c) for c in key])
-
-
 def _resolve_poly(J):
-    if isinstance(J, RatLaurent):
-        return J
-    if isinstance(J, (list, tuple)) and not (J and isinstance(J[0], (list, tuple))):
-        return _poly_from_key(J)
+    """Polynomial key of a factor: the integer coefficient tuple (lowest
+    exponent 0, positive leading coefficient) of a coefficient list
+    (lowest degree first), or the Alexander polynomial of a companion
+    (anything _companion_matrix accepts).  Zero ends are stripped and the
+    sign is fixed; the content is kept."""
+    if isinstance(J, (list, tuple)) and not any(isinstance(c, (list, tuple))
+                                                for c in J):
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in J):
+            raise PreconditionError(
+                "polynomial coefficients must be integers, got %r" % (list(J),))
+        support = [e for e, c in enumerate(J) if c]
+        if not support:
+            raise PreconditionError("zero polynomial cannot be a discriminant factor")
+        key = tuple(J[support[0]:support[-1] + 1])
+        return key if key[-1] > 0 else tuple(-c for c in key)
     return alexander(_companion_matrix(J))
 
 
@@ -329,12 +321,10 @@ def check_poly_hypotheses(f):
 
     Raises UnsupportedShape for anything that is not a quadratic.
     """
-    poly = _resolve_poly(f)
-    norm = poly.normalized()
-    lo, hi = norm.degree_span()
-    if norm.is_zero() or hi != 2:
+    key = _resolve_poly(f)
+    if len(key) != 3:
         raise UnsupportedShape("hypothesis checks cover quadratics only")
-    c0, c1, c2 = _poly_key(norm)
+    c0, c1, c2 = key
     notes = []
     corrected = False
     if c0 == -c2 and c1 == -(2 * c2 + 1):
@@ -360,11 +350,9 @@ def check_poly_hypotheses(f):
         zeta7 = _squarefree_part(disc) != -7
         notes.append("imaginary splitting field compared with Q(sqrt(-7)) "
                      "by squarefree part %d" % _squarefree_part(disc))
-    exps = sorted(e for e, c in norm.coeffs.items() if c)
-    egcd = 0
-    for e in exps[1:]:
-        egcd = gcd(egcd, e - exps[0])
-    not_t7 = egcd % 7 != 0 or egcd == 0
+    # the exponents 0 and 2 both carry nonzero coefficients, so the
+    # exponent gaps have gcd 1 or 2, never a multiple of 7
+    not_t7 = True
     return PolyHypotheses((c0, c1, c2), family, corrected, symmetric, disc,
                           q_irreducible, zeta7, not_t7, notes)
 
@@ -390,14 +378,12 @@ class HypothesisRecord:
         return rec
 
     def register(self, poly):
-        poly = _resolve_poly(poly)
-        key = _poly_key(poly)
+        key = _resolve_poly(poly)
         if key in self.reports:
             return self.reports[key]
-        report = check_poly_hypotheses(poly)
+        report = check_poly_hypotheses(key)
         for other in self.reports:
-            g = poly_gcd_q(_poly_from_key(other), poly)
-            if g.degree_span() != (0, 0) or g.is_zero():
+            if len(poly_gcd(other, key)) != 1:
                 self.noncoprime.append((other, key))
         self.reports[key] = report
         return report
@@ -460,8 +446,7 @@ def satellite_delta(base, J, lift_values, p=None):
     if p is not None and int(p) != base.p:
         raise PreconditionError("lift values are modulo %d but the expression "
                                 "is over %d" % (int(p), base.p))
-    poly = _resolve_poly(J)
-    key = _poly_key(poly)
+    key = _resolve_poly(J)
     out = base
     for v in lift_values:
         out = out.times_factor(key, int(v) % base.p)
@@ -520,7 +505,7 @@ def norm_test(e, hypotheses=None):
         hypotheses = HypothesisRecord()
         for key in keys:
             try:
-                hypotheses.register(_poly_from_key(key))
+                hypotheses.register(key)
             except UnsupportedShape:
                 raise HypothesisUnverified(
                     "factor %s is outside the checkable quadratic family" % (key,))
@@ -586,9 +571,11 @@ def _char_blocks(vec, to_eigen_list, p=7):
     return out
 
 
-def _case_expression(a_vec, b_vec, signs, model_summands, p=7):
+def _case_expression(a_vec, b_vec, model_summands, keys, p=7):
     """DiscExpr of a sum of carrier satellites at the character whose
-    per-summand eigencoordinates are (a_vec, b_vec).
+    per-summand eigencoordinates are (a_vec, b_vec); keys[s] is the
+    polynomial key of the companion that mutant_family_spec ties into
+    both bands of summand s.
 
     Mirrored summands contribute the inverse discriminant class; every
     class here is self-conjugate, hence equal to its inverse modulo norms,
@@ -603,7 +590,7 @@ def _case_expression(a_vec, b_vec, signs, model_summands, p=7):
             if inf.pattern != "triple_lift":
                 raise PreconditionError("discriminant assembly expects "
                                         "triple_lift infections")
-            expr = satellite_delta(expr, inf.companion,
+            expr = satellite_delta(expr, keys[s],
                                    _lift_values(a, b, inf.param, p))
     return expr
 
@@ -885,13 +872,12 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     if signs[0] != 1:
         raise PreconditionError("the leading sign must be +1; mirror the "
                                 "whole sum to arrange it")
-    polys = [_resolve_poly(J) for J in companions]
-    keys = [_poly_key(f) for f in polys]
+    keys = [_resolve_poly(J) for J in companions]
     for s in range(n):
         for t in range(s + 1, n):
             if keys[s] == keys[t] and signs[s] != signs[t]:
                 raise PreconditionError("equal companions must carry equal signs")
-    record = HypothesisRecord.for_polys(polys)
+    record = HypothesisRecord.for_polys(keys)
     record.require(keys)
 
     def companion_spec(J, idx):
@@ -924,7 +910,7 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
         if not admissible_pair(a_vec, b_vec, signs):
             raise InternalInvariantViolation(
                 "emitted character violates the metabolizer pairing constraint")
-        expr = _case_expression(a_vec, b_vec, signs, summands)
+        expr = _case_expression(a_vec, b_vec, summands, keys)
         verdict = norm_test(expr, record)
         case = dict(where)
         case.update({"branch": branch,

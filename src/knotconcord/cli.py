@@ -75,37 +75,29 @@ def _fraction(text):
         raise PreconditionError(f"expected a rational number, got {text!r}")
 
 
-def _poly_str(poly):
-    """Render a Laurent polynomial like 2t^2-5t+2, highest power first."""
-    items = sorted(poly.coeffs.items(), reverse=True)
-    if not items:
-        return "0"
-    parts = []
-    for e, c in items:
-        if c.denominator == 1:
-            mag, sign = abs(c.numerator), "-" if c < 0 else "+"
-            coeff = "" if (mag == 1 and e != 0) else str(mag)
-        else:
-            sign = "-" if c < 0 else "+"
-            coeff = f"{abs(c.numerator)}/{c.denominator}"
+def _poly_str(coeffs):
+    """Render integer coefficients (lowest degree first) like 2t^2-5t+2,
+    highest power first."""
+    out = ""
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if not c:
+            continue
+        mag = abs(c)
+        coeff = "" if (mag == 1 and e != 0) else str(mag)
         if e == 0:
             term = coeff or "1"
         elif e == 1:
             term = f"{coeff}t"
         else:
             term = f"{coeff}t^{e}"
-        parts.append((sign, term))
-    first_sign, first = parts[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, term in parts[1:]:
-        out += sign + term
+        out += ("-" if c < 0 else "+" if out else "") + term
     return out
 
 
-def _poly_json(poly):
-    return {"rendered": _poly_str(poly),
-            "coefficients": [[e, c.numerator, c.denominator]
-                             for e, c in sorted(poly.coeffs.items())]}
+def _poly_json(coeffs):
+    return {"rendered": _poly_str(coeffs),
+            "coefficients": [[e, c, 1] for e, c in enumerate(coeffs) if c]}
 
 
 # ---------------------------------------------------------------------------

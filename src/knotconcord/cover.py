@@ -38,12 +38,7 @@ def unit_roots_mod(d, m):
 def _alexander_root_order(V, d):
     # |prod_{i=1..d-1} Delta(zeta_d^i)| as the resultant of Delta with
     # 1 + x + ... + x^{d-1}; integer Sylvester determinant, no floats.
-    delta = alexander(V)
-    lo, hi = delta.degree_span()
-    if lo != 0:
-        raise InternalInvariantViolation(
-            "alexander() must return the normalised polynomial")
-    f = [int(delta.coeffs.get(e, 0)) for e in range(hi + 1)]
+    f = list(alexander(V))
     n = len(f) - 1
     if n == 0:
         return abs(f[0]) ** (d - 1)
@@ -126,17 +121,16 @@ class CoverHomology:
 
     factors are the nontrivial invariant factors; deck[i][j] gives the
     coefficient of generator i in the image of generator j, reduced mod
-    factors[i].
+    factors[i]; pairing[i][j] is the linking number of generators i and j,
+    a Fraction in [0, 1).
     """
 
-    def __init__(self, degree, presentation, factors, deck, gens, layer):
+    def __init__(self, degree, presentation, factors, deck, pairing):
         self.degree = degree
         self.presentation = presentation
         self.factors = tuple(int(f) for f in factors)
         self.deck = tuple(tuple(int(x) for x in row) for row in deck)
-        self._gens = gens
-        self._layer = layer
-        self._layer_inv = None
+        self.pairing = pairing
         order = 1
         for f in self.factors:
             order *= f
@@ -153,9 +147,6 @@ class CoverHomology:
             out = [[sum(self.deck[i][l] * out[l][j] for l in range(k)) % self.factors[i]
                     for j in range(k)] for i in range(k)]
         return out
-
-    def reduce(self, coords):
-        return tuple(int(c) % f for c, f in zip(coords, self.factors))
 
     def to_json(self):
         return {"degree": self.degree,
@@ -216,9 +207,13 @@ def branched_cover(V, d):
     # deck map in canonical coordinates: conjugate by the Smith transform
     US = linalg.mat_mul(U, linalg.mat_mul(Sd, Uinv))
     deck = [[US[i][j] % diag[i] for j in keep] for i in keep]
-    gens = [[Uinv[r][j] for r in range(m)] for j in keep]
+    # the generators g_j are the columns of Uinv; L = Uinv D W^-1 and
+    # U g_j = e_j give g_i^T L^-1 g_j = (Uinv^T W)[i][j] / D[j], so
+    # lk(g_i, g_j) = -(Uinv^T W)[i][j] / D[j] mod Z
+    pairing = [[Fraction(-sum(Uinv[r][i] * W[r][j] for r in range(m)),
+                         diag[j]) % 1 for j in keep] for i in keep]
 
-    H = CoverHomology(d, compact, factors, deck, gens, L)
+    H = CoverHomology(d, compact, factors, deck, pairing)
     if H.order != expected:
         raise InternalInvariantViolation(
             "group order %d does not match Alexander product %d"
@@ -310,27 +305,12 @@ class LinkingForm:
 
 def linking_form(V, d):
     """Linking form of the d-fold branched cover, from the layered
-    presentation: lk(x, y) = -x^t L^{-1} y mod Z on cokernel generators."""
+    presentation: lk(x, y) = -x^t L^{-1} y mod Z on cokernel generators,
+    as branched_cover reads it off the Smith transforms of L."""
     H = branched_cover(V, d)
-    k = H.rank
-    if k == 0:
+    if H.rank == 0:
         return LinkingForm((), (), (), homology=H)
-    Linv = linalg.invert_rational(H._layer)
-    gram = []
-    for i in range(k):
-        row = []
-        gi = H._gens[i]
-        for j in range(k):
-            gj = H._gens[j]
-            acc = Fraction(0)
-            for r, a in enumerate(gi):
-                if a:
-                    for s, b in enumerate(gj):
-                        if b:
-                            acc += a * b * Linv[r][s]
-            row.append((-acc) % 1)
-        gram.append(row)
-    form = LinkingForm(H.factors, gram, H.deck, homology=H)
+    form = LinkingForm(H.factors, H.pairing, H.deck, homology=H)
     if not form.is_nonsingular():
         raise InternalInvariantViolation("linking form is singular")
     if not form.deck_is_isometry():

@@ -1,9 +1,9 @@
-"""Exact arithmetic in cyclotomic fields and Laurent polynomial rings.
+"""Exact arithmetic in cyclotomic fields.
 
 The ground rings used throughout the package are
 
   * Q, represented by fractions.Fraction;
-  * Q[t, 1/t], Laurent polynomials with rational coefficients (RatLaurent);
+  * integer polynomials, as coefficient tuples with the lowest degree first;
   * Q(zeta_n) = Q[x]/Phi_n(x), with zeta_n a primitive n-th root of unity
     (CyclotomicField); for prime p the modulus is 1 + x + ... + x^(p-1).
 
@@ -19,156 +19,24 @@ bound on the modulus of a nonzero element (via the field norm) caps the
 precision, so no floating-point value is ever computed.
 """
 
-import json
 import math
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation, PreconditionError
 
 
-def cube_roots_mod(n):
-    """All residues r mod n with r^3 = 1, as a sorted list."""
-    if not 1 < n <= 10 ** 6:
-        raise PreconditionError("cube roots are taken modulo 2 .. 10^6")
-    return [r for r in range(n) if pow(r, 3, n) == 1]
-
-
 # ---------------------------------------------------------------------------
-# Laurent polynomials over Q
+# integer polynomials
 
-class RatLaurent:
-    """Laurent polynomial over Q, stored as {exponent: Fraction}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[int(e)] = c
-
-    @classmethod
-    def from_list(cls, coeffs, low=0):
-        """Polynomial sum(coeffs[i] * t^(low+i))."""
-        return cls({low + i: c for i, c in enumerate(coeffs)})
-
-    @classmethod
-    def term(cls, c, e=0):
-        return cls({e: Fraction(c)})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree_span(self):
-        """(min exponent, max exponent); (0, 0) for the zero polynomial."""
-        if not self.coeffs:
-            return (0, 0)
-        return (min(self.coeffs), max(self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, RatLaurent) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return RatLaurent(out)
-
-    def __neg__(self):
-        return RatLaurent({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatLaurent({e: c * other for e, c in self.coeffs.items()})
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return RatLaurent(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, k):
-        """Multiply by t^k."""
-        return RatLaurent({e + k: c for e, c in self.coeffs.items()})
-
-    def reverse(self):
-        """Substitute t -> 1/t."""
-        return RatLaurent({-e: c for e, c in self.coeffs.items()})
-
-    def eval_fraction(self, x):
-        x = Fraction(x)
-        return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
-
-    def normalized(self):
-        """Canonical associate: minimal exponent 0, positive leading
-        coefficient (the coefficient of the top degree term)."""
-        if not self.coeffs:
-            return RatLaurent()
-        lo, hi = self.degree_span()
-        out = {e - lo: c for e, c in self.coeffs.items()}
-        if out[hi - lo] < 0:
-            out = {e: -c for e, c in out.items()}
-        return RatLaurent(out)
-
-    def primitive_integer(self):
-        """Scale by a positive rational so the coefficients become coprime
-        integers; returns (dict of int coeffs, scale) with self = scale*prim."""
-        if not self.coeffs:
-            return {}, Fraction(1)
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        nums = {e: int(c * den) for e, c in self.coeffs.items()}
-        g = math.gcd(*(abs(v) for v in nums.values()))
-        return {e: v // g for e, v in nums.items()}, Fraction(g, den)
-
-    def is_symmetric(self):
-        """True when f(1/t) is a unit multiple of f(t)."""
-        return self.normalized() == self.reverse().normalized()
-
-    def to_json(self):
-        return {str(e): [c.numerator, c.denominator]
-                for e, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls({int(e): Fraction(v[0], v[1]) for e, v in data.items()})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "RatLaurent(0)"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            parts.append("%s*t^%d" % (self.coeffs[e], e))
-        return "RatLaurent(%s)" % " + ".join(parts)
-
-
-def poly_gcd_q(f, g):
-    """gcd of two Laurent polynomials over Q (monic, as a RatLaurent)."""
-    def to_list(p):
-        nums, _ = p.normalized().primitive_integer()
-        return [nums.get(i, 0) for i in range(max(nums, default=-1) + 1)]
-
-    r, _ = _euclid(to_list(f), to_list(g))
-    return RatLaurent({i: Fraction(c, r[-1]) for i, c in enumerate(r)})
+def poly_gcd(f, g):
+    """gcd over Q of two integer polynomials (coefficient tuples, lowest
+    degree first), as a primitive tuple with positive leading coefficient;
+    () when both are zero."""
+    r, _ = _euclid(f, g)
+    if not r:
+        return ()
+    c = math.gcd(*r) if r[-1] > 0 else -math.gcd(*r)
+    return tuple(x // c for x in r)
 
 
 def _trim(p):

@@ -58,10 +58,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-
 def mat_pow(A, k):
     n = len(A)
     R = identity(n)
@@ -400,38 +396,3 @@ def modm_inverse(M, m):
 def modm_mat_mul(A, B, m):
     return [[sum(a * b for a, b in zip(row, col)) % m
              for col in zip(*B)] for row in A]
-
-
-def modm_image_basis(M, m):
-    """Basis columns of the image of M over Z_m, assuming the image is a
-    direct summand (free, so some generating column has a unit pivot).
-    Used for idempotent images.  Columns whose residual has no unit entry
-    are deferred; they must reduce to zero once the basis is complete."""
-    cols = [[x % m for x in col] for col in zip(*M)] if M else []
-    n = len(M)
-    basis = []
-    used_rows = []
-    pending = cols
-    progress = True
-    while progress and pending:
-        progress = False
-        rest = []
-        for col in pending:
-            red = col[:]
-            for b, r in zip(basis, used_rows):
-                f = red[r] * pow(b[r], -1, m) % m
-                if f:
-                    red = [(x - f * y) % m for x, y in zip(red, b)]
-            piv = next((i for i in range(n)
-                        if red[i] and gcd(red[i], m) == 1), None)
-            if piv is None:
-                if any(red):
-                    rest.append(red)
-                continue
-            basis.append(red)
-            used_rows.append(piv)
-            progress = True
-        pending = rest
-    if pending:
-        raise ArithmeticError("image is not a direct summand mod %d" % m)
-    return basis

@@ -12,12 +12,11 @@ itself or fails to contain the relation vector of its pivot column; the
 walk is exhaustive within a node budget.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
 from . import linalg
-from .cover import CharSpace, LinkingForm, _matrix_order_mod, deck_eigenspaces
+from .cover import CharSpace, _matrix_order_mod, deck_eigenspaces
 from .errors import BudgetExceeded, InternalInvariantViolation
 
 DEFAULT_BUDGET = 10 ** 6

@@ -12,11 +12,11 @@ feeds the slice-obstruction drivers.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 
 from . import linalg
-from .cyclo import CyclotomicField, RatLaurent
+from .cyclo import CyclotomicField
 from .errors import (BudgetExceeded, InternalInvariantViolation,
                      PreconditionError, SingularAtT, UnsupportedGenus)
 from .kernels import hermitian_inertia
@@ -62,10 +62,6 @@ class SeifertMatrix:
                 out[n + i][n + j] = other.entries[i][j]
         return SeifertMatrix(out)
 
-    def symmetrized(self):
-        return [[self.entries[i][j] + self.entries[j][i] for j in range(self.size)]
-                for i in range(self.size)]
-
     def __eq__(self, other):
         return isinstance(other, SeifertMatrix) and self.entries == other.entries
 
@@ -74,11 +70,12 @@ class SeifertMatrix:
 
 
 def alexander(V):
-    """Alexander polynomial det(V - t V^T), normalized to lowest exponent 0
-    and positive leading coefficient; a fresh polynomial on every call."""
+    """Alexander polynomial det(V - t V^T) as a tuple of integer
+    coefficients, lowest exponent first, normalized to lowest exponent 0
+    and positive leading coefficient."""
     if isinstance(V, KnotModel):
         V = V.matrix
-    return RatLaurent.from_list(_alexander_coeffs(tuple(map(tuple, V.entries))))
+    return _alexander_coeffs(tuple(map(tuple, V.entries)))
 
 
 @cache
@@ -226,18 +223,16 @@ def fox_milnor(V):
 
 
 def _rational_factors(poly):
-    """Irreducible factors of a Laurent polynomial over Q, as primitive
-    integer coefficient tuples (ascending, positive leading coefficient)
-    with multiplicities.  Unit content is dropped."""
+    """Irreducible factors over Q of an integer polynomial (coefficient
+    tuple, lowest degree first), as primitive integer coefficient tuples
+    (ascending, positive leading coefficient) with multiplicities.  The
+    content is dropped."""
     from sympy import Poly, Symbol, factor_list
 
-    nums, _ = poly.normalized().primitive_integer()
-    deg = max(nums, default=0)
-    if deg == 0:
+    if len(poly) <= 1:
         return []
-    ints = [nums.get(e, 0) for e in range(deg + 1)]
     x = Symbol("x")
-    expr = sum(c * x ** e for e, c in enumerate(ints))
+    expr = sum(c * x ** e for e, c in enumerate(poly))
     _, facs = factor_list(Poly(expr, x))
     out = []
     for f, e in facs:
@@ -405,8 +400,9 @@ class KnotModel:
         self.summands = list(summands)
         self.spec = spec
 
-    @property
+    @cached_property
     def matrix(self):
+        """Block sum of the summand matrices, built once per model."""
         out = SeifertMatrix([])
         for s in self.summands:
             out = out.block_sum(s.matrix)

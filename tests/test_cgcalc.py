@@ -24,7 +24,6 @@ from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       sig_add, twisted_double_obstruction,
                                       _case_expression)
 from knotconcord.cover import branched_cover
-from knotconcord.cyclo import RatLaurent
 from knotconcord.errors import (BudgetExceeded, HypothesisUnverified,
                                 PreconditionError, SingularAtT,
                                 UnsupportedShape)
@@ -124,7 +123,7 @@ def test_mixed_exponents_rejects_bad_arguments():
 
 def test_hypotheses_pass_for_companion_quadratics():
     for key, disc in ((KEY_A, 13), (KEY_B, 21), ((1, -3, 1), 5)):
-        r = check_poly_hypotheses(RatLaurent.from_list(list(key)))
+        r = check_poly_hypotheses(key)
         assert r.passes
         assert r.discriminant == disc
         assert r.family == "negative_clasp_double"
@@ -134,7 +133,7 @@ def test_hypotheses_pass_for_companion_quadratics():
 
 def test_hypotheses_repair_sign_slip():
     # family printed with constant term -m instead of +m
-    r = check_poly_hypotheses(RatLaurent.from_list([-3, -7, 3]))
+    r = check_poly_hypotheses([-3, -7, 3])
     assert r.corrected
     assert r.coefficients == (3, -7, 3)
     assert r.passes
@@ -142,7 +141,7 @@ def test_hypotheses_repair_sign_slip():
 
 def test_hypotheses_reject_square_discriminant():
     # repaired form 2t^2-5t+2 has discriminant 9 and factors over Q
-    r = check_poly_hypotheses(RatLaurent.from_list([-2, -5, 2]))
+    r = check_poly_hypotheses([-2, -5, 2])
     assert r.corrected
     assert r.discriminant == 9
     assert not r.q_irreducible
@@ -152,7 +151,7 @@ def test_hypotheses_reject_square_discriminant():
 
 def test_hypotheses_reject_sqrt_minus_seven_field():
     # 2t^2-3t+2 is Q-irreducible but splits in the degree-7 cyclotomic field
-    r = check_poly_hypotheses(RatLaurent.from_list([2, -3, 2]))
+    r = check_poly_hypotheses([2, -3, 2])
     assert r.q_irreducible
     assert not r.zeta7_irreducible
     assert not r.passes
@@ -160,7 +159,7 @@ def test_hypotheses_reject_sqrt_minus_seven_field():
 
 
 def test_hypotheses_accept_other_imaginary_quadratic():
-    r = check_poly_hypotheses(RatLaurent.from_list([1, -1, 1]))
+    r = check_poly_hypotheses([1, -1, 1])
     assert r.discriminant == -3
     assert r.zeta7_irreducible
     assert r.passes
@@ -168,7 +167,7 @@ def test_hypotheses_accept_other_imaginary_quadratic():
 
 
 def test_hypotheses_flag_asymmetric_quadratic():
-    r = check_poly_hypotheses(RatLaurent.from_list([1, -3, 2]))
+    r = check_poly_hypotheses([1, -3, 2])
     assert not r.symmetric
     assert not r.passes
     assert "not symmetric" in r.failures()
@@ -176,9 +175,9 @@ def test_hypotheses_flag_asymmetric_quadratic():
 
 def test_hypotheses_reject_non_quadratics():
     with pytest.raises(UnsupportedShape):
-        check_poly_hypotheses(RatLaurent.from_list([1, 0, 0, 1]))
+        check_poly_hypotheses([1, 0, 0, 1])
     with pytest.raises(UnsupportedShape):
-        check_poly_hypotheses(RatLaurent.from_list([5]))
+        check_poly_hypotheses([5])
 
 
 def test_hypotheses_accept_matrix_input():
@@ -188,8 +187,7 @@ def test_hypotheses_accept_matrix_input():
 
 
 def test_hypothesis_record_detects_shared_factors():
-    rec = HypothesisRecord.for_polys([RatLaurent.from_list([1, -3, 1]),
-                                      RatLaurent.from_list([2, -6, 2])])
+    rec = HypothesisRecord.for_polys([[1, -3, 1], [2, -6, 2]])
     # both pass individually but are proportional, hence not coprime
     assert rec.noncoprime
     with pytest.raises(HypothesisUnverified):
@@ -198,10 +196,10 @@ def test_hypothesis_record_detects_shared_factors():
 
 
 def test_hypothesis_record_requires_registration_and_passing():
-    rec = HypothesisRecord.for_polys([RatLaurent.from_list(list(KEY_A))])
+    rec = HypothesisRecord.for_polys([KEY_A])
     with pytest.raises(HypothesisUnverified):
         rec.require([KEY_B])
-    rec.register(RatLaurent.from_list([-2, -5, 2]))
+    rec.register([-2, -5, 2])
     with pytest.raises(HypothesisUnverified):
         rec.require([(2, -5, 2)])
     rec.require([KEY_A])
@@ -244,6 +242,9 @@ def test_satellite_delta_shifts():
     assert e0.factors == {(KEY_A, 0): 3}
     with pytest.raises(PreconditionError):
         satellite_delta(DiscExpr(7), SeifertMatrix(COMP_A), [1], p=5)
+    # a coefficient list loses its zero ends and its sign, not its content
+    e2 = satellite_delta(DiscExpr(7), [0, -2, 4, -2, 0], [1])
+    assert e2.factors == {((2, -4, 2), 1): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_norm_test_token_parities():
     assert norm_test(DiscExpr(7).times_token(tok, 2), rec) == NORM
     # an odd factor decides regardless of tokens
     e = DiscExpr(7).times_token(tok).times_factor(KEY_A, 2)
-    rec2 = HypothesisRecord.for_polys([RatLaurent.from_list(list(KEY_A))])
+    rec2 = HypothesisRecord.for_polys([KEY_A])
     assert norm_test(e, rec2) == NOT_NORM
 
 
@@ -288,8 +289,7 @@ def test_norm_test_stable_under_conjugate_squares():
     # every class here is fixed by conjugation, so g * conj(g) is the square
     # of a single class; multiplying by one must never change the verdict
     rng = random.Random(20260815)
-    rec = HypothesisRecord.for_polys([RatLaurent.from_list(list(KEY_A)),
-                                      RatLaurent.from_list(list(KEY_B))])
+    rec = HypothesisRecord.for_polys([KEY_A, KEY_B])
     keys = [KEY_A, KEY_B]
     for _ in range(50):
         e = DiscExpr(7)
@@ -563,7 +563,7 @@ def test_mutant_sum_preconditions():
     with pytest.raises(HypothesisUnverified):
         mutant_sum_obstruction([[[-1, 1], [0, 6]]])
     with pytest.raises(HypothesisUnverified):
-        mutant_sum_obstruction([RatLaurent.from_list([2, -3, 2])])
+        mutant_sum_obstruction([[2, -3, 2]])
 
 
 def test_mutant_sum_budget():
@@ -575,12 +575,12 @@ def test_mutant_sum_budget():
 def test_mutation_shadow_unmutated_expression_stays_open():
     # the carrier with both bands unmutated doubles every factor, so the
     # expression alone cannot certify anything; the mutated one can
-    rec = HypothesisRecord.for_polys([RatLaurent.from_list(list(KEY_A))])
+    rec = HypothesisRecord.for_polys([KEY_A])
     spec = {"kind": "matrix", "entries": COMP_A}
     mutated = build(mutant_family_spec(spec, mutated=True)).summands
     plain = build(mutant_family_spec(spec, mutated=False)).summands
-    em = _case_expression([1], [0], [1], mutated)
-    ep = _case_expression([1], [0], [1], plain)
+    em = _case_expression([1], [0], mutated, [KEY_A])
+    ep = _case_expression([1], [0], plain, [KEY_A])
     assert norm_test(em, rec) == NOT_NORM
     assert norm_test(ep, rec) == UNKNOWN
     assert ep.shift_multiset(KEY_A) == (1, 1, 2, 2, 4, 4)

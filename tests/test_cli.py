@@ -328,6 +328,40 @@ def test_bad_arguments_exit_2(capsys, monkeypatch, argv, env):
     assert captured.err.count("\n") == 1
 
 
+MALFORMED_INPUTS = [
+    ("cg-delta", '["2", -5, "2"]'),
+    ("cg-delta", "[2.0, -5, 2]"),
+    ("cg-delta", "[true, -3, true]"),
+    ("cg-delta", "[1, [2]]"),
+    ("cg-delta", "[[1, 2], 3]"),
+    ("labelings", "X[1,2,3]"),
+    ("labelings", "X[1,2,3,4] X[1,2,3,4]"),
+    ("labelings", "X[1,1,2,2]"),
+    ("labelings", "X[1,4,2,5] X[3,6,4,1]"),
+]
+
+
+@pytest.mark.parametrize("command, text", MALFORMED_INPUTS, ids=[
+    "coeffs-strings", "coeffs-floats", "coeffs-bools", "coeffs-nested",
+    "matrix-ragged", "pd-short-entry", "pd-repeated-crossing",
+    "pd-ambiguous-sign", "pd-open-edge"])
+def test_malformed_input_file_exits_2(capsys, tmp_path, command, text):
+    # companion coefficient lists must hold integers, not values that a
+    # Fraction would coerce; planar diagram codes must close up
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    if command == "cg-delta":
+        argv = ["cg-delta", "--knot", str(path), "--lifts", "1"]
+    else:
+        argv = ["labelings", "--pd", str(path), "--p", "3"]
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violated: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cover_degree_budget_exits_3(capsys):
     code = main(["cover", "--knot", fx("torus_2_3.json"), "--d", "400"])
     captured = capsys.readouterr()

@@ -6,14 +6,13 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from knotconcord.cover import unit_roots_mod
 from knotconcord.cyclo import (
     CyclotomicField,
-    RatLaurent,
     _cos_table,
     _pi_fixed,
-    cube_roots_mod,
     cyclotomic_polynomial,
-    poly_gcd_q,
+    poly_gcd,
 )
 from knotconcord.errors import PreconditionError
 
@@ -148,40 +147,23 @@ def test_sign_real_certified_values():
     assert F5.sign_real(y) == -1
 
 
-def test_rat_laurent_basics():
-    f = RatLaurent.from_list([2, -5, 2])          # 2 - 5t + 2t^2
-    assert f.eval_fraction(Fraction(1)) == -1
-    assert f.is_symmetric()
-    g = RatLaurent.from_list([1, -3, 1])
-    assert g.is_symmetric()
-    h = RatLaurent.from_list([2, 1])              # 2 + t, not symmetric
-    assert not h.is_symmetric()
-    assert (f * g).eval_fraction(Fraction(2)) == f.eval_fraction(Fraction(2)) * g.eval_fraction(Fraction(2))
-    # normalization: lowest exponent 0, positive leading coefficient
-    k = RatLaurent({-2: Fraction(-1), 0: Fraction(3)}).normalized()
-    assert min(k.coeffs) == 0 and k.coeffs[max(k.coeffs)] > 0
-
-
-def test_rat_laurent_json_roundtrip():
-    f = RatLaurent({-1: Fraction(2, 3), 4: Fraction(-7)})
-    assert RatLaurent.from_json(f.to_json()).coeffs == f.coeffs
-
-
-def test_poly_gcd_q():
-    common = RatLaurent.from_list([-2, 1])                    # t - 2
-    f = common * RatLaurent.from_list([1, 1]) * Fraction(3, 4)
-    g = (common * RatLaurent.from_list([1, 0, 1])).shift(-3)
-    assert poly_gcd_q(f, g) == common
-    assert poly_gcd_q(f, RatLaurent.from_list([1, 0, 1])) == RatLaurent.term(1)
-    assert poly_gcd_q(RatLaurent(), g) == (common * RatLaurent.from_list([1, 0, 1]))
-    assert poly_gcd_q(RatLaurent(), RatLaurent()).is_zero()
+def test_poly_gcd():
+    # (t - 2)(t + 1) * 3 and (t - 2)(t^2 + 1) * -2 share t - 2
+    f = (-6, -3, 3)
+    g = (4, -2, 4, -2)
+    assert poly_gcd(f, g) == (-2, 1)
+    assert poly_gcd(g, f) == (-2, 1)
+    assert poly_gcd(f, (1, 0, 1)) == (1,)
+    assert poly_gcd((), g) == (-2, 1, -2, 1)
+    assert poly_gcd((1, -3, 1), (2, -6, 2)) == (1, -3, 1)
+    assert poly_gcd((), ()) == ()
 
 
 def test_cube_roots_mod():
-    assert cube_roots_mod(49) == [1, 18, 30]
-    assert cube_roots_mod(7) == [1, 2, 4]
-    assert cube_roots_mod(5) == [1]
-    for r in cube_roots_mod(49):
+    assert unit_roots_mod(3, 49) == [1, 18, 30]
+    assert unit_roots_mod(3, 7) == [1, 2, 4]
+    assert unit_roots_mod(3, 5) == [1]
+    for r in unit_roots_mod(3, 49):
         assert pow(r, 3, 49) == 1
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import knotconcord
 
+TESTS = Path(__file__).parent
+
 
 def test_no_assert_statements():
     # `python -O` strips asserts, so validation must raise instead
@@ -53,3 +55,50 @@ def test_float_guard_catches_planted_uses():
     assert _float_uses("y = math.log2(n)\nz = math.floor(n)\n") == ["<source>:1"]
     assert _float_uses("a = 0.5\nb = float(c)\nd = 1e3j\ne = 3\n") == [
         "<source>:1", "<source>:2", "<source>:3"]
+
+
+def _unreferenced(definitions, references):
+    """Names of the functions, classes and methods defined in the
+    `definitions` sources that no name, attribute or import alias in the
+    `references` sources mentions; dunders are skipped."""
+    defined = {}
+    for name, source in definitions.items():
+        for node in ast.walk(ast.parse(source, filename=name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, "%s:%d" % (name, node.lineno))
+    used = set()
+    for name, source in references.items():
+        for node in ast.walk(ast.parse(source, filename=name)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+                if node.asname:
+                    used.add(node.asname)
+    return sorted(loc + " " + name for name, loc in defined.items()
+                  if name not in used)
+
+
+def test_every_definition_is_referenced():
+    # dead code: a definition nothing in the package or its tests names
+    package = {path.name: path.read_text() for path in
+               sorted(Path(knotconcord.__file__).parent.glob("*.py"))}
+    tests = {path.name: path.read_text() for path in sorted(TESTS.glob("*.py"))}
+    assert len(package) >= 10 and len(tests) >= 10
+    assert _unreferenced(package, {**package, **tests}) == []
+
+
+def test_reference_guard_catches_planted_definitions():
+    src = ("class Used:\n    def to_json(self):\n        return {}\n"
+           "    def spare(self):\n        return 1\n"
+           "def dead():\n    return Used().to_json()\n"
+           "def __getattr__(name):\n    raise AttributeError(name)\n")
+    assert _unreferenced({"m.py": src}, {"m.py": src}) == [
+        "m.py:4 spare", "m.py:6 dead"]
+    # an attribute, a bare name or an import alias elsewhere counts as a use
+    assert _unreferenced({"m.py": src}, {
+        "m.py": src, "t.py": "from m import dead as d\nd().spare()\n"}) == []
