@@ -31,7 +31,7 @@ from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
                            vanishing_chars, find_odd_char, admissible_pair,
                            span_vectors)
 from .seifert import (SeifertMatrix, KnotModel, build, alexander, lt_signature,
-                      torus_matrix, twisted_double_matrix)
+                      torus_matrix, twisted_double_matrix, _integer)
 
 NORM = "NORM"
 NOT_NORM = "NOT_NORM"
@@ -111,29 +111,40 @@ class DiscExpr:
     conj f(zeta^a t) is a unit times f(zeta^a t)), and tokens are declared
     self-conjugate, so inverses agree with the class itself modulo norms
     and only multiplicity parity matters to the norm test.
+
+    p, key coefficients, shifts and multiplicities must be ints (not
+    bools); anything else raises PreconditionError instead of being
+    coerced.
     """
 
     __slots__ = ("p", "factors", "tokens")
 
     def __init__(self, p=7, factors=None, tokens=None):
-        self.p = int(p)
+        self.p = _integer(p, "root-of-unity modulus")
         if self.p < 2:
             raise PreconditionError("root-of-unity modulus must be at least 2")
         self.factors = {}
         for (key, shift), mult in (factors or {}).items():
-            if mult:
-                self.factors[(tuple(int(c) for c in key), int(shift) % self.p)] = int(mult)
-        self.tokens = {k: int(m) for k, m in (tokens or {}).items() if m}
+            k = self._factor_key(key, shift)
+            if _integer(mult, "factor multiplicity"):
+                self.factors[k] = mult
+        self.tokens = {k: m for k, m in (tokens or {}).items()
+                       if _integer(m, "token multiplicity")}
+
+    def _factor_key(self, key, shift):
+        return (tuple(_integer(c, "polynomial coefficient") for c in key),
+                _integer(shift, "factor shift") % self.p)
 
     def times_factor(self, key, shift, mult=1):
         factors = dict(self.factors)
-        k = (tuple(int(c) for c in key), int(shift) % self.p)
-        factors[k] = factors.get(k, 0) + int(mult)
+        k = self._factor_key(key, shift)
+        factors[k] = factors.get(k, 0) + _integer(mult, "factor multiplicity")
         return DiscExpr(self.p, factors, self.tokens)
 
     def times_token(self, token, mult=1):
         tokens = dict(self.tokens)
-        tokens[token] = tokens.get(token, 0) + int(mult)
+        tokens[token] = tokens.get(token, 0) + _integer(mult,
+                                                        "token multiplicity")
         return DiscExpr(self.p, self.factors, tokens)
 
     def is_trivial(self):

@@ -90,30 +90,47 @@ _cyclo_cache = {}
 
 
 def cyclotomic_polynomial(n):
-    """Coefficient list (low degree first) of Phi_n, computed by exact
-    division of x^n - 1 by the proper cyclotomic factors."""
+    """Coefficient list (low degree first) of Phi_n.
+
+    For the squarefree kernel r of n > 1, Phi_r is the product of
+    (1 - x^d)^mu(r/d) over the divisors d of r, taken as a power series
+    cut at degree phi(r): each factor is one pass over the coefficients
+    (1/(1 - x^d) is the running sum with stride d).  Then Phi_n(x) =
+    Phi_r(x^(n/r)).
+    """
     if n in _cyclo_cache:
         return list(_cyclo_cache[n])
-    poly = [-1] + [0] * (n - 1) + [1]          # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            poly = _poly_div_exact(poly, phi_d)
-    _cyclo_cache[n] = list(poly)
-    return poly
-
-
-def _poly_div_exact(a, b):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        q = a[i + len(b) - 1] // b[-1]
-        out[i] = q
-        if q:
-            for j in range(len(b)):
-                a[i + j] -= q * b[j]
-    if any(a):
-        raise InternalInvariantViolation("cyclotomic division left a remainder")
+    if n == 1:
+        return [-1, 1]
+    primes = []
+    m, q = n, 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    deg = 1
+    for q in primes:
+        deg *= q - 1
+    poly = [1] + [0] * deg
+    # each divisor d of r with mu(r/d) = (-1)^(number of primes left out)
+    divisors = [(1, len(primes) % 2 == 0)]
+    for q in primes:
+        divisors += [(d * q, not even) for d, even in divisors]
+    for d, even in divisors:
+        if even:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
+    stride = n // math.prod(primes)
+    out = [0] * (deg * stride + 1)
+    out[::stride] = poly
+    _cyclo_cache[n] = list(out)
     return out
 
 

@@ -6,10 +6,28 @@ subgroup whose order squares to the group order.  Subgroups are handled
 as integer lattices between diag(group) and Z^k, written in Hermite
 normal form so equality is syntactic.
 
-Enumeration walks candidate Hermite bases row by row from the bottom,
-pruning branches as soon as a partial basis pairs nontrivially with
-itself or fails to contain the relation vector of its pivot column; the
-walk is exhaustive within a node budget.
+Enumeration fills Hermite bases row by row from the bottom, for each
+diagonal whose product squares to the group order.  Row i is diag[i] e_i
+plus a tail t in the box [0, diag[i+1]) x ... x [0, diag[k-1]).  Once
+rows i+1..k-1 are fixed, the conditions <row i, row j> = 0 (mod den), den
+the common denominator of the Gram matrix, are linear congruences in t,
+and each fixed row keeps its linear form N row.  The congruences are
+brought to echelon form by unimodular integer row operations, which works
+for any den, and the tail is solved from its last coordinate to its
+first: a coordinate that starts no congruence is free, and one that
+starts g t = s (mod den) has no value unless h = gcd(g, den) divides s,
+and otherwise the values t_0 + (den / h) Z in the box.  Each solution is
+a candidate; it is kept if it pairs to zero with itself and the rows so
+far contain the relation f_i e_i.
+
+For deck-invariant metabolizers each fixed row contributes the linear
+forms of its whole deck orbit, and a candidate must also pair to zero
+with its own orbit: an invariant isotropic subgroup holds T^c row for
+every c.  Both are necessary conditions; a finished basis is still kept
+only if the deck maps its subgroup into itself, so the list is exact.
+
+The search is exhaustive within a budget on the number of candidates,
+the tails that pass the linear conditions of their node.
 """
 
 from itertools import product
@@ -118,85 +136,187 @@ def _deck_image(deck, vec):
 
 
 def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
-    """All metabolizers of L, optionally only the deck-invariant ones.
+    """All metabolizers of L, optionally only the deck-invariant ones,
+    sorted by Hermite basis.
 
-    Complete within the budget: every subgroup Hermite basis compatible
-    with the half-order condition is visited unless pruned by a pairing
-    or containment failure that already rules out its extensions.
+    Each row's tail is solved from the echelon form of its pairing
+    congruences with the rows below it (and, with invariant_only, with
+    their deck orbits) rather than searched; the module docstring has the
+    details.  The budget counts candidate rows, those that pass these
+    linear conditions; a search that needs more raises BudgetExceeded.
     """
-    group = list(L.group)
-    k = len(group)
+    k = len(L.group)
     if k == 0:
         return [Metabolizer((), ())]
-    total = L.order
-    root = isqrt(total)
-    if root * root != total:
+    root = isqrt(L.order)
+    if root * root != L.order:
         return []
-    N, den = _integral_gram(L)
-    divisors = [[d for d in range(1, f + 1) if f % d == 0] for f in group]
+    search = _Search(L, invariant_only, budget)
+    for diag in _diag_choices(L.group, root, 0, 1):
+        search.fill(diag, k - 1)
+    search.found.sort(key=lambda m: m.basis)
+    return search.found
 
-    diag_choices = []
 
-    def collect(i, prod, acc):
-        if prod > root or root % prod:
+def _diag_choices(group, root, i, prod):
+    """Hermite diagonals, d_i dividing f_i with product root, in
+    lexicographic order."""
+    if i == len(group):
+        if prod == root:
+            yield ()
+        return
+    f = group[i]
+    for d in range(1, f + 1):
+        if f % d == 0 and root % (prod * d) == 0:
+            for rest in _diag_choices(group, root, i + 1, prod * d):
+                yield (d,) + rest
+
+
+class _Search:
+    """One metabolizer search: the form, the rows fixed so far and, for
+    each, the linear forms a later row must pair to zero with.
+
+    The recursion lives in methods and module-level generators, never in
+    closures defined per node or per diagonal: such a closure refers to
+    itself, and the cycle stays in memory until the garbage collector
+    runs, which a caller that disables it for a whole batch of searches
+    would not see happen.
+    """
+
+    def __init__(self, L, invariant_only, budget):
+        self.group = L.group
+        self.N, self.den = _integral_gram(L)
+        self.deck = L.deck if invariant_only else None
+        self.budget = budget
+        self.nodes = 0
+        self.found = []
+        self.rows = [None] * len(L.group)
+        self.forms = [None] * len(L.group)
+
+    def fill(self, diag, i):
+        group, rows, N, den = self.group, self.rows, self.N, self.den
+        k = len(group)
+        if i < 0:
+            if self.deck is not None:
+                for r in rows:
+                    image = _deck_image(self.deck, r)
+                    if not _suffix_member(rows, diag, image, 0):
+                        return
+            self.found.append(Metabolizer(group, rows))
             return
-        if i == k:
-            if prod == root:
-                diag_choices.append(tuple(acc))
+        # <row, v> = diag[i] (N v)[i] + sum_m t_m (N v)[m] for the tail t
+        system = set()
+        for j in range(i + 1, k):
+            for form in self.forms[j]:
+                system.add(tuple(form[i + 1:]) + ((-diag[i] * form[i]) % den,))
+        by_col = _echelon(system, k - i - 1, den)
+        if by_col is None:
             return
-        for d in divisors[i]:
-            acc.append(d)
-            collect(i + 1, prod * d, acc)
-            acc.pop()
-
-    collect(0, 1, [])
-
-    found = []
-    nodes = 0
-
-    for diag in diag_choices:
-        rows = [None] * k
-
-        def fill(i):
-            nonlocal nodes
-            if i < 0:
-                basis = [list(r) for r in rows]
-                if invariant_only:
-                    for r in basis:
-                        image = _deck_image(L.deck, r)
-                        if not _suffix_member(basis, diag, image, 0):
-                            return
-                found.append(Metabolizer(group, basis))
-                return
-            ranges = [range(diag[j]) for j in range(i + 1, k)]
-            for tail in product(*ranges):
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(
-                        "metabolizer search visited more than %d candidates"
-                        % budget, budget)
-                row = [0] * i + [diag[i]] + list(tail)
-                if not _pairs_to_zero(N, den, row, row):
+        rel = [0] * k
+        rel[i] = group[i]
+        for tail in _tail_walk(by_col, diag[i + 1:], den, [0] * (k - i - 1),
+                               k - i - 2):
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceeded(
+                    "metabolizer search visited more than %d candidates"
+                    % self.budget, self.budget)
+            row = [0] * i + [diag[i]] + tail
+            if not _pairs_to_zero(N, den, row, row):
+                continue
+            orbit = [row]
+            if self.deck is not None:
+                orbit = _deck_orbit(self.deck, group, row)
+                if not all(_pairs_to_zero(N, den, row, v) for v in orbit[1:]):
                     continue
-                bad = False
-                for j in range(i + 1, k):
-                    if not _pairs_to_zero(N, den, row, rows[j]):
-                        bad = True
-                        break
-                if bad:
-                    continue
-                rows[i] = row
-                # the relation f_i e_i must lie in the span of rows i..k-1
-                rel = [0] * k
-                rel[i] = group[i]
-                if _suffix_member(rows, diag, rel, i):
-                    fill(i - 1)
-                rows[i] = None
+            rows[i] = row
+            # the relation f_i e_i must lie in the span of rows i..k-1
+            if _suffix_member(rows, diag, rel, i):
+                self.forms[i] = [[x % den for x in linalg.mat_vec(N, v)]
+                                 for v in orbit]
+                self.fill(diag, i - 1)
+            rows[i] = None
 
-        fill(k - 1)
 
-    found.sort(key=lambda m: m.basis)
-    return found
+def _deck_orbit(deck, group, vec):
+    """vec and its deck images, reduced mod the group, until one repeats.
+
+    An invariant subgroup holds all of them, so an isotropic one pairs
+    each of them to zero with every element."""
+    v = tuple(x % f for x, f in zip(vec, group))
+    orbit = [v]
+    seen = {v}
+    while True:
+        v = tuple(x % f for x, f in zip(_deck_image(deck, v), group))
+        if v in seen:
+            return orbit
+        orbit.append(v)
+        seen.add(v)
+
+
+def _echelon(system, width, den):
+    """Echelon form of the congruences sum_c a_c t_c = b (mod den), each
+    given as (a_0, ..., a_{width-1}, b).
+
+    Returns by_col, where by_col[c] is the one congruence whose first
+    nonzero coefficient is in column c, or None when no congruence starts
+    there; or None when the system has no solution.  Congruences are
+    combined only by unimodular integer row operations (Euclid on the
+    column), so the solutions mod den stay the same for any den.
+    """
+    by_col = [None] * width
+    for eq in system:
+        eq = list(eq)
+        c = 0
+        while True:
+            while c < width and eq[c] == 0:
+                c += 1
+            if c == width:
+                if eq[width]:
+                    return None
+                break
+            piv = by_col[c]
+            if piv is None:
+                by_col[c] = eq
+                break
+            while eq[c]:
+                q = piv[c] // eq[c]
+                piv, eq = eq, [(x - q * y) % den for x, y in zip(piv, eq)]
+            by_col[c] = piv
+    return by_col
+
+
+def _tail_walk(by_col, bounds, den, t, c):
+    """Tails t with 0 <= t_m < bounds[m] that solve the echelon system,
+    choosing t_c, ..., t_0 in turn; the list t is reused between yields.
+
+    A column without a congruence is free.  Otherwise the later columns
+    are set, and its congruence reads g t_c = s (mod den): it has no
+    solution unless h = gcd(g, den) divides s, and then the solutions
+    are t_0 + (den / h) Z.
+    """
+    if c < 0:
+        yield t
+        return
+    eq = by_col[c]
+    if eq is None:
+        values = range(bounds[c])
+    else:
+        s = eq[-1]
+        for m in range(c + 1, len(t)):
+            s -= eq[m] * t[m]
+        h = gcd(eq[c], den)
+        if s % h:
+            return
+        step = den // h
+        start = s // h * pow(eq[c] // h, -1, step) % step
+        values = range(start, bounds[c], step)
+    for x in values:
+        t[c] = x
+        if c:
+            yield from _tail_walk(by_col, bounds, den, t, c - 1)
+        else:
+            yield t
 
 
 def _suffix_member(rows, diag, vec, start):

@@ -25,13 +25,12 @@ import random
 from fractions import Fraction as F
 
 from knotconcord import linalg
-from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
+from knotconcord.cassongordon import (DiscExpr, HypothesisRecord,
                                       NORM, NOT_NORM,
                                       mixed_exponents, mutant_sum_obstruction,
                                       mutant_family_spec, norm_test,
                                       orbit_exponents, order2_obstruction,
                                       residual_token, satellite_base_matrix,
-                                      satellite_sigma,
                                       twisted_double_obstruction)
 from knotconcord.cover import (LinkingForm, branched_cover, char_space,
                                direct_sum, linking_form, unit_roots_mod)

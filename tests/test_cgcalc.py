@@ -6,7 +6,6 @@ independent representation-arc count; exponent multisets and discriminant
 parities were derived by hand mod 7 before being frozen here.
 """
 
-import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -19,7 +18,7 @@ from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       mixed_exponents, mutant_family_spec,
                                       mutant_sum_obstruction, norm_test,
                                       orbit_exponents, order2_obstruction,
-                                      residual_token, satellite_base_matrix,
+                                      residual_token,
                                       satellite_delta, satellite_sigma,
                                       sig_add, twisted_double_obstruction,
                                       _case_expression)
@@ -71,6 +70,37 @@ def test_disc_expr_multiplication():
     assert disc_mul(x, inv).is_trivial()
     with pytest.raises(PreconditionError):
         disc_mul(DiscExpr(5), DiscExpr(7))
+
+
+TOKEN = ("delta", "K", (1, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscExpr(7).times_factor(("2", -5, 2.0), "1", 1.0),
+    lambda: DiscExpr(7).times_factor(("2", -5, 2), 1),
+    lambda: DiscExpr(7).times_factor((2.0, -5, 2), 1),
+    lambda: DiscExpr(7).times_factor((True, -3, True), 1),
+    lambda: DiscExpr(7).times_factor(KEY_A, "1"),
+    lambda: DiscExpr(7).times_factor(KEY_A, 1.0),
+    lambda: DiscExpr(7).times_factor(KEY_A, True),
+    lambda: DiscExpr(7).times_factor(KEY_A, 1, 2.0),
+    lambda: DiscExpr(7).times_factor(KEY_A, 1, True),
+    lambda: DiscExpr(7).times_token(TOKEN, 2.0),
+    lambda: DiscExpr(7).times_token(TOKEN, True),
+    lambda: DiscExpr(7.0),
+    lambda: DiscExpr("7"),
+    lambda: DiscExpr(7, factors={((3, -7.0, 3), 1): 1}),
+    lambda: DiscExpr(7, factors={(KEY_A, "1"): 1}),
+    lambda: DiscExpr(7, factors={(KEY_A, 1): 1.0}),
+    lambda: DiscExpr(7, tokens={TOKEN: "1"}),
+], ids=["mixed-types", "str-coefficient", "float-coefficient",
+        "bool-coefficients", "str-shift", "float-shift", "bool-shift",
+        "float-mult", "bool-mult", "float-token-mult", "bool-token-mult",
+        "float-p", "str-p", "init-float-coefficient", "init-str-shift",
+        "init-float-mult", "init-str-token-mult"])
+def test_disc_expr_refuses_non_integers(make):
+    with pytest.raises(PreconditionError):
+        make()
 
 
 def test_disc_expr_shift_multiset_and_json():

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotconcord import linalg
-from knotconcord.cover import (CoverHomology, LinkingForm, branched_cover,
+from knotconcord.cover import (LinkingForm, branched_cover,
                                char_space, deck_eigenspaces, dual_linking,
                                linking_form, unit_roots_mod)
 from knotconcord.errors import (InfiniteHomology, InhomogeneousGroup,
-                                InternalInvariantViolation, UnsupportedShape)
+                                UnsupportedShape)
 from knotconcord.seifert import (SeifertMatrix, torus_matrix,
                                  twisted_double_matrix)
 

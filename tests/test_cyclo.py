@@ -33,6 +33,15 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(40) == [1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("ns", [range(1, 301), [4620]],
+                         ids=["1-300", "4620"])
+def test_cyclotomic_polynomial_matches_sympy(ns):
+    x = sp.symbols("x")
+    for n in ns:
+        want = sp.Poly(sp.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == [int(c) for c in want], n
+
+
 def test_cyclotomic_product_over_divisors():
     # prod over d | n of Phi_d = x^n - 1
     for n in (6, 10, 12, 15):

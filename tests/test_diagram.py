@@ -10,8 +10,7 @@ classes are all killed by 3, so the quotient module must be Z3 + Z3.
 import pytest
 
 from knotconcord.cover import branched_cover
-from knotconcord.diagram import (CharacterModule, Diagram, LabelingSpace,
-                                 MetacyclicGroup, classify_characters,
+from knotconcord.diagram import (Diagram, MetacyclicGroup, classify_characters,
                                  labeling_space, parse_pd, _relation_rows)
 from knotconcord.errors import IncidenceError, ParseError, PreconditionError
 from knotconcord.seifert import SeifertMatrix, torus_matrix

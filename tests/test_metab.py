@@ -5,16 +5,26 @@ scans (redone independently inside this file for the small cases) and
 against closed-form subgroup counts for the homogeneous (Z_49)^k cases.
 """
 
+import functools
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from math import isqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knotconcord.cassongordon import satellite_base_matrix
 from knotconcord.cover import LinkingForm, direct_sum, linking_form
 from knotconcord.errors import BudgetExceeded
-from knotconcord.metabolizers import (Metabolizer, _canonical_basis,
-                                      admissible_pair, check_diagonal_lemma,
+from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer,
+                                      _canonical_basis, _deck_image,
+                                      _integral_gram, _pairs_to_zero,
+                                      _suffix_member, admissible_pair,
+                                      check_diagonal_lemma,
                                       enumerate_metabolizers, find_odd_char,
                                       is_metabolizer, project_metabolizer,
                                       vanishing_chars)
@@ -63,6 +73,85 @@ def _brute_metabolizers(group, gram):
                 continue
             if all(lk(x, y) == 0 for x in span for y in span):
                 found.add(frozenset(span))
+    return found
+
+
+def _walk_oracle(L, invariant_only=False, budget=DEFAULT_BUDGET):
+    """Reference enumeration by trial: every Hermite tail in the box is
+    tried, its pairings tested afterwards, deck invariance only at the
+    leaves."""
+    group = list(L.group)
+    k = len(group)
+    if k == 0:
+        return [Metabolizer((), ())]
+    total = L.order
+    root = isqrt(total)
+    if root * root != total:
+        return []
+    N, den = _integral_gram(L)
+    divisors = [[d for d in range(1, f + 1) if f % d == 0] for f in group]
+
+    diag_choices = []
+
+    def collect(i, prod, acc):
+        if prod > root or root % prod:
+            return
+        if i == k:
+            if prod == root:
+                diag_choices.append(tuple(acc))
+            return
+        for d in divisors[i]:
+            acc.append(d)
+            collect(i + 1, prod * d, acc)
+            acc.pop()
+
+    collect(0, 1, [])
+
+    found = []
+    nodes = 0
+
+    for diag in diag_choices:
+        rows = [None] * k
+
+        def fill(i):
+            nonlocal nodes
+            if i < 0:
+                basis = [list(r) for r in rows]
+                if invariant_only:
+                    for r in basis:
+                        image = _deck_image(L.deck, r)
+                        if not _suffix_member(basis, diag, image, 0):
+                            return
+                found.append(Metabolizer(group, basis))
+                return
+            ranges = [range(diag[j]) for j in range(i + 1, k)]
+            for tail in itertools.product(*ranges):
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(
+                        "metabolizer search visited more than %d candidates"
+                        % budget, budget)
+                row = [0] * i + [diag[i]] + list(tail)
+                if not _pairs_to_zero(N, den, row, row):
+                    continue
+                bad = False
+                for j in range(i + 1, k):
+                    if not _pairs_to_zero(N, den, row, rows[j]):
+                        bad = True
+                        break
+                if bad:
+                    continue
+                rows[i] = row
+                # the relation f_i e_i must lie in the span of rows i..k-1
+                rel = [0] * k
+                rel[i] = group[i]
+                if _suffix_member(rows, diag, rel, i):
+                    fill(i - 1)
+                rows[i] = None
+
+        fill(k - 1)
+
+    found.sort(key=lambda m: m.basis)
     return found
 
 
@@ -248,6 +337,122 @@ def test_metabolizer_counts_match_closed_forms(signs, q, d, total, invariant):
     L = linking_form(_torus_sum(signs, q).matrix, d)
     assert len(enumerate_metabolizers(L)) == total
     assert len(enumerate_metabolizers(L, invariant_only=True)) == invariant
+
+
+# Every form of the cover_metab benchmark workload: the (Z/2)^8, (Z/5)^6,
+# (Z/3)^6, (Z/25)^4 and (Z/7)^4 sums of its cover operations and the
+# (Z/49)^4 and (Z/49)^2 forms of its mutant sums.
+def _workload_form(name):
+    if name in ("mutant_pp", "mutant_pm", "mutant_single"):
+        base = satellite_base_matrix()
+        other = base if name == "mutant_pp" else base.mirror()
+        summands = [base] if name == "mutant_single" else [base, other]
+        return direct_sum(*[linking_form(V, 3) for V in summands])
+    if name == "td2x4":
+        spec = {"kind": "sum", "summands": [
+            {"sign": 1, "knot": {"kind": "twisted_double", "a": 2}}] * 4}
+        return linking_form(build(spec).matrix, 2)
+    if name == "fig8x6":
+        spec = {"kind": "sum", "summands": [
+            {"sign": 1, "knot": {"kind": "matrix",
+                                 "entries": [[1, 1], [0, -1]]}}] * 6}
+        return linking_form(build(spec).matrix, 2)
+    signs, q, d = {"t23x4": ((1, 1, 1, 1), 3, 3),
+                   "t23x2_mt23x2": ((1, 1, -1, -1), 3, 3),
+                   "t25x3_mt25x3": ((1, 1, 1, -1, -1, -1), 5, 2),
+                   "t23x3_mt23x3": ((1, 1, 1, -1, -1, -1), 3, 2),
+                   "t27x2_mt27x2": ((1, 1, -1, -1), 7, 2)}[name]
+    return linking_form(_torus_sum(signs, q).matrix, d)
+
+
+WORKLOAD_FORMS = ["t23x4", "t23x2_mt23x2", "t25x3_mt25x3", "fig8x6",
+                  "t23x3_mt23x3", "td2x4", "t27x2_mt27x2", "mutant_pp",
+                  "mutant_pm", "mutant_single"]
+
+
+@pytest.mark.parametrize("invariant_only", [False, True],
+                         ids=["all", "invariant"])
+@pytest.mark.parametrize("name", WORKLOAD_FORMS)
+def test_walk_matches_oracle_on_workload_forms(name, invariant_only):
+    L = _workload_form(name)
+    assert (enumerate_metabolizers(L, invariant_only)
+            == _walk_oracle(L, invariant_only))
+
+
+@pytest.mark.parametrize("fixture", ["sum_double_a2_n2", "sum_double_a2_n3"])
+def test_walk_matches_oracle_on_fixtures(fixture):
+    path = Path(__file__).parent / "fixtures" / (fixture + ".json")
+    L = linking_form(build(json.loads(path.read_text())).matrix, 2)
+    for invariant_only in (False, True):
+        assert (enumerate_metabolizers(L, invariant_only)
+                == _walk_oracle(L, invariant_only))
+
+
+@functools.cache
+def _genus_one_form(a, c, d):
+    return linking_form(SeifertMatrix([[a, 1], [0, c]]), d)
+
+
+def _genus_one_sum(pairs, d):
+    return direct_sum(*[_genus_one_form(a, c, d) for a, c in pairs])
+
+
+# Sums of genus-one forms reach groups such as (7, 7, 2, 2, 8, 8) and
+# (26, 26, 26, 26), where den (56, 26) is not a prime power and the echelon
+# solve meets pivots that are not units.  The oracle gets no budget: on
+# (5, 5, 10, 10, 10, 10) it needs more than the default, which the solved
+# walk does not.
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=3),
+       st.sampled_from([2, 3]))
+def test_walk_matches_oracle_on_genus_one_sums(pairs, d):
+    L = _genus_one_sum(pairs, d)
+    for invariant_only in (False, True):
+        assert (enumerate_metabolizers(L, invariant_only)
+                == _walk_oracle(L, invariant_only, budget=10 ** 9))
+
+
+def _relabel(L, perm):
+    """L with generator a renamed perm[a]; only equal factors are swapped."""
+    group = tuple(L.group[p] for p in perm)
+    if group != L.group:
+        raise ValueError("relabelling must keep the invariant factors")
+    gram = [[L.gram[p][q] for q in perm] for p in perm]
+    deck = [[L.deck[p][q] for q in perm] for p in perm]
+    return LinkingForm(group, gram, deck)
+
+
+@pytest.mark.parametrize("make, perm, invariant_only", [
+    (lambda: _workload_form("t23x4"), (7, 2, 5, 0, 3, 6, 1, 4), False),
+    (lambda: _workload_form("t23x2_mt23x2"), (1, 0, 3, 2, 7, 6, 5, 4), True),
+    (lambda: _workload_form("t25x3_mt25x3"), (5, 4, 3, 2, 1, 0), False),
+    (lambda: _workload_form("mutant_pm"), (2, 3, 0, 1), True),
+    (lambda: _workload_form("mutant_pm"), (3, 1, 2, 0), False),
+    (lambda: _genus_one_sum([(-2, -3), (2, -3), (-3, -2)], 3),
+     (5, 4, 3, 2, 1, 0), False),
+    (lambda: _genus_one_sum([(2, 1), (1, -3), (1, -3)], 3),
+     (1, 0, 4, 5, 3, 2), True),
+], ids=["t23x4", "t23x2_mt23x2-inv", "t25x3_mt25x3", "mutant_pm-inv",
+        "mutant_pm", "composite-17-19", "composite-5-10-inv"])
+def test_metabolizers_unchanged_by_relabelling(make, perm, invariant_only):
+    # permuting generators with equal invariant factors is an isometry, so
+    # the metabolizers found in the new labels must map back onto those
+    # found in the old ones
+    L = make()
+    relabelled = enumerate_metabolizers(_relabel(L, perm), invariant_only)
+    mapped = set()
+    for m in relabelled:
+        rows = []
+        for g in m.generators:
+            v = [0] * len(perm)
+            for a, p in enumerate(perm):
+                v[p] = g[a]
+            rows.append(v)
+        mapped.add(tuple(map(tuple, _canonical_basis(rows, L.group))))
+    direct = {m.basis for m in enumerate_metabolizers(L, invariant_only)}
+    assert len(mapped) == len(relabelled)
+    assert mapped == direct
 
 
 def _in_span_mod_p(basis, vec, p):

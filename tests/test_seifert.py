@@ -3,11 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from knotconcord import seifert
 from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.errors import PreconditionError, SingularAtT, UnsupportedGenus
 from knotconcord.seifert import (
-    KnotModel,
     SeifertMatrix,
     alexander,
     build,

@@ -60,7 +60,9 @@ def test_float_guard_catches_planted_uses():
 def _unreferenced(definitions, references):
     """Names of the functions, classes and methods defined in the
     `definitions` sources that no name, attribute or import alias in the
-    `references` sources mentions; dunders are skipped."""
+    `references` sources mentions; dunders are skipped.  An import alias
+    counts only when the name it binds is used in its own module, so an
+    unused import keeps nothing alive."""
     defined = {}
     for name, source in definitions.items():
         for node in ast.walk(ast.parse(source, filename=name)):
@@ -70,15 +72,15 @@ def _unreferenced(definitions, references):
                     defined.setdefault(node.name, "%s:%d" % (name, node.lineno))
     used = set()
     for name, source in references.items():
-        for node in ast.walk(ast.parse(source, filename=name)):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+        nodes = list(ast.walk(ast.parse(source, filename=name)))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        used |= names
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif (isinstance(node, ast.alias)
+                  and (node.asname or node.name.split(".")[0]) in names):
                 used.update(node.name.split("."))
-                if node.asname:
-                    used.add(node.asname)
     return sorted(loc + " " + name for name, loc in defined.items()
                   if name not in used)
 
@@ -99,6 +101,10 @@ def test_reference_guard_catches_planted_definitions():
            "def __getattr__(name):\n    raise AttributeError(name)\n")
     assert _unreferenced({"m.py": src}, {"m.py": src}) == [
         "m.py:4 spare", "m.py:6 dead"]
-    # an attribute, a bare name or an import alias elsewhere counts as a use
+    # an attribute, a bare name or a used import alias elsewhere counts
     assert _unreferenced({"m.py": src}, {
         "m.py": src, "t.py": "from m import dead as d\nd().spare()\n"}) == []
+    # an import that its module never uses does not
+    assert _unreferenced({"m.py": src}, {
+        "m.py": src, "t.py": "from m import dead\nUsed().spare()\n"}) == [
+        "m.py:6 dead"]
