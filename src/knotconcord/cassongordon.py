@@ -136,16 +136,21 @@ class DiscExpr:
                 _integer(shift, "factor shift") % self.p)
 
     def times_factor(self, key, shift, mult=1):
-        factors = dict(self.factors)
         k = self._factor_key(key, shift)
-        factors[k] = factors.get(k, 0) + _integer(mult, "factor multiplicity")
-        return DiscExpr(self.p, factors, self.tokens)
+        factors = _bump(self.factors, k, _integer(mult, "factor multiplicity"))
+        return self._extended(factors, dict(self.tokens))
 
     def times_token(self, token, mult=1):
-        tokens = dict(self.tokens)
-        tokens[token] = tokens.get(token, 0) + _integer(mult,
-                                                        "token multiplicity")
-        return DiscExpr(self.p, self.factors, tokens)
+        tokens = _bump(self.tokens, token, _integer(mult, "token multiplicity"))
+        return self._extended(dict(self.factors), tokens)
+
+    def _extended(self, factors, tokens):
+        # every entry was validated on its way in, so nothing is checked again
+        out = object.__new__(DiscExpr)
+        out.p = self.p
+        out.factors = factors
+        out.tokens = tokens
+        return out
 
     def is_trivial(self):
         return not self.factors and not self.tokens
@@ -173,6 +178,18 @@ class DiscExpr:
         toks = [{"token": _token_json(tok), "multiplicity": mult}
                 for tok, mult in sorted(self.tokens.items())]
         return {"p": self.p, "factors": facs, "tokens": toks}
+
+
+def _bump(counts, key, mult):
+    """A copy of counts with mult added at key; a multiplicity that
+    reaches zero is dropped."""
+    out = dict(counts)
+    m = out.get(key, 0) + mult
+    if m:
+        out[key] = m
+    else:
+        out.pop(key, None)
+    return out
 
 
 def _token_json(token):
@@ -690,7 +707,7 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
     all_positive = all(v > 0 for v in sig.values())
     V = twisted_double_matrix(a)
     one = linking_form(V, 2)
-    form = one if n == 1 else direct_sum(*[linking_form(V, 2) for _ in range(n)])
+    form = one if n == 1 else direct_sum(*[one] * n)
     mets = enumerate_metabolizers(form, invariant_only=True, budget=budget)
     cases = []
     obstructed = all_positive and bool(mets)

@@ -227,12 +227,19 @@ class _CyclotomicField:
             self.red.append(self._times_zeta(self.red[-1]))
         self._zeta_cache = {}
         self._cos_tables = {}
-        # conj_mat[j] = zeta^(n-j): one walk up to zeta^(n-deg+1), then
-        # one multiplication by zeta per row
-        rows = [self.zeta_pow(n - self.deg + 1)] if self.deg > 1 else []
-        while len(rows) < self.deg - 1:
-            rows.append(self._times_zeta(rows[-1]))
-        self.conj_mat = [self.zeta_pow(0)] + rows[::-1]
+        # conj_mat[j] = zeta^(n-j) = zeta^-j, one multiplication by 1/zeta
+        # per row; for deg > 1, n > 2 and Phi_n(0) = 1, so
+        # 1/zeta = -(phi_1 + phi_2 zeta + ... + zeta^(deg-1))
+        self.conj_mat = [self.one()[0]]
+        if self.deg > 1:
+            inv = [-c for c in self.phi[1:]]
+            self.conj_mat.append(inv)
+            while len(self.conj_mat) < self.deg:
+                v = self.conj_mat[-1]
+                w = v[1:] + [0]
+                if v[0]:
+                    w = [x + v[0] * y for x, y in zip(w, inv)]
+                self.conj_mat.append(w)
 
     # -- basis vectors ------------------------------------------------
 
@@ -247,6 +254,8 @@ class _CyclotomicField:
     def zeta_pow(self, k):
         """Integer coefficient vector of zeta^k on the power basis."""
         k %= self.n
+        if 0 < self.n - k < self.deg:
+            return list(self.conj_mat[self.n - k])
         if k in self._zeta_cache:
             return list(self._zeta_cache[k])
         v = [0] * self.deg

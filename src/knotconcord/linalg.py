@@ -2,6 +2,8 @@
 
 Everything in this module is fraction-free or Fraction-based; no floating
 point anywhere.  Matrices are lists of lists (rows) of ints or Fractions.
+Only invert_rational works over Fraction; the inverse of a unimodular
+matrix (invert_integer) is computed with integers alone.
 """
 
 from fractions import Fraction
@@ -121,11 +123,40 @@ def invert_rational(M):
 
 
 def invert_integer(M):
-    """Inverse of an integer matrix with determinant +-1."""
-    inv = invert_rational(M)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise PreconditionError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    """Inverse of an integer matrix with determinant +-1.
+
+    [M | I] is row-reduced over Z by unimodular operations: Euclid down
+    each column until one entry is left, which must be +-1, then the
+    entries above it are cleared.  The product of the pivots is +-det M,
+    so a pivot that is missing or not +-1 means M is not unimodular.
+    """
+    n = len(M)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for c in range(n):
+        while True:
+            live = [i for i in range(c, n) if A[i][c]]
+            if not live:
+                raise PreconditionError("matrix is not unimodular")
+            p = min(live, key=lambda i: abs(A[i][c]))
+            if len(live) == 1:
+                break
+            prow = A[p]
+            a = prow[c]
+            for i in live:
+                if i != p:
+                    q = A[i][c] // a
+                    A[i] = [x - q * y for x, y in zip(A[i], prow)]
+        A[c], A[p] = A[p], A[c]
+        prow = A[c]
+        if prow[c] not in (1, -1):
+            raise PreconditionError("matrix is not unimodular")
+        if prow[c] == -1:
+            prow = A[c] = [-x for x in prow]
+        for i in range(c):
+            f = A[i][c]
+            if f:
+                A[i] = [x - f * y for x, y in zip(A[i], prow)]
+    return [row[n:] for row in A]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ forms of its whole deck orbit, and a candidate must also pair to zero
 with its own orbit: an invariant isotropic subgroup holds T^c row for
 every c.  Both are necessary conditions; a finished basis is still kept
 only if the deck maps its subgroup into itself, so the list is exact.
+A deck that acts as multiplication by one integer, as -1 does on every
+double branched cover, leaves every subgroup invariant; the search then
+skips the orbit work and runs as the unrestricted one.
 
 The search is exhaustive within a budget on the number of candidates,
 the tails that pass the linear conditions of their node.
@@ -44,8 +47,11 @@ class Metabolizer:
     """Self-annihilating half-order subgroup, canonical generator rows."""
 
     def __init__(self, group, basis):
-        self.group = tuple(int(f) for f in group)
-        self.basis = tuple(tuple(int(x) for x in row) for row in basis)
+        """group: the invariant factors; basis: the Hermite rows of the
+        subgroup lattice, one per factor.  Both hold ints already; the
+        order is read off the Hermite diagonal."""
+        self.group = tuple(group)
+        self.basis = tuple(map(tuple, basis))
         order = 1
         for i, row in enumerate(self.basis):
             order *= self.group[i] // row[i]
@@ -186,6 +192,10 @@ class _Search:
     def __init__(self, L, invariant_only, budget):
         self.group = L.group
         self.N, self.den = _integral_gram(L)
+        # a scalar deck, as on every double branched cover, leaves every
+        # subgroup invariant, and its orbit forms are unit multiples of a
+        # row's own form, so the plain search finds the same candidates
+        invariant_only = invariant_only and not _is_scalar(L.deck, L.group)
         self.deck = L.deck if invariant_only else None
         self.budget = budget
         self.nodes = 0
@@ -214,8 +224,7 @@ class _Search:
             return
         rel = [0] * k
         rel[i] = group[i]
-        for tail in _tail_walk(by_col, diag[i + 1:], den, [0] * (k - i - 1),
-                               k - i - 2):
+        for tail in _tail_walk(by_col, diag[i + 1:], den):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(
@@ -232,10 +241,35 @@ class _Search:
             rows[i] = row
             # the relation f_i e_i must lie in the span of rows i..k-1
             if _suffix_member(rows, diag, rel, i):
-                self.forms[i] = [[x % den for x in linalg.mat_vec(N, v)]
-                                 for v in orbit]
+                self.forms[i] = [_linear_form(N, den, v) for v in orbit]
                 self.fill(diag, i - 1)
             rows[i] = None
+
+
+def _is_scalar(deck, group):
+    """Whether the deck acts as multiplication by one integer c: off the
+    diagonal it is 0 mod the group, and the diagonal entries agree mod
+    gcd(f_i, f_j) for every pair, so that by the Chinese remainder theorem
+    one c matches them all."""
+    k = len(group)
+    for i in range(k):
+        for j in range(k):
+            if i != j and deck[i][j] % group[i]:
+                return False
+        for j in range(i):
+            if (deck[i][i] - deck[j][j]) % gcd(group[i], group[j]):
+                return False
+    return True
+
+
+def _linear_form(N, den, v):
+    """N v mod den from the nonzero coordinates of v: N is symmetric, so
+    N v is the sum of its rows N[a] weighted by v[a]."""
+    acc = [0] * len(v)
+    for a, x in enumerate(v):
+        if x:
+            acc = [s + x * y for s, y in zip(acc, N[a])]
+    return [s % den for s in acc]
 
 
 def _deck_orbit(deck, group, vec):
@@ -286,37 +320,55 @@ def _echelon(system, width, den):
     return by_col
 
 
-def _tail_walk(by_col, bounds, den, t, c):
+def _tail_walk(by_col, bounds, den):
     """Tails t with 0 <= t_m < bounds[m] that solve the echelon system,
-    choosing t_c, ..., t_0 in turn; the list t is reused between yields.
+    choosing t_c for c from the last column to the first; the list t is
+    reused between yields.
 
     A column without a congruence is free.  Otherwise the later columns
     are set, and its congruence reads g t_c = s (mod den): it has no
     solution unless h = gcd(g, den) divides s, and then the solutions
-    are t_0 + (den / h) Z.
+    are t_0 + (den / h) Z.  One generator walks all columns, keeping for
+    each open column the next value to try; its step is den / h, or 1
+    for a free column.
     """
-    if c < 0:
+    w = len(bounds)
+    t = [0] * w
+    if not w:
         yield t
         return
-    eq = by_col[c]
-    if eq is None:
-        values = range(bounds[c])
-    else:
-        s = eq[-1]
-        for m in range(c + 1, len(t)):
-            s -= eq[m] * t[m]
-        h = gcd(eq[c], den)
-        if s % h:
-            return
-        step = den // h
-        start = s // h * pow(eq[c] // h, -1, step) % step
-        values = range(start, bounds[c], step)
-    for x in values:
-        t[c] = x
+    # per congruence column: the congruence, h and (g / h)^-1 mod den / h
+    solve = [None] * w
+    steps = [1] * w
+    for c, eq in enumerate(by_col):
+        if eq is not None:
+            h = gcd(eq[c], den)
+            steps[c] = den // h
+            solve[c] = (eq, h, pow(eq[c] // h, -1, den // h))
+    nxt = [0] * w
+    c = w
+    while True:
         if c:
-            yield from _tail_walk(by_col, bounds, den, t, c - 1)
+            # open column c - 1, the later columns being set
+            c -= 1
+            sol = solve[c]
+            if sol is None:
+                nxt[c] = 0
+            else:
+                eq, h, inv = sol
+                s = eq[w]
+                for m in range(c + 1, w):
+                    s -= eq[m] * t[m]
+                nxt[c] = bounds[c] if s % h else s // h * inv % steps[c]
         else:
             yield t
+        # take the next value of the lowest open column that has one left
+        while nxt[c] >= bounds[c]:
+            c += 1
+            if c == w:
+                return
+        t[c] = nxt[c]
+        nxt[c] += steps[c]
 
 
 def _suffix_member(rows, diag, vec, start):

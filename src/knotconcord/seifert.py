@@ -96,26 +96,30 @@ def _alexander_coeffs(entries):
 
 
 def _interpolate_integer_poly(values):
-    # values[k] = f(k); Lagrange over Q, result must be integral
+    """Integer coefficients, lowest degree first, of the polynomial f of
+    degree < len(values) with f(k) = values[k].
+
+    Newton form over the falling factorials: f = sum_k c_k x(x-1)...(x-k+1)
+    with c_k = (forward difference)^k f(0) / k!, which is an integer for
+    every k exactly when f has integer coefficients."""
     n = len(values)
-    coeffs = [Fraction(0)] * n
-    for k, v in enumerate(values):
-        basis = [Fraction(1)]
-        denom = 1
-        for m in range(n):
-            if m == k:
-                continue
-            denom *= (k - m)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                nxt[i] += c * (-m)
-                nxt[i + 1] += c
-            basis = nxt
-        for i, c in enumerate(basis):
-            coeffs[i] += Fraction(v, denom) * c
-    if any(c.denominator != 1 for c in coeffs):
-        raise InternalInvariantViolation("a determinant polynomial must be integral")
-    out = [c.numerator for c in coeffs]
+    diffs = list(values)
+    newton = []
+    fact = 1
+    for k in range(n):
+        if k:
+            fact *= k
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        c, r = divmod(diffs[0], fact)
+        if r:
+            raise InternalInvariantViolation(
+                "a determinant polynomial must be integral")
+        newton.append(c)
+    # Horner in the Newton basis: out <- out * (x - k) + c_k
+    out = newton[-1:]
+    for k in range(n - 2, -1, -1):
+        out = [a - k * b for a, b in zip([0] + out, out + [0])]
+        out[0] += newton[k]
     while out and out[-1] == 0:
         out.pop()
     return out

@@ -68,6 +68,10 @@ def test_disc_expr_multiplication():
     # inverse multiplicities cancel to the identity
     inv = DiscExpr(7).times_factor(KEY_A, 3, -2)
     assert disc_mul(x, inv).is_trivial()
+    # appends copy their operand and drop a multiplicity that reaches zero
+    assert x.times_factor(KEY_A, 3, -2).is_trivial()
+    assert y.times_token(TOKEN, -1) == DiscExpr(7).times_factor(KEY_B, 0)
+    assert x.factors == {(KEY_A, 3): 2} and y.tokens == {TOKEN: 1}
     with pytest.raises(PreconditionError):
         disc_mul(DiscExpr(5), DiscExpr(7))
 

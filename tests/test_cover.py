@@ -9,6 +9,7 @@ alternative block circulant presentation built by hand in this file.
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from knotconcord.cover import (LinkingForm, branched_cover,
                                linking_form, unit_roots_mod)
 from knotconcord.errors import (InfiniteHomology, InhomogeneousGroup,
                                 UnsupportedShape)
-from knotconcord.seifert import (SeifertMatrix, torus_matrix,
+from knotconcord.seifert import (SeifertMatrix, alexander, torus_matrix,
                                  twisted_double_matrix)
 
 GENUS2_MODEL = SeifertMatrix([[-1, 1, 1, 1],
@@ -118,6 +119,35 @@ def test_order_matches_alexander_value_product():
                 assert _sylvester_order(V, d) == 0
                 continue
             assert H.order == _sylvester_order(V, d)
+
+
+# Block sums of genus-one matrices [[a, 1], [0, c]], with sympy computing
+# det(V - t V^T) and the resultant |prod Delta(zeta_d^i)| on its own.  Each
+# block has Delta = ac(1 - t)^2 + t, which vanishes at a d-th root of unity
+# only for d = 6 and ac = 1, so d runs to 6 to reach InfiniteHomology.
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=3),
+       st.integers(2, 6))
+def test_alexander_and_cover_order_match_sympy(blocks, d):
+    V = SeifertMatrix([[blocks[0][0], 1], [0, blocks[0][1]]])
+    for a, c in blocks[1:]:
+        V = V.block_sum(SeifertMatrix([[a, 1], [0, c]]))
+    t, x = sp.symbols("t x")
+    M = sp.Matrix(V.entries)
+    coeffs = sp.Poly((M - t * M.T).det(), t).all_coeffs()[::-1]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    if coeffs[-1] < 0:
+        coeffs = [-c for c in coeffs]
+    assert alexander(V) == tuple(int(c) for c in coeffs)
+    delta = sum(int(c) * x ** i for i, c in enumerate(coeffs))
+    order = abs(sp.resultant(delta, sum(x ** i for i in range(d)), x))
+    if order == 0:
+        with pytest.raises(InfiniteHomology):
+            branched_cover(V, d)
+    else:
+        assert branched_cover(V, d).order == order
 
 
 def _circulant_route(V, d):

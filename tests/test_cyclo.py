@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from knotconcord.cover import unit_roots_mod
 from knotconcord.cyclo import (
     CyclotomicField,
+    _CyclotomicField,
     _cos_table,
     _pi_fixed,
     cyclotomic_polynomial,
@@ -113,6 +114,23 @@ def test_inverse_large_fields(n, count):
         a = F.normalize((nums, rng.randint(1, 12)))
         assert F.mul(a, F.inverse(a)) == F.one()
     assert F.inverse(F.zeta_elt(1)) == F.normalize(F.zeta_elt(n - 1))
+
+
+@pytest.mark.parametrize("ns", [range(1, 301), [4620]], ids=["1-300", "4620"])
+def test_conjugation_rows_match_the_walk_by_zeta(ns):
+    # conj_mat[j] = zeta^(n - j) and zeta_pow near both ends, against the
+    # powers reached by multiplying by zeta one step at a time
+    for n in ns:
+        F = _CyclotomicField(n)
+        v = F.one()[0]
+        powers = {0: v}
+        for e in range(1, n + 1):
+            v = F._times_zeta(v)
+            if e <= F.deg or e >= n - F.deg:
+                powers[e] = v
+        assert F.conj_mat == [powers[n - j] for j in range(F.deg)]
+        for e, v in powers.items():
+            assert F.zeta_pow(e) == v
 
 
 def test_cyclotomic_field_rejects_bad_order():

@@ -1,7 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from knotconcord import linalg
+from knotconcord.cover import MAX_LAYERED_SIZE, _deck_matrix
+from knotconcord.errors import PreconditionError
 
 
 def frac_det(M):
@@ -74,6 +80,42 @@ def test_invert_integer_unimodular():
         Ui = linalg.invert_integer(U)
         assert linalg.mat_mul(U, Ui) == linalg.identity(n)
         assert all(isinstance(x, int) for row in Ui for x in row)
+
+
+def _check_integer_inverse(U):
+    Ui = linalg.invert_integer(U)
+    assert linalg.mat_mul(U, Ui) == linalg.identity(len(U))
+    assert all(type(x) is int for row in Ui for x in row)
+    assert Ui == linalg.invert_rational(U)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 24), st.integers(0, 2 ** 32))
+def test_invert_integer_random_unimodular(n, seed):
+    _check_integer_inverse(random_unimodular(random.Random(seed), n,
+                                             steps=4 * n))
+
+
+# the deck rotations that branched_cover inverts, up to its size limit
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(1, MAX_LAYERED_SIZE).flatmap(
+    lambda n: st.tuples(st.just(n),
+                        st.integers(2, MAX_LAYERED_SIZE // n + 1))))
+def test_invert_integer_deck_matrices(case):
+    n, d = case
+    _check_integer_inverse(_deck_matrix(n, d))
+
+
+@pytest.mark.parametrize("M", [
+    [[2, 0], [0, 1]],
+    [[1, 1], [-1, 1]],
+    [[1, 2], [2, 4]],
+    [[0, 0], [0, 0]],
+    [[1, 0, 0], [0, 3, 1], [0, 0, 0]],
+], ids=["diag-det2", "det2", "singular", "zero", "zero-row"])
+def test_invert_integer_refuses_non_unimodular(M):
+    with pytest.raises(PreconditionError):
+        linalg.invert_integer(M)
 
 
 def test_smith_normal_form_properties():

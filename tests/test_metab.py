@@ -22,7 +22,8 @@ from knotconcord.cover import LinkingForm, direct_sum, linking_form
 from knotconcord.errors import BudgetExceeded
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer,
                                       _canonical_basis, _deck_image,
-                                      _integral_gram, _pairs_to_zero,
+                                      _integral_gram, _is_scalar,
+                                      _pairs_to_zero,
                                       _suffix_member, admissible_pair,
                                       check_diagonal_lemma,
                                       enumerate_metabolizers, find_odd_char,
@@ -377,6 +378,57 @@ def test_walk_matches_oracle_on_workload_forms(name, invariant_only):
     L = _workload_form(name)
     assert (enumerate_metabolizers(L, invariant_only)
             == _walk_oracle(L, invariant_only))
+
+
+# Candidates each search visits (all, invariant only): the smallest budget
+# it finishes within.  The budget counts candidates, so a change to how the
+# walk finds them must leave these numbers as they are.
+CANDIDATES = {
+    "t23x4": (5335, 517), "t23x2_mt23x2": (5335, 517),
+    "t25x3_mt25x3": (2101, 2101), "fig8x6": (2101, 2101),
+    "t23x3_mt23x3": (441, 441), "td2x4": (2642, 2642),
+    "t27x2_mt27x2": (136, 136), "mutant_pp": (10850, 4100),
+    "mutant_pm": (10822, 4070), "mutant_single": (59, 59)}
+
+
+@pytest.mark.parametrize("invariant_only", [False, True],
+                         ids=["all", "invariant"])
+@pytest.mark.parametrize("name", WORKLOAD_FORMS)
+def test_budget_boundary_on_workload_forms(name, invariant_only):
+    L = _workload_form(name)
+    count = CANDIDATES[name][invariant_only]
+    enumerate_metabolizers(L, invariant_only, budget=count)
+    with pytest.raises(BudgetExceeded):
+        enumerate_metabolizers(L, invariant_only, budget=count - 1)
+
+
+# On a double branched cover the deck is -1, so every subgroup is
+# invariant and both searches must return the same list.
+@pytest.mark.parametrize("name", ["t25x3_mt25x3", "fig8x6", "t23x3_mt23x3",
+                                  "td2x4", "t27x2_mt27x2", "sum_double_a2_n2",
+                                  "sum_double_a2_n3"])
+def test_scalar_deck_invariant_list_is_plain_list(name):
+    if name.startswith("sum_double"):
+        path = Path(__file__).parent / "fixtures" / (name + ".json")
+        L = linking_form(build(json.loads(path.read_text())).matrix, 2)
+    else:
+        L = _workload_form(name)
+    assert L.homology.degree == 2 and _is_scalar(L.deck, L.group)
+    assert (enumerate_metabolizers(L, invariant_only=True)
+            == enumerate_metabolizers(L))
+
+
+@pytest.mark.parametrize("group, deck, scalar", [
+    ((3, 9), ((2, 0), (0, 8)), True),
+    ((5, 5), ((4, 0), (0, 4)), True),
+    ((3, 3), ((1, 0), (0, 2)), False),
+    ((3, 9), ((2, 0), (0, 7)), False),
+    ((5, 5), ((1, 1), (0, 1)), False),
+    ((4, 6), ((3, 0), (0, 5)), True),
+    ((4, 6), ((3, 0), (0, 2)), False),
+])
+def test_is_scalar(group, deck, scalar):
+    assert _is_scalar(deck, group) == scalar
 
 
 @pytest.mark.parametrize("fixture", ["sum_double_a2_n2", "sum_double_a2_n3"])

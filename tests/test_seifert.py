@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotconcord.cyclo import cyclotomic_polynomial
-from knotconcord.errors import PreconditionError, SingularAtT, UnsupportedGenus
+from knotconcord.errors import (InternalInvariantViolation, PreconditionError,
+                                SingularAtT, UnsupportedGenus)
 from knotconcord.seifert import (
     SeifertMatrix,
+    _interpolate_integer_poly,
     alexander,
     build,
     fox_milnor,
@@ -58,6 +62,24 @@ def test_alexander_determinant_at_one_is_unit():
         assert abs(sum(d)) == 1
         # Alexander polynomials are symmetric: t^n d(1/t) = d(t)
         assert d == d[::-1]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=31),
+       st.integers(0, 3))
+def test_interpolation_round_trips_integer_polynomials(coeffs, extra):
+    # extra samples beyond the degree must not change the answer
+    samples = [sum(c * k ** i for i, c in enumerate(coeffs))
+               for k in range(len(coeffs) + extra + 1)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert _interpolate_integer_poly(samples) == coeffs
+
+
+def test_interpolation_refuses_non_integer_polynomials():
+    # x(x - 1)/2 takes integer values at 0, 1, 2 but is not in Z[x]
+    with pytest.raises(InternalInvariantViolation):
+        _interpolate_integer_poly([0, 0, 1])
 
 
 def random_seifert(rng, genus):
