@@ -45,6 +45,11 @@ _SATELLITE_BASE = [[-1, 1, 1, 1],
                    [1, 0, -1, 1],
                    [1, 0, 0, 2]]
 
+# modulus of the mutant-sum eigencharacter calculus: the deck eigenvalues
+# 2 and 4 of the carrier's 3-fold cover are cube roots of unity mod 7 and
+# under no other modulus, so the calculus holds mod 7 alone
+_P = 7
+
 _MODELING_NOTE = ("character values on companion lifts are taken nonzero "
                   "where the construction requires it; this is a modeling "
                   "assumption, not a computed fact")
@@ -217,15 +222,15 @@ def residual_token(base_id, char_id):
     return ("delta", str(base_id), char_id)
 
 
-def _canonical_char_token(a, b, p=7):
+def _canonical_char_token(a, b):
     # deck translates scale the two eigencoordinates by 2 and 4, and the
     # conjugate character negates both; all of them share one residual class
     orb = []
-    x, y = a % p, b % p
+    x, y = a % _P, b % _P
     for _ in range(3):
         orb.append((x, y))
-        orb.append(((-x) % p, (-y) % p))
-        x, y = (2 * x) % p, (4 * y) % p
+        orb.append(((-x) % _P, (-y) % _P))
+        x, y = (2 * x) % _P, (4 * y) % _P
     return min(orb)
 
 
@@ -503,12 +508,12 @@ def mixed_exponents(c, eps):
     return tuple(sorted([v % 7 for v in vals] + [(-v) % 7 for v in vals]))
 
 
-def _lift_values(a, b, sign, p=7):
+def _lift_values(a, b, sign):
     # values of the character on the three lifts of a band curve, at
     # eigencoordinates (a, b); the mutated band carries the negatives
-    return [(sign * (a + b)) % p,
-            (sign * (2 * a + 4 * b)) % p,
-            (sign * (4 * a + 2 * b)) % p]
+    return [(sign * (a + b)) % _P,
+            (sign * (2 * a + 4 * b)) % _P,
+            (sign * (4 * a + 2 * b)) % _P]
 
 
 # ---------------------------------------------------------------------------
@@ -548,58 +553,58 @@ def norm_test(e, hypotheses=None):
 # ---------------------------------------------------------------------------
 # character plumbing shared by the drivers
 
-def _dual_eigenpair(form, sign=1, p=7):
+def _dual_eigenpair(form, sign=1):
     """For a 2-generator block of height two whose deck acts with
-    eigenvalues 2 and 4 on the mod-p character space: the dual
+    eigenvalues 2 and 4 on the mod-7 character space: the dual
     eigenvectors and the matrix taking ambient character coordinates to
     eigencoordinates.
 
     The eigenvectors and their pairing come from dual_linking, reduced
-    mod p.  The right eigenvector is rescaled so that the transported
-    pairing between the two eigenvectors equals sign/p; with that
+    mod 7.  The right eigenvector is rescaled so that the transported
+    pairing between the two eigenvectors equals sign/7; with that
     normalization the vanishing constraint on a character with
     eigencoordinates (a_s, b_s) per summand is exactly
-    sum(sign_s * a_s * b_s) = 0 mod p."""
-    dual = dual_linking(form, p)
-    if dual.modulus != p * p or len(form.group) != 2:
+    sum(sign_s * a_s * b_s) = 0 mod 7."""
+    dual = dual_linking(form, _P)
+    if dual.modulus != _P * _P or len(form.group) != 2:
         raise InternalInvariantViolation("block must be homogeneous of height two")
-    labels = [lam % p for lam in dual.eigenvalues]
+    labels = [lam % _P for lam in dual.eigenvalues]
     if sorted(labels) != [2, 4]:
         raise InternalInvariantViolation(
             "block does not carry the split 2/4 eigencharacter calculus")
     i2, i4 = labels.index(2), labels.index(4)
-    w2 = tuple(x % p for x in dual.basis[i2])
-    unit = dual.matrix[i2][i4] % p
+    w2 = tuple(x % _P for x in dual.basis[i2])
+    unit = dual.matrix[i2][i4] % _P
     if unit == 0:
         raise InternalInvariantViolation(
             "dual eigenvectors pair degenerately")
-    scale = (sign % p) * pow(unit, -1, p) % p
-    w4 = tuple(scale * x % p for x in dual.basis[i4])
-    if scale * unit % p != sign % p:
+    scale = (sign % _P) * pow(unit, -1, _P) % _P
+    w4 = tuple(scale * x % _P for x in dual.basis[i4])
+    if scale * unit % _P != sign % _P:
         raise InternalInvariantViolation("pairing normalization failed")
-    det = (w2[0] * w4[1] - w4[0] * w2[1]) % p
+    det = (w2[0] * w4[1] - w4[0] * w2[1]) % _P
     if det == 0:
         raise InternalInvariantViolation("dual eigenvectors are dependent")
-    dinv = pow(det, -1, p)
+    dinv = pow(det, -1, _P)
     # rows of the inverse of the column matrix (w2 | w4)
-    to_eigen = [[w4[1] * dinv % p, (-w4[0]) * dinv % p],
-                [(-w2[1]) * dinv % p, w2[0] * dinv % p]]
+    to_eigen = [[w4[1] * dinv % _P, (-w4[0]) * dinv % _P],
+                [(-w2[1]) * dinv % _P, w2[0] * dinv % _P]]
     return (w2, w4), to_eigen
 
 
-def _char_blocks(vec, to_eigen_list, p=7):
+def _char_blocks(vec, to_eigen_list):
     """Ambient character coordinates (2 per summand) -> eigencoordinate
     pairs (a_s, b_s)."""
     out = []
     for s, te in enumerate(to_eigen_list):
         u = (vec[2 * s], vec[2 * s + 1])
-        a = (te[0][0] * u[0] + te[0][1] * u[1]) % p
-        b = (te[1][0] * u[0] + te[1][1] * u[1]) % p
+        a = (te[0][0] * u[0] + te[0][1] * u[1]) % _P
+        b = (te[1][0] * u[0] + te[1][1] * u[1]) % _P
         out.append((a, b))
     return out
 
 
-def _case_expression(a_vec, b_vec, model_summands, keys, p=7):
+def _case_expression(a_vec, b_vec, model_summands, keys):
     """DiscExpr of a sum of carrier satellites at the character whose
     per-summand eigencoordinates are (a_vec, b_vec); keys[s] is the
     polynomial key of the companion that mutant_family_spec ties into
@@ -608,29 +613,29 @@ def _case_expression(a_vec, b_vec, model_summands, keys, p=7):
     Mirrored summands contribute the inverse discriminant class; every
     class here is self-conjugate, hence equal to its inverse modulo norms,
     so the multiplicities are recorded positively throughout."""
-    expr = DiscExpr(p)
+    expr = DiscExpr(_P)
     for s, summand in enumerate(model_summands):
-        a, b = a_vec[s] % p, b_vec[s] % p
+        a, b = a_vec[s] % _P, b_vec[s] % _P
         if summand.token is not None:
             expr = expr.times_token(
-                residual_token(summand.token, _canonical_char_token(a, b, p)))
+                residual_token(summand.token, _canonical_char_token(a, b)))
         for inf in summand.infections:
             if inf.pattern != "triple_lift":
                 raise PreconditionError("discriminant assembly expects "
                                         "triple_lift infections")
             expr = satellite_delta(expr, keys[s],
-                                   _lift_values(a, b, inf.param, p))
+                                   _lift_values(a, b, inf.param))
     return expr
 
 
-def _paired_character(rows2, rows4, n, signs, p=7):
+def _paired_character(rows2, rows4, n, signs):
     """Even-case character from eigen-split bases with no odd vectors:
     both sides reduce to half-dimensional echelon bases whose first rows
     couple through a single shared column; the emitted character adds the
     first-summand-signed right row to the left row."""
-    red2, piv2 = linalg.modp_rref([list(r) for r in rows2], p)
+    red2, piv2 = linalg.modp_rref([list(r) for r in rows2], _P)
     red2 = [r for r in red2 if any(r)]
-    red4, piv4 = linalg.modp_rref([list(r) for r in rows4], p)
+    red4, piv4 = linalg.modp_rref([list(r) for r in rows4], _P)
     red4 = [r for r in red4 if any(r)]
     if 2 * len(red2) != n or 2 * len(red4) != n:
         raise InternalInvariantViolation(
@@ -650,22 +655,22 @@ def _paired_character(rows2, rows4, n, signs, p=7):
     if support4 != [q0]:
         raise InternalInvariantViolation(
             "eigen-split bases do not couple the same summand pair")
-    a = [x % p for x in alpha2]
-    b = [(signs[0] * x) % p for x in alpha4]
+    a = [x % _P for x in alpha2]
+    b = [(signs[0] * x) % _P for x in alpha4]
     return a, b
 
 
-def _charspace_case(rows2, rows4, n, signs, p=7):
+def _charspace_case(rows2, rows4, n, signs):
     """Decision tree on an eigen-split character space: take an odd-weight
     vector in either eigenspace if one exists, else the paired even-case
     character.  Returns (branch, a_vec, b_vec)."""
-    v = find_odd_char(rows2, n, p)
+    v = find_odd_char(rows2, n, _P)
     if v is not None:
-        return "odd_left", [x % p for x in v], [0] * n
-    v = find_odd_char(rows4, n, p)
+        return "odd_left", [x % _P for x in v], [0] * n
+    v = find_odd_char(rows4, n, _P)
     if v is not None:
-        return "odd_right", [0] * n, [x % p for x in v]
-    a, b = _paired_character(rows2, rows4, n, signs, p)
+        return "odd_right", [0] * n, [x % _P for x in v]
+    a, b = _paired_character(rows2, rows4, n, signs)
     return "paired", a, b
 
 
@@ -843,12 +848,12 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
 # driver: mutated satellite sums over the 3-fold cover
 
 
-def _rref_shapes(n, m, p=7):
-    """Echelon bases of all dimension-m subspaces of Z_p^n, each exactly once."""
+def _rref_shapes(n, m):
+    """Echelon bases of all dimension-m subspaces of Z_7^n, each exactly once."""
     for pivots in itertools.combinations(range(n), m):
         free = [(r, c) for r in range(m) for c in range(n)
                 if c > pivots[r] and c not in pivots]
-        for vals in itertools.product(range(p), repeat=len(free)):
+        for vals in itertools.product(range(_P), repeat=len(free)):
             rows = [[0] * n for _ in range(m)]
             for r, pc in enumerate(pivots):
                 rows[r][pc] = 1
@@ -857,19 +862,19 @@ def _rref_shapes(n, m, p=7):
             yield [tuple(r) for r in rows]
 
 
-def _count_rref_shapes(n, m, p=7):
+def _count_rref_shapes(n, m):
     total = 0
     for pivots in itertools.combinations(range(n), m):
         k = sum(1 for r in range(m) for c in range(n)
                 if c > pivots[r] and c not in pivots)
-        total += p ** k
+        total += _P ** k
     return total
 
 
-def _cross_admissible(rows2, rows4, signs, p=7):
+def _cross_admissible(rows2, rows4, signs):
     # bilinearity: the constraint on sums of left and right characters
     # reduces to all basis cross pairs
-    return all(admissible_pair(a, b, signs, p)
+    return all(admissible_pair(a, b, signs, _P)
                for a in rows2 for b in rows4)
 
 
@@ -953,7 +958,7 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
         form = direct_sum(*forms) if n > 1 else forms[0]
         mets = enumerate_metabolizers(form, invariant_only=True, budget=budget)
         for A in mets:
-            S = vanishing_chars(form, A, 7)
+            S = vanishing_chars(form, A, _P)
             if not S.split:
                 raise InternalInvariantViolation(
                     "vanishing characters do not split under the deck action")
@@ -995,7 +1000,7 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
         if n % 2 == 0:
             half = n // 2
             no_odd = [shape for shape in _rref_shapes(n, half)
-                      if find_odd_char([list(r) for r in shape], n, 7) is None]
+                      if find_odd_char([list(r) for r in shape], n, _P) is None]
             for s2 in no_odd:
                 for s4 in no_odd:
                     if not _cross_admissible(s2, s4, signs):

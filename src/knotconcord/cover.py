@@ -16,7 +16,7 @@ group raises InfiniteHomology.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from . import linalg
 from .errors import (BudgetExceeded, InfiniteHomology, InhomogeneousGroup,
@@ -91,29 +91,20 @@ def _congruence_kernel_count(M, col_moduli, row_moduli):
 
     Requires that the diagonal lattice diag(col_moduli) consists of
     solutions, which holds whenever M descends to the quotient groups.
+    The count is then the order of the domain over that of the image
+    (M Z^k + diag(row_moduli) Z^m) / diag(row_moduli) Z^m, and the index
+    of that lattice in Z^m is the product of its Hermite pivots.
     """
-    k = len(col_moduli)
-    if k == 0:
-        return 1
-    m = len(M)
-    stacked = [list(M[i]) + [-row_moduli[i] if j == i else 0 for j in range(m)]
-               for i in range(m)]
-    ker = linalg.integer_kernel(stacked)
-    rows = [v[:k] for v in ker]
-    rows += [[col_moduli[j] if i == j else 0 for i in range(k)] for j in range(k)]
-    hnf = linalg.hermite_normal_form(rows)
-    det = 1
-    for r in hnf:
-        p = next((x for x in r if x != 0), None)
-        if p is None:
-            raise InternalInvariantViolation("solution lattice lost rank")
-        det *= abs(p)
-    total = 1
-    for f in col_moduli:
-        total *= f
-    if total % det:
+    m = len(row_moduli)
+    lattice = [list(col) for col in zip(*M)]
+    lattice += [[r if j == i else 0 for j in range(m)]
+                for i, r in enumerate(row_moduli)]
+    index = prod(row[i] for i, row in enumerate(
+        linalg.hermite_normal_form(lattice)))
+    count, image = divmod(prod(col_moduli) * index, prod(row_moduli))
+    if image:
         raise InternalInvariantViolation("solution lattice index not integral")
-    return total // det
+    return count
 
 
 class CoverHomology:
@@ -125,9 +116,8 @@ class CoverHomology:
     a Fraction in [0, 1).
     """
 
-    def __init__(self, degree, presentation, factors, deck, pairing):
+    def __init__(self, degree, factors, deck, pairing):
         self.degree = degree
-        self.presentation = presentation
         self.factors = tuple(int(f) for f in factors)
         self.deck = tuple(tuple(int(x) for x in row) for row in deck)
         self.pairing = pairing
@@ -213,7 +203,7 @@ def branched_cover(V, d):
     pairing = [[Fraction(-sum(Uinv[r][i] * W[r][j] for r in range(m)),
                          diag[j]) % 1 for j in keep] for i in keep]
 
-    H = CoverHomology(d, compact, factors, deck, pairing)
+    H = CoverHomology(d, factors, deck, pairing)
     if H.order != expected:
         raise InternalInvariantViolation(
             "group order %d does not match Alexander product %d"
@@ -233,68 +223,62 @@ def branched_cover(V, d):
 class LinkingForm:
     """Finite symmetric bilinear form with values in Q/Z.
 
-    group: invariant factors (f_1 | f_2 | ...); gram[i][j] is the value
-    on the i-th and j-th generators as a Fraction in [0, 1); deck is an
-    isometry in the same coordinates (identity when absent).
+    group: invariant factors (f_1 | f_2 | ...); the value on the i-th and
+    j-th generators is N[i][j] / den, with N[i][j] in [0, den) and den the
+    least common denominator of the values; deck is an isometry in the
+    same coordinates (identity when absent).  The values are given as
+    Fractions (or anything Fraction accepts), and gram gives them back.
     """
 
     def __init__(self, group, gram, deck=None, homology=None):
         self.group = tuple(int(f) for f in group)
         k = len(self.group)
-        self.gram = tuple(tuple(Fraction(x) % 1 for x in row) for row in gram)
+        values = [[Fraction(x) % 1 for x in row] for row in gram]
+        if len(values) != k or any(len(r) != k for r in values):
+            raise ValueError("gram size does not match the group")
+        self.den = lcm(1, *(x.denominator for row in values for x in row))
+        self.N = tuple(tuple(x.numerator * (self.den // x.denominator)
+                             for x in row) for row in values)
         if deck is None:
             deck = linalg.identity(k)
         self.deck = tuple(tuple(int(x) % self.group[i] for x in row)
                           for i, row in enumerate(deck))
         self.homology = homology
-        if len(self.gram) != k or any(len(r) != k for r in self.gram):
-            raise ValueError("gram size does not match the group")
         for i in range(k):
             for j in range(k):
-                if self.gram[i][j] != self.gram[j][i]:
+                if self.N[i][j] != self.N[j][i]:
                     raise ValueError("gram matrix is not symmetric")
-                v = self.gram[i][j] * gcd(self.group[i], self.group[j])
-                if v.denominator != 1:
+                if self.N[i][j] * gcd(self.group[i], self.group[j]) % self.den:
                     raise ValueError("form not defined on the quotient group")
 
     @property
+    def gram(self):
+        """The values N[i][j] / den as Fractions."""
+        return tuple(tuple(Fraction(x, self.den) for x in row)
+                     for row in self.N)
+
+    @property
     def order(self):
-        n = 1
-        for f in self.group:
-            n *= f
-        return n
+        return prod(self.group)
 
     def evaluate(self, x, y):
         """Value of the form on elements given in generator coordinates."""
-        total = Fraction(0)
-        for i, a in enumerate(x):
+        total = 0
+        for a, row in zip(x, self.N):
             if a:
-                for j, b in enumerate(y):
-                    if b:
-                        total += a * b * self.gram[i][j]
-        return total % 1
+                total += a * sum(n * b for n, b in zip(row, y))
+        return Fraction(total % self.den, self.den)
 
     def is_nonsingular(self):
         k = len(self.group)
-        if k == 0:
-            return True
-        den = 1
-        for row in self.gram:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        M = [[int(self.gram[i][j] * den) for i in range(k)] for j in range(k)]
-        count = _congruence_kernel_count(M, list(self.group), [den] * k)
-        return count == 1
+        return _congruence_kernel_count(self.N, self.group, [self.den] * k) == 1
 
     def deck_is_isometry(self):
-        k = len(self.group)
-        for i in range(k):
-            for j in range(k):
-                ti = [self.deck[r][i] for r in range(k)]
-                tj = [self.deck[r][j] for r in range(k)]
-                if self.evaluate(ti, tj) != self.gram[i][j]:
-                    return False
-        return True
+        """T^t N T = N (mod den) for the deck matrix T."""
+        T = self.deck
+        TtNT = linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), self.N), T)
+        return all((x - y) % self.den == 0
+                   for r, s in zip(TtNT, self.N) for x, y in zip(r, s))
 
     def to_json(self):
         return {"group": list(self.group),
@@ -331,7 +315,7 @@ def direct_sum(*forms):
         r = len(L.group)
         for i in range(r):
             for j in range(r):
-                gram[off + i][off + j] = L.gram[i][j]
+                gram[off + i][off + j] = Fraction(L.N[i][j], L.den)
                 deck[off + i][off + j] = L.deck[i][j]
         off += r
     return LinkingForm(group, gram, deck)
@@ -469,7 +453,7 @@ def dual_linking(L, p):
     cof = [L.group[i] // q for i in idx]
     k = len(idx)
     # h_i = cof_i * g_i generate the p-part; N is q times their Gram matrix
-    N = [[int(L.gram[idx[a]][idx[b]] * cof[a] * cof[b] * q) % q
+    N = [[L.N[idx[a]][idx[b]] * cof[a] * cof[b] * q // L.den % q
           for b in range(k)] for a in range(k)]
     Ninv = linalg.modm_inverse(N, q)
     # deck restricted to the p-part in the h basis

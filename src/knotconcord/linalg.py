@@ -1,13 +1,13 @@
 """Exact matrix utilities over Z and Q.
 
-Everything in this module is fraction-free or Fraction-based; no floating
-point anywhere.  Matrices are lists of lists (rows) of ints or Fractions.
-Only invert_rational works over Fraction; the inverse of a unimodular
-matrix (invert_integer) is computed with integers alone.
+Matrices are lists of lists (rows) of ints; no floating point anywhere.
+Integer row reduction lives in hermite_normal_form alone: the inverse of
+a unimodular matrix (invert_integer) and the inverse mod m (modm_inverse)
+are read off Hermite forms.  invert_rational, over Fraction, is kept as
+the reference the tests compare the integer routines with.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import PreconditionError
 
@@ -125,38 +125,15 @@ def invert_rational(M):
 def invert_integer(M):
     """Inverse of an integer matrix with determinant +-1.
 
-    [M | I] is row-reduced over Z by unimodular operations: Euclid down
-    each column until one entry is left, which must be +-1, then the
-    entries above it are cleared.  The product of the pivots is +-det M,
-    so a pivot that is missing or not +-1 means M is not unimodular.
+    The Hermite form of [M | I] is [I | M^-1] exactly when M is
+    unimodular; any other left block means it is not.
     """
     n = len(M)
-    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    for c in range(n):
-        while True:
-            live = [i for i in range(c, n) if A[i][c]]
-            if not live:
-                raise PreconditionError("matrix is not unimodular")
-            p = min(live, key=lambda i: abs(A[i][c]))
-            if len(live) == 1:
-                break
-            prow = A[p]
-            a = prow[c]
-            for i in live:
-                if i != p:
-                    q = A[i][c] // a
-                    A[i] = [x - q * y for x, y in zip(A[i], prow)]
-        A[c], A[p] = A[p], A[c]
-        prow = A[c]
-        if prow[c] not in (1, -1):
-            raise PreconditionError("matrix is not unimodular")
-        if prow[c] == -1:
-            prow = A[c] = [-x for x in prow]
-        for i in range(c):
-            f = A[i][c]
-            if f:
-                A[i] = [x - f * y for x, y in zip(A[i], prow)]
-    return [row[n:] for row in A]
+    H = hermite_normal_form([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(M)])
+    if [row[:n] for row in H] != identity(n):
+        raise PreconditionError("matrix is not unimodular")
+    return [row[n:] for row in H]
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +276,42 @@ def integer_kernel(M):
 # each pivot reduced, so equal lattices give equal matrices.
 
 def hermite_normal_form(rows_in):
-    rows = [list(r) for r in rows_in if any(r)]
-    if not rows:
+    A = [list(r) for r in rows_in if any(r)]
+    if not A:
         return []
-    cols = len(rows[0])
-    out = []
-    col = 0
-    while col < cols and rows:
-        # gcd-reduce column `col` to a single row
-        while True:
-            nz = [r for r in rows if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            a, b = nz[0], nz[1]
-            q = b[col] // a[col]
-            for j in range(cols):
-                b[j] -= q * a[j]
-        pivot_row = None
-        for r in rows:
-            if r[col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is not None:
-            rows.remove(pivot_row)
-            if pivot_row[col] < 0:
-                pivot_row = [-x for x in pivot_row]
-            # reduce earlier pivots' entries in this column
-            out.append(pivot_row)
-        col += 1
-    # reduce entries above pivots
-    out = [r[:] for r in out]
+    cols = len(A[0])
     pivots = []
-    for r in out:
-        c = next(j for j in range(cols) if r[j] != 0)
+    # rows above r are finished; Euclid down each column below them, the
+    # entry of least size reducing the others, until one is left
+    r = 0
+    for c in range(cols):
+        while True:
+            live = [i for i in range(r, len(A)) if A[i][c]]
+            if not live:
+                break
+            p = min(live, key=lambda i: abs(A[i][c]))
+            if len(live) == 1:
+                break
+            prow = A[p]
+            a = prow[c]
+            for i in live:
+                if i != p:
+                    q = A[i][c] // a
+                    A[i] = [x - q * y for x, y in zip(A[i], prow)]
+        if not live:
+            continue
+        A[r], A[p] = A[p], A[r]
+        if A[r][c] < 0:
+            A[r] = [-x for x in A[r]]
         pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    out = A[:r]
     # reduce each row by every lower row, in left-to-right pivot order, so
     # fill-in from one reduction is cleaned by the following pivots
-    for i in range(len(out) - 2, -1, -1):
-        for j in range(i + 1, len(out)):
+    for i in range(r - 2, -1, -1):
+        for j in range(i + 1, r):
             c = pivots[j]
             q = out[i][c] // out[j][c]
             if q:
@@ -411,17 +385,20 @@ def modp_kernel(M, p):
 
 
 def modm_inverse(M, m):
-    """Inverse of M over Z_m (entries of the rational inverse reduced mod m)."""
-    inv = invert_rational(M)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if gcd(x.denominator, m) != 1:
-                raise ZeroDivisionError("matrix not invertible mod %d" % m)
-            r.append(x.numerator * pow(x.denominator, -1, m) % m)
-        out.append(r)
-    return out
+    """Inverse of M over Z_m, entries in [0, m).
+
+    The rows of [M | I] and [mI | 0] span the lattice of [I | X] and
+    [0 | mI] exactly when X M = I mod m, so the Hermite form of the stack
+    has I as the left block of its first rows exactly when M is
+    invertible mod m, and their right block is then X reduced mod m.
+    """
+    n = len(M)
+    H = hermite_normal_form(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+        + [[m * int(i == j) for j in range(2 * n)] for i in range(n)])
+    if [row[:n] for row in H[:n]] != identity(n):
+        raise ZeroDivisionError("matrix not invertible mod %d" % m)
+    return [row[n:] for row in H[:n]]
 
 
 def modm_mat_mul(A, B, m):

@@ -60,11 +60,9 @@ class Metabolizer:
     @property
     def generators(self):
         """Basis rows that are nonzero in the group."""
-        out = []
-        for row in self.basis:
-            if any(x % f for x, f in zip(row, self.group)):
-                out.append(tuple(x % f for x, f in zip(row, self.group)))
-        return tuple(out)
+        rows = (tuple(x % f for x, f in zip(row, self.group))
+                for row in self.basis)
+        return tuple(r for r in rows if any(r))
 
     def contains(self, vec):
         lifted = [int(x) for x in vec]
@@ -97,15 +95,6 @@ def _canonical_basis(rows, group):
     return hnf
 
 
-def _integral_gram(L):
-    den = 1
-    for row in L.gram:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    N = [[int(x * den) for x in row] for row in L.gram]
-    return N, den
-
-
 def _pairs_to_zero(N, den, r, s):
     acc = 0
     for a, x in enumerate(r):
@@ -128,10 +117,9 @@ def is_metabolizer(L, generators):
         order *= group[i] // basis[i][i]
     if order * order != L.order:
         return False
-    N, den = _integral_gram(L)
     for i in range(k):
         for j in range(i, k):
-            if not _pairs_to_zero(N, den, basis[i], basis[j]):
+            if not _pairs_to_zero(L.N, L.den, basis[i], basis[j]):
                 return False
     return True
 
@@ -191,7 +179,7 @@ class _Search:
 
     def __init__(self, L, invariant_only, budget):
         self.group = L.group
-        self.N, self.den = _integral_gram(L)
+        self.N, self.den = L.N, L.den
         # a scalar deck, as on every double branched cover, leaves every
         # subgroup invariant, and its orbit forms are unit multiples of a
         # row's own form, so the plain search finds the same candidates
@@ -375,8 +363,6 @@ def _suffix_member(rows, diag, vec, start):
     v = list(vec)
     k = len(v)
     for i in range(start, k):
-        if rows[i] is None:
-            return not any(v)
         if v[i] % diag[i]:
             return False
         q = v[i] // diag[i]

@@ -9,12 +9,15 @@ reflecting past a half turn.  The signature at parameter t is twice the
 count of arcs whose interval contains t; for this orientation every arc
 contributes with the same positive sign, so no perturbation bookkeeping is
 needed.  All comparisons are exact on fractions of a half turn; no
-floating-point trace values appear anywhere.
+floating-point trace values appear anywhere.  A request whose samples
+times arcs could exceed DEFAULT_BUDGET raises BudgetExceeded before any
+arc is built.
 """
 
 from fractions import Fraction
 
-from .errors import EndpointCollision, PreconditionError
+from .errors import BudgetExceeded, EndpointCollision, PreconditionError
+from .metabolizers import DEFAULT_BUDGET
 
 
 class RepArc:
@@ -62,6 +65,30 @@ def rep_arcs(a):
     return arcs
 
 
+def _budgeted_arcs(a, samples):
+    """rep_arcs(a) for a request that counts arcs at `samples` points,
+    refused before any arc is built when samples times an upper bound on
+    the arc count exceeds DEFAULT_BUDGET.  The bound: m takes a - 1
+    values, and at most ceil(a / 2) values of n share its parity.  An
+    invalid a is left for rep_arcs to refuse."""
+    if isinstance(a, int) and a > 1:
+        bound = (a - 1) * ((a + 1) // 2)
+        if samples * bound > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                "%d sample(s) over up to %d arcs exceed the budget of %d"
+                % (samples, bound, DEFAULT_BUDGET), DEFAULT_BUDGET)
+    return rep_arcs(a)
+
+
+def _count_arcs(arcs, t):
+    for arc in arcs:
+        if arc.hits_endpoint(t):
+            raise EndpointCollision(
+                "t = %s is an endpoint of the (m, n) = (%d, %d) arc"
+                % (t, arc.m, arc.n))
+    return 2 * sum(1 for arc in arcs if arc.contains(t))
+
+
 def count_signature(a, t):
     """Signature of the (-a, a+1) torus knot at t by arc counting: twice
     the number of arcs whose open angle interval contains t.  Requires
@@ -70,13 +97,7 @@ def count_signature(a, t):
     t = Fraction(t)
     if not 0 < t < 1:
         raise PreconditionError("parameter must satisfy 0 < t < 1")
-    arcs = rep_arcs(a)
-    for arc in arcs:
-        if arc.hits_endpoint(t):
-            raise EndpointCollision(
-                "t = %s is an endpoint of the (m, n) = (%d, %d) arc"
-                % (t, arc.m, arc.n))
-    return 2 * sum(1 for arc in arcs if arc.contains(t))
+    return _count_arcs(_budgeted_arcs(a, 1), t)
 
 
 def _covers_window(intervals, lo, hi):
@@ -104,6 +125,7 @@ def verify_herald(a, grid=100):
         raise PreconditionError("window check needs a >= 2")
     if not isinstance(grid, int) or grid < 1:
         raise PreconditionError("sample count must be a positive integer")
+    arcs = _budgeted_arcs(a, grid)
     w_lo = Fraction(1, a * (a + 1))
     w_hi = 1 - w_lo
     checked = 0
@@ -113,7 +135,7 @@ def verify_herald(a, grid=100):
     for k in range(1, grid + 1):
         t = w_lo + (w_hi - w_lo) * Fraction(k, grid + 1)
         try:
-            c = count_signature(a, t)
+            c = _count_arcs(arcs, t)
         except EndpointCollision:
             skipped += 1
             continue
@@ -122,7 +144,7 @@ def verify_herald(a, grid=100):
             min_count = c
         if c <= 0:
             failures.append(str(t))
-    family = [arc for arc in rep_arcs(a) if arc.m == 1 and arc.n % 2 == 1]
+    family = [arc for arc in arcs if arc.m == 1 and arc.n % 2 == 1]
     # the count is symmetric under t -> 1-t, so covering the window only
     # needs the family together with its mirror images; the first arc
     # starts exactly at the window edge and consecutive arcs overlap

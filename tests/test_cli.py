@@ -378,6 +378,22 @@ def test_exit_code_budget(capsys):
     assert code == 3
 
 
+# samples times the bound (a - 1) * ceil(a / 2) on the arc count: 20000 *
+# 1225, 1 * 1001112 and 3 * 499500, each over the budget of 10^6
+@pytest.mark.parametrize("argv", [
+    ["--a", "50", "--grid", "20000"],
+    ["--a", "1415", "--t", "1/3"],
+    ["--a", "1000", "--grid", "3"],
+], ids=["grid", "single-t", "grid-large-a"])
+def test_su2_budget_exits_3(capsys, argv):
+    code = main(["su2"] + argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("t, d", [("1/1031", 1031), ("1/3000001", 3000001)])
 def test_field_degree_budget_exits_3(capsys, t, d):
     code = main(["signature", "--knot", fx("torus_2_3.json"), "--t", t])

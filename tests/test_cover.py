@@ -6,7 +6,9 @@ determinant formula |H_1(M_d)| = |prod Delta(zeta_d^i)|, and an
 alternative block circulant presentation built by hand in this file.
 """
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -14,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotconcord import linalg
-from knotconcord.cover import (LinkingForm, branched_cover,
-                               char_space, deck_eigenspaces, dual_linking,
-                               linking_form, unit_roots_mod)
+from knotconcord.cover import (LinkingForm, _congruence_kernel_count,
+                               branched_cover, char_space, deck_eigenspaces,
+                               dual_linking, linking_form, unit_roots_mod)
 from knotconcord.errors import (InfiniteHomology, InhomogeneousGroup,
                                 UnsupportedShape)
 from knotconcord.seifert import (SeifertMatrix, alexander, torus_matrix,
@@ -282,6 +284,75 @@ def test_abstract_linking_form():
     singular = LinkingForm((5, 5), ((Fraction(1, 5), Fraction(0)),
                                     (Fraction(0), Fraction(0))))
     assert not singular.is_nonsingular()
+
+
+def test_deck_is_isometry_refuses_shear():
+    # e_2 -> e_1 + e_2 takes lk(e_2, e_2) = 1/5 to 2/5
+    L = LinkingForm((5, 5), ((Fraction(1, 5), Fraction(0)),
+                             (Fraction(0), Fraction(1, 5))),
+                    deck=((1, 1), (0, 1)))
+    assert not L.deck_is_isometry()
+    swap = LinkingForm((5, 5), L.gram, deck=((0, 4), (1, 0)))
+    assert swap.deck_is_isometry()
+
+
+def _brute_kernel_count(M, col_moduli, row_moduli):
+    return sum(1 for c in itertools.product(*[range(f) for f in col_moduli])
+               if all(sum(a * x for a, x in zip(row, c)) % r == 0
+                      for row, r in zip(M, row_moduli)))
+
+
+@st.composite
+def descending_maps(draw):
+    """(M, col_moduli, row_moduli) with m x k integer M that descends to
+    prod Z/col -> prod Z/row: M[i][j] is a multiple of r_i / gcd(r_i, f_j)."""
+    moduli = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9])
+    k = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 3))
+    cols = draw(st.lists(moduli, min_size=k, max_size=k))
+    rows = draw(st.lists(moduli, min_size=m, max_size=m))
+    M = [[draw(st.integers(-4, 4)) * (r // gcd(r, f)) for f in cols]
+         for r in rows]
+    return M, cols, rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(descending_maps())
+def test_congruence_kernel_count_matches_brute_force(case):
+    M, cols, rows = case
+    assert (_congruence_kernel_count(M, cols, rows)
+            == _brute_kernel_count(M, cols, rows))
+
+
+@st.composite
+def small_forms(draw):
+    """A symmetric form on prod Z/f_i with values c_ij / gcd(f_i, f_j)."""
+    k = draw(st.integers(1, 3))
+    group = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 9]),
+                          min_size=k, max_size=k))
+    gram = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = gcd(group[i], group[j])
+            gram[i][j] = gram[j][i] = Fraction(draw(st.integers(0, g - 1)), g)
+    return group, gram
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(small_forms())
+def test_is_nonsingular_matches_brute_force(case):
+    group, gram = case
+    L = LinkingForm(group, gram)
+    k = len(group)
+    radical = 0
+    for x in itertools.product(*[range(f) for f in group]):
+        # lk(x, e_j) over Fraction, against the integer evaluate
+        values = [sum(x[i] * gram[i][j] for i in range(k)) % 1
+                  for j in range(k)]
+        assert values == [L.evaluate(x, [int(i == j) for i in range(k)])
+                          for j in range(k)]
+        radical += not any(values)
+    assert L.is_nonsingular() == (radical == 1)
 
 
 def test_abstract_form_rejects_bad_gram():

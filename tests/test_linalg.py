@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -179,3 +180,43 @@ def test_lattice_contains_rejects_outside_vector():
     assert linalg.lattice_contains(H, [4, 2])
     assert not linalg.lattice_contains(H, [1, 0])
     assert not linalg.lattice_contains(H, [2, 1])
+
+
+def _brute_inverse_mod(M, m):
+    # column j of the inverse is the one x in (Z_m)^n with M x = e_j mod m
+    n = len(M)
+    cols = []
+    for j in range(n):
+        sols = [x for x in itertools.product(range(m), repeat=n)
+                if all((sum(a * b for a, b in zip(row, x)) - (i == j)) % m == 0
+                       for i, row in enumerate(M))]
+        if not sols:
+            return None
+        cols.append(sols[0])
+    return [list(r) for r in zip(*cols)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([(7, 3), (49, 2), (12, 3)]).flatmap(
+    lambda mn: st.tuples(st.just(mn[0]), st.integers(1, mn[1]).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-60, 60), min_size=n,
+                                    max_size=n), min_size=n, max_size=n)))))
+def test_modm_inverse_matches_brute_force(case):
+    m, M = case
+    expected = _brute_inverse_mod(M, m)
+    if expected is None:
+        with pytest.raises(ZeroDivisionError):
+            linalg.modm_inverse(M, m)
+    else:
+        assert linalg.modm_inverse(M, m) == expected
+
+
+@pytest.mark.parametrize("M, m", [
+    ([[1, 2], [2, 4]], 7),
+    ([[7]], 49),
+    ([[2, 0], [0, 1]], 12),
+    ([[3, 1], [1, 3]], 12),
+], ids=["rank1-mod7", "p-mod-p2", "even-mod12", "det8-mod12"])
+def test_modm_inverse_refuses_singular(M, m):
+    with pytest.raises(ZeroDivisionError):
+        linalg.modm_inverse(M, m)

@@ -22,8 +22,7 @@ from knotconcord.cover import LinkingForm, direct_sum, linking_form
 from knotconcord.errors import BudgetExceeded
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer,
                                       _canonical_basis, _deck_image,
-                                      _integral_gram, _is_scalar,
-                                      _pairs_to_zero,
+                                      _is_scalar, _pairs_to_zero,
                                       _suffix_member, admissible_pair,
                                       check_diagonal_lemma,
                                       enumerate_metabolizers, find_odd_char,
@@ -89,7 +88,7 @@ def _walk_oracle(L, invariant_only=False, budget=DEFAULT_BUDGET):
     root = isqrt(total)
     if root * root != total:
         return []
-    N, den = _integral_gram(L)
+    N, den = L.N, L.den
     divisors = [[d for d in range(1, f + 1) if f % d == 0] for f in group]
 
     diag_choices = []
