@@ -30,8 +30,9 @@ from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
 from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
                            vanishing_chars, find_odd_char, admissible_pair,
                            span_vectors)
-from .seifert import (SeifertMatrix, KnotModel, build, alexander, lt_signature,
-                      torus_matrix, twisted_double_matrix, _integer)
+from .seifert import (SeifertMatrix, KnotModel, build, alexander, arc_point,
+                      lt_signature, torus_matrix, twisted_double_matrix,
+                      _integer)
 
 NORM = "NORM"
 NOT_NORM = "NOT_NORM"
@@ -453,17 +454,20 @@ def satellite_sigma(base, J, a, p):
     at (a mod p)/p is added to the growth coefficient.  Value 0 contributes
     nothing; a singular evaluation point propagates SingularAtT.
 
-    Signatures are memoised on (companion matrix entries, (a mod p)/p), so
-    the drivers' tables and witness replays compute each one once; a
-    singular point is not memoised and raises every time."""
+    Signatures are memoised on (companion matrix entries, arc point of
+    (a mod p)/p), so the obstructions' tables and witness replays compute
+    each arc of the companion's signature function once; a singular point
+    raises in seifert.arc_point every time."""
     p = int(p)
     if p < 2:
         raise PreconditionError("character order must be at least 2, got %d" % p)
     a = int(a) % p
     if a == 0:
         return SigGrowth(base.coefficient)
-    entries = tuple(tuple(r) for r in _companion_matrix(J).entries)
-    return SigGrowth(base.coefficient + _companion_signature(entries, Fraction(a, p)))
+    V = _companion_matrix(J)
+    entries = tuple(tuple(r) for r in V.entries)
+    point = arc_point(V, Fraction(a, p))
+    return SigGrowth(base.coefficient + _companion_signature(entries, point))
 
 
 @cache

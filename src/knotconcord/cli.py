@@ -7,8 +7,8 @@ human-readable rendering of the same object, and --json switches to the
 canonical compact form, which is byte-identical across reruns.  Timing
 goes to stderr so it never perturbs the report bytes.
 
-Exit codes: 0 success, 2 precondition violated, 3 enumeration budget
-exceeded.
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 precondition violated, 3 enumeration budget exceeded.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .diagram import (MetacyclicGroup, classify_characters, labeling_space,
                       parse_pd)
 from .errors import BudgetExceeded, PreconditionError
 from .metabolizers import DEFAULT_BUDGET, enumerate_metabolizers
-from .seifert import alexander, build, lt_signature
+from .seifert import alexander, arc_point, build, lt_signature
 
 BUDGET_ENV = "KNOTCONCORD_BUDGET"
 
@@ -115,7 +115,8 @@ def _cmd_alexander(args):
 def _cmd_signature(args):
     spec = _load_json(args.knot)
     t = _fraction(args.t)
-    value = lt_signature(build(spec), t)
+    model = build(spec)
+    value = lt_signature(model, arc_point(model, t))
     return ({"knot": spec, "t": str(t)},
             {"t": str(t), "signature": int(value)},
             ["signature of (1-w)V + (1-conj w)V^T at w = exp(2 pi i t), "
@@ -377,10 +378,17 @@ def main(argv=None):
               "result": payload,
               "notes": notes}
     if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     else:
-        sys.stdout.write("\n".join(_render(report)) + "\n")
+        text = "\n".join(_render(report))
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     print(f"elapsed seconds: {time.monotonic() - started:.3f}",
           file=sys.stderr)
     return 0

@@ -157,9 +157,9 @@ def _pi_fixed(w):
     return 16 * _arctan_inv(5, scale) - 4 * _arctan_inv(239, scale)
 
 
-def _cos_table(n, count, bits):
-    """Integers C_j, j < count, with |C_j - 2^bits cos(2 pi j/n)| < 1, for
-    bits >= 64.
+def fixed_cos(n, js, bits):
+    """Integers C_j, one for each j in js, with |C_j - 2^bits cos(2 pi j/n)|
+    < 1, for bits >= 64.
 
     Error analysis, in units of 2^-w at the working precision w = bits + g
     with g = bits.bit_length() + 6:
@@ -182,7 +182,7 @@ def _cos_table(n, count, bits):
     w = bits + g
     pi = _pi_fixed(w)
     table = []
-    for j in range(count):
+    for j in js:
         r = j % n
         if 2 * r > n:
             r = n - r
@@ -393,9 +393,10 @@ class _CyclotomicField:
     # -- sign certification ----------------------------------------------
 
     def cos_table(self, bits):
-        """_cos_table for this field at 2^bits, built once per precision."""
+        """fixed_cos of this field's basis at 2^bits, built once per
+        precision."""
         if bits not in self._cos_tables:
-            self._cos_tables[bits] = _cos_table(self.n, self.deg, bits)
+            self._cos_tables[bits] = fixed_cos(self.n, range(self.deg), bits)
         return self._cos_tables[bits]
 
     def sign_real(self, a):

@@ -11,12 +11,14 @@ no pairwise linking number of the spine curves.  The companion data only
 feeds the slice-obstruction drivers.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
 
 from . import linalg
-from .cyclo import CyclotomicField
+from .cyclo import (CyclotomicField, _is_prime, _trim, cyclotomic_polynomial,
+                    fixed_cos, poly_gcd)
 from .errors import (BudgetExceeded, InternalInvariantViolation,
                      PreconditionError, SingularAtT, UnsupportedGenus)
 from .kernels import hermitian_inertia
@@ -51,6 +53,11 @@ class SeifertMatrix:
         # mirror image: negate the transposed matrix
         return SeifertMatrix([[-x for x in row] for row in linalg.transpose(self.entries)])
 
+    @cached_property
+    def blocks(self):
+        """Index lists of the diagonal blocks (_blocks)."""
+        return _blocks(self.entries)
+
     def block_sum(self, other):
         n, m = self.size, other.size
         out = [[0] * (n + m) for _ in range(n + m)]
@@ -69,6 +76,31 @@ class SeifertMatrix:
         return "SeifertMatrix(%r)" % (self.entries,)
 
 
+def _blocks(E):
+    """Index lists of the diagonal blocks of a square matrix E: the
+    connected components of the graph that joins i and j when E[i][j] or
+    E[j][i] is nonzero.  V - tV^T and the Hermitian form of V at any t are
+    block sums over them.  (The support of V + V^T is not enough: an entry
+    with V[i][j] = -V[j][i] cancels there but not in the form.)"""
+    n = len(E)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            block.append(i)
+            for j in range(n):
+                if not seen[j] and (E[i][j] or E[j][i]):
+                    seen[j] = True
+                    todo.append(j)
+        out.append(sorted(block))
+    return out
+
+
 def alexander(V):
     """Alexander polynomial det(V - t V^T) as a tuple of integer
     coefficients, lowest exponent first, normalized to lowest exponent 0
@@ -84,11 +116,16 @@ def _alexander_coeffs(entries):
     exponent first, memoised on the matrix entries.  The polynomial is
     never 0: its value at t = 1 is det(V - V^T) = 1."""
     n = len(entries)
-    # degree <= n, so n+1 integer sample points determine the polynomial
+    blocks = _blocks(entries)
+    # degree <= n, so n+1 integer sample points determine the polynomial;
+    # each sample is the product of the determinants of the blocks
     samples = []
     for k in range(n + 1):
-        M = [[entries[i][j] - k * entries[j][i] for j in range(n)] for i in range(n)]
-        samples.append(linalg.det_bareiss(M))
+        value = 1
+        for b in blocks:
+            value *= linalg.det_bareiss([[entries[i][j] - k * entries[j][i]
+                                          for j in b] for i in b])
+        samples.append(value)
     coeffs = _interpolate_integer_poly(samples)
     while coeffs[0] == 0:
         coeffs.pop(0)
@@ -145,10 +182,13 @@ def _euler_phi(n):
 def lt_signature(V, t):
     """Signature of (1-w)V + (1-conj(w))V^T at w = exp(2*pi*i*t), t in (0,1).
 
-    Computed exactly over the cyclotomic field of the reduced denominator;
-    raises BudgetExceeded when its degree exceeds MAX_FIELD_DEGREE.
-    Raises SingularAtT when the form is singular there, which happens
-    exactly when w is a root of the Alexander polynomial.
+    Computed exactly at t, over the cyclotomic field of the reduced
+    denominator, as the sum of the inertias of V's diagonal blocks
+    (SeifertMatrix.blocks); raises BudgetExceeded when the field's degree
+    exceeds MAX_FIELD_DEGREE.  Raises SingularAtT when the form is singular
+    there, which happens exactly when w is a root of the Alexander
+    polynomial.  arc_point(V, t) names a point of t's arc where the same
+    value is cheaper to compute.
     """
     if isinstance(V, KnotModel):
         V = V.matrix
@@ -167,13 +207,330 @@ def lt_signature(V, t):
     one = F.one()
     c1 = F.sub(one, F.zeta_elt(a))          # 1 - w
     c2 = F.sub(one, F.zeta_elt(d - a))      # 1 - conj(w)
-    n = V.size
-    B = [[F.add(F.scale(c1, V.entries[r][c]), F.scale(c2, V.entries[c][r]))
-          for c in range(n)] for r in range(n)]
-    plus, minus, zero = hermitian_inertia(F, B)
-    if zero:
+    E = V.entries
+    total = 0
+    for block in V.blocks:
+        B = [[F.add(F.scale(c1, E[r][c]), F.scale(c2, E[c][r]))
+              for c in block] for r in block]
+        plus, minus, zero = hermitian_inertia(F, B)
+        if zero:
+            raise SingularAtT("form singular at t = %s" % (t,))
+        total += plus - minus
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Arcs of the signature function.
+#
+# The form (1-w)V + (1-conj w)V^T equals (1-w)(V - conj(w) V^T), so it is
+# singular exactly at the roots of Delta on the circle, and its signature is
+# constant on each arc between them (Levine 1969, Tristram 1969); it is also
+# the same at t and 1 - t, the conjugate point.  Delta is palindromic of
+# even degree 2m, so Delta(t) = t^m P(t + 1/t), and w = exp(2 pi i s) is a
+# root exactly when P(2 cos 2 pi s) = 0.  As s runs over (0, 1/2],
+# x = 2 cos 2 pi s falls from 2 to -2, and neither end is a root: Delta(1)
+# = 1, and Delta(-1) is the odd determinant of the knot.
+#
+# The roots at rational angles a/d come from the cyclotomic factors Phi_d
+# of Delta, that is the factors psi_d(x) of P; they are kept as exact
+# fractions, so a point is singular exactly when it is one of them.  The
+# remaining roots have irrational angles.  They are isolated in x by an
+# integer Sturm sequence, and each keeps a rational bracket of its angle,
+# narrowed by every comparison with a rational point through integer
+# enclosures of 2 cos 2 pi s (cyclo.fixed_cos).
+
+
+def _x_form(coeffs):
+    """P with Delta(t) = t^m P(t + 1/t), for a palindromic integer
+    polynomial Delta of degree 2m (coefficient tuples, lowest first)."""
+    n = len(coeffs) - 1
+    if n % 2 or any(coeffs[i] != coeffs[n - i] for i in range(n + 1)):
+        raise InternalInvariantViolation(
+            "an Alexander polynomial must be palindromic of even degree")
+    m = n // 2
+    out = [coeffs[m]] + [0] * m
+    # t^k + t^-k = D_k(x), with D_1 = x and D_(k+1) = x D_k - D_(k-1)
+    prev, cur = [2], [0, 1]
+    for k in range(1, m + 1):
+        for i, c in enumerate(cur):
+            out[i] += coeffs[m + k] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return out
+
+
+@cache
+def _psi(d):
+    """Minimal polynomial of 2 cos(2 pi / d), d >= 3, as the x-form of
+    Phi_d; it is monic."""
+    return _x_form(cyclotomic_polynomial(d))
+
+
+def _quotient(f, g):
+    """f / g for integer polynomials (lists, lowest degree first) when the
+    division is exact over the integers, else None."""
+    k = len(g) - 1
+    if len(f) <= k:
+        return None
+    r = list(f)
+    q = [0] * (len(f) - k)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + k], g[-1])
+        if rem:
+            return None
+        q[i] = c
+        if c:
+            for j, y in enumerate(g):
+                r[i + j] -= c * y
+    return None if any(r) else q
+
+
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _sturm_chain(f):
+    """Sturm sequence of a squarefree integer polynomial of degree >= 1:
+    f, f', then each negated pseudo-remainder.  Every pseudo-division step
+    multiplies by |lead|, a positive number, and every member is divided
+    by its positive content, so the signs are those of the rational Sturm
+    sequence."""
+    chain = [list(f), _derivative(f)]
+    while len(chain[-1]) > 1:
+        r, g = list(chain[-2]), chain[-1]
+        lead = g[-1]
+        while r and len(r) >= len(g):
+            a, off = (r[-1] if lead > 0 else -r[-1]), len(r) - len(g)
+            r = [abs(lead) * x for x in r]
+            for j, y in enumerate(g):
+                r[off + j] -= a * y
+            _trim(r)
+        if not r:
+            raise InternalInvariantViolation(
+                "a Sturm sequence needs a squarefree polynomial")
+        c = gcd(*r)
+        chain.append([-x // c for x in r])
+    return chain
+
+
+def _sign_at(f, x):
+    """Sign of f at a Fraction x = p/q, from q^deg f(p/q) by Horner."""
+    p, q = x.numerator, x.denominator
+    acc, qk = f[-1], 1
+    for c in reversed(f[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain, x):
+    signs = [s for s in (_sign_at(f, x) for f in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _isolate(chain):
+    """Disjoint brackets (lo, hi) of Fractions in (-2, 2), each holding
+    one root of chain[0] and no root at either end."""
+    f = chain[0]
+    lo, hi = Fraction(-2), Fraction(2)
+    todo = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    out = []
+    while todo:
+        # Sturm: the number of roots in (lo, hi] is V(lo) - V(hi)
+        lo, hi, vlo, vhi = todo.pop()
+        if vlo - vhi == 1:
+            out.append((lo, hi))
+        elif vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            while not _sign_at(f, mid):
+                mid = (lo + mid) / 2
+            vmid = _variations(chain, mid)
+            todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return out
+
+
+def _phi_floor(d):
+    """A lower bound on phi(e) for every e >= d.  With p_1 ... p_k <= d <
+    p_1 ... p_(k+1), an e below p_1 ... p_(k+1) has at most k prime
+    factors, so phi(e) >= e (1 - 1/p_1) ... (1 - 1/p_k); from there on
+    phi(e) >= (p_1 - 1) ... (p_(k+1) - 1)."""
+    num = den = 1
+    p = 2
+    while den * p <= d:
+        num, den = num * (p - 1), den * p
+        p += 1
+        while not _is_prime(p):
+            p += 1
+    return min(-(-d * num // den), num * (p - 1))
+
+
+class _Root:
+    """A root x of the squarefree non-cyclotomic part f of P in (-2, 2):
+    xl <= x <= xh with f(xl) of sign lsign (xl == xh when x is rational),
+    and sl < s < sh for its angle s, which is irrational."""
+
+    __slots__ = ("xl", "xh", "lsign", "sl", "sh")
+
+    def __init__(self, f, xl, xh):
+        self.xl, self.xh, self.lsign = xl, xh, _sign_at(f, xl)
+        self.sl, self.sh = Fraction(0), Fraction(1, 2)
+
+
+class _Arcs:
+    """The roots of one Alexander polynomial on the upper half circle, and
+    the memoised point of least phi(d) of each arc; arc j is the one above
+    exactly j roots."""
+
+    def __init__(self, delta):
+        P = _x_form(delta)
+        f = _quotient(P, poly_gcd(P, _derivative(P))) if len(P) > 1 else P
+        angles = []
+        d = 3
+        while len(f) > 1 and _phi_floor(d) <= 2 * (len(f) - 1):
+            if _euler_phi(d) <= 2 * (len(f) - 1):
+                q = _quotient(f, _psi(d))
+                if q is not None:
+                    f = q
+                    angles += [Fraction(a, d) for a in range(1, (d + 1) // 2)
+                               if gcd(a, d) == 1]
+            d += 1
+        self.angles = sorted(angles)
+        self.f = f
+        self.roots = []
+        if len(f) > 1:
+            self.roots = [_Root(f, lo, hi)
+                          for lo, hi in _isolate(_sturm_chain(f))]
+        # |f| <= weight on [-2, 2] and at every conjugate of a point there;
+        # |f'| <= slope on [-2, 2]
+        self.weight = sum(abs(c) << i for i, c in enumerate(f))
+        self.slope = sum(abs(c) << i for i, c in enumerate(_derivative(f)))
+        self.points = {}
+
+    def rank(self, s):
+        """Number of roots whose angle lies below the rational s in
+        (0, 1/2]; None when s is itself the angle of a root."""
+        i = bisect_left(self.angles, s)
+        if i < len(self.angles) and self.angles[i] == s:
+            return None
+        return i + sum(self._below(root, s) for root in self.roots)
+
+    def _below(self, root, s):
+        """Whether the root's angle lies below s, narrowing its bracket.
+
+        For s = a/d, y = 2 cos 2 pi s lies strictly within 1/2^(bits-1) of
+        C/2^(bits-1), C = fixed_cos(d, (a,), bits).  While that interval
+        meets the root's x bracket, the bracket is halved down to the
+        interval's width, then bits doubles.  y differs from the root x:
+        with k <= d/2 the degree of y, f(y) is a nonzero algebraic integer
+        whose conjugates are at most weight in modulus, so |f(y)| >=
+        weight^-(k-1) and |y - x| >= weight^-(k-1) / slope.  Hence bits
+        stops growing by the time it passes twice that bound's bit size;
+        going past it would mean an invariant failed."""
+        if s <= root.sl:
+            return False
+        if s >= root.sh:
+            return True
+        a, d = s.numerator, s.denominator
+        cap = 2 * ((d // 2) * self.weight.bit_length()
+                   + self.slope.bit_length() + 8)
+        bits = 64
+        while True:
+            C = fixed_cos(d, (a,), bits)[0]
+            y_lo = Fraction(C - 1, 1 << (bits - 1))
+            y_hi = Fraction(C + 1, 1 << (bits - 1))
+            while y_lo < root.xh and root.xl < y_hi:
+                if (root.xh - root.xl) <= y_hi - y_lo:
+                    break
+                mid = (root.xl + root.xh) / 2
+                sign = _sign_at(self.f, mid)
+                if not sign:
+                    root.xl = root.xh = mid
+                elif sign == root.lsign:
+                    root.xl = mid
+                else:
+                    root.xh = mid
+            if y_hi <= root.xl:
+                below = True
+                break
+            if y_lo >= root.xh:
+                below = False
+                break
+            bits *= 2
+            if bits > cap:
+                raise InternalInvariantViolation(
+                    "a rational point did not separate from a root of the "
+                    "Alexander polynomial")
+        if below:
+            root.sh = s
+        else:
+            root.sl = s
+        return below
+
+    def point(self, j, s):
+        """The rational of least phi(d), then least d, then least numerator
+        on arc j, which holds s; memoised per arc.  Denominators run up
+        until _phi_floor shows none further can do better."""
+        if j not in self.points:
+            best = None
+            d = 2
+            while best is None or _phi_floor(d) < best[0]:
+                phi = _euler_phi(d)
+                if best is None or phi < best[0]:
+                    a = self._first_on_arc(j, s, d)
+                    if a is not None:
+                        best = (phi, d, a)
+                d += 1
+            self.points[j] = Fraction(best[2], best[1])
+        return self.points[j]
+
+    def _first_on_arc(self, j, s, d):
+        """Least a with a/d on arc j (which holds s), gcd(a, d) = 1 and
+        a/d <= 1/2, or None.  Every point of the arc lies above the lower
+        ends of the brackets of the roots below s, which gives the first a
+        to try."""
+        i = bisect_left(self.angles, s)
+        lo = self.angles[i - 1] if i else Fraction(0)
+        for root in self.roots:
+            if root.sh <= s:
+                lo = max(lo, root.sl)
+        for a in range(lo.numerator * d // lo.denominator + 1, d // 2 + 1):
+            if gcd(a, d) == 1:
+                k = self.rank(Fraction(a, d))
+                if k == j:
+                    return a
+                if k is not None and k > j:
+                    return None
+        return None
+
+
+# one _Arcs per Alexander polynomial, kept for the life of the process
+_arcs = cache(_Arcs)
+
+
+def arc_point(V, t):
+    """The point of least phi(d) on the arc of t.
+
+    t is folded to s = min(t, 1 - t), and located among the roots of
+    Delta_V on the upper half circle; the answer is the rational of least
+    phi(d) (then least d, then least numerator) on the arc between the
+    roots either side of s, where lt_signature(V, .) takes the same value
+    as at t.  Raises SingularAtT exactly when Phi_d divides Delta_V for t
+    = a/d, without building a field.  The roots of each Delta are isolated
+    once per process, and the point of each arc is found once.
+    """
+    if isinstance(V, KnotModel):
+        V = V.matrix
+    t = Fraction(t)
+    if not 0 < t < 1:
+        raise PreconditionError("t must lie strictly between 0 and 1")
+    s = min(t, 1 - t)
+    arcs = _arcs(alexander(V))
+    j = arcs.rank(s)
+    if j is None:
         raise SingularAtT("form singular at t = %s" % (t,))
-    return plus - minus
+    return arcs.point(j, s)
 
 
 def signature_profile(V, points):

@@ -65,22 +65,22 @@ def rep_arcs(a):
     return arcs
 
 
-def _budgeted_arcs(a, samples):
-    """rep_arcs(a) for a request that counts arcs at `samples` points,
-    refused before any arc is built when samples times an upper bound on
-    the arc count exceeds DEFAULT_BUDGET.  The bound: m takes a - 1
-    values, and at most ceil(a / 2) values of n share its parity.  An
-    invalid a is left for rep_arcs to refuse."""
+def _check_budget(a, samples):
+    """Refuse a request that counts arcs at `samples` points when samples
+    times an upper bound on the arc count exceeds DEFAULT_BUDGET.  The
+    bound: m takes a - 1 values, and at most ceil(a / 2) values of n share
+    its parity.  An invalid a is left for the caller to refuse."""
     if isinstance(a, int) and a > 1:
         bound = (a - 1) * ((a + 1) // 2)
         if samples * bound > DEFAULT_BUDGET:
             raise BudgetExceeded(
                 "%d sample(s) over up to %d arcs exceed the budget of %d"
                 % (samples, bound, DEFAULT_BUDGET), DEFAULT_BUDGET)
-    return rep_arcs(a)
 
 
 def _count_arcs(arcs, t):
+    """Twice the number of arcs of an explicit list that contain t: the
+    reference the tests hold _count to."""
     for arc in arcs:
         if arc.hits_endpoint(t):
             raise EndpointCollision(
@@ -97,7 +97,46 @@ def count_signature(a, t):
     t = Fraction(t)
     if not 0 < t < 1:
         raise PreconditionError("parameter must satisfy 0 < t < 1")
-    return _count_arcs(_budgeted_arcs(a, 1), t)
+    if not isinstance(a, int) or a < 1:
+        raise PreconditionError("torus parameter must be a positive integer")
+    _check_budget(a, 1)
+    return _count(a, t)
+
+
+def _count(a, t):
+    """count_signature for a valid a and t, in integers, one m at a time,
+    without building the arcs.
+
+    On the scale N = a(a+1) with t = p/q, P = pN, u = m(a+1) and w = na,
+    the arc (m, n) has lo = |u - w|/N and, folded, hi = min(u + w, 2N - u
+    - w)/N, so it contains t exactly when |uq - P| < naq < min(uq + P,
+    (2N - u)q - P): an open range of n.  An endpoint solves one of these
+    with equality, which leaves at most four n per m to check."""
+    p, q = t.numerator, t.denominator
+    N = a * (a + 1)
+    P, B = p * N, a * q
+    count = 0
+    for m in range(1, a):
+        u = m * (a + 1)
+        uq, vq = u * q, (2 * N - u) * q
+        hits = []
+        for num in (uq - P, uq + P, P - uq, vq - P):
+            n, r = divmod(num, B)
+            if (not r and 0 < n <= a and (m - n) % 2 == 0
+                    and P in (abs(u - n * a) * q,
+                              min(u + n * a, 2 * N - u - n * a) * q)):
+                hits.append(n)
+        if hits:
+            raise EndpointCollision(
+                "t = %s is an endpoint of the (m, n) = (%d, %d) arc"
+                % (t, m, min(hits)))
+        # n > |uq - P| / B and n < min(uq + P, vq - P) / B
+        lo = max(1, abs(uq - P) // B + 1)
+        hi = min(a, (min(uq + P, vq - P) - 1) // B)
+        first = lo + (m - lo) % 2
+        if first <= hi:
+            count += (hi - first) // 2 + 1
+    return 2 * count
 
 
 def _covers_window(intervals, lo, hi):
@@ -125,7 +164,7 @@ def verify_herald(a, grid=100):
         raise PreconditionError("window check needs a >= 2")
     if not isinstance(grid, int) or grid < 1:
         raise PreconditionError("sample count must be a positive integer")
-    arcs = _budgeted_arcs(a, grid)
+    _check_budget(a, grid)
     w_lo = Fraction(1, a * (a + 1))
     w_hi = 1 - w_lo
     checked = 0
@@ -135,7 +174,7 @@ def verify_herald(a, grid=100):
     for k in range(1, grid + 1):
         t = w_lo + (w_hi - w_lo) * Fraction(k, grid + 1)
         try:
-            c = _count_arcs(arcs, t)
+            c = _count(a, t)
         except EndpointCollision:
             skipped += 1
             continue
@@ -144,7 +183,7 @@ def verify_herald(a, grid=100):
             min_count = c
         if c <= 0:
             failures.append(str(t))
-    family = [arc for arc in arcs if arc.m == 1 and arc.n % 2 == 1]
+    family = [RepArc(a, 1, n) for n in range(1, a + 1, 2)]
     # the count is symmetric under t -> 1-t, so covering the window only
     # needs the family together with its mirror images; the first arc
     # starts exactly at the window edge and consecutive arcs overlap

@@ -395,7 +395,9 @@ def test_twisted_double_multiple_summands():
 
 def test_twisted_double_signatures_computed_once(monkeypatch, capsys):
     # the witness of every metabolizer replays companion signatures that
-    # the table already holds: 4 distinct (V, t), so 4 inertia calls
+    # the table already holds, and the table's 4 points j/5 all lie on the
+    # arc (1/6, 5/6) of T(-2,3)'s signature function: one inertia call, at
+    # the arc point 1/2
     from knotconcord import cassongordon, seifert
     from knotconcord.cli import main
 
@@ -410,7 +412,8 @@ def test_twisted_double_signatures_computed_once(monkeypatch, capsys):
     monkeypatch.setattr(seifert, "hermitian_inertia", counted)
     assert main(["obstruct-twisted-double", "--a", "2", "--n", "4", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["obstructed"]
-    assert len(calls) == 4
+    assert len(calls) == 1
+    assert calls[0][0].n == 2
 
 
 def test_mutant_sum_alexander_computed_once(monkeypatch, capsys):

@@ -12,9 +12,13 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from knotconcord.cli import main
+from knotconcord.errors import SingularAtT
+from knotconcord.seifert import build, lt_signature
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -394,15 +398,20 @@ def test_su2_budget_exits_3(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("t, d", [("1/1031", 1031), ("1/3000001", 3000001)])
-def test_field_degree_budget_exits_3(capsys, t, d):
-    code = main(["signature", "--knot", fx("torus_2_3.json"), "--t", t])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("budget exceeded: t = %s needs Q(zeta_%d), whose "
-                            "degree phi(%d) exceeds the budget of 1024\n"
-                            % (t, d, d))
+# t = 1/1031 and 1/3000001 need fields beyond seifert.MAX_FIELD_DEGREE,
+# but they lie on the trefoil's arc (0, 1/6), which the CLI evaluates at
+# its cheapest point 1/8; 515/1031 lies on the arc (1/6, 1/2]
+@pytest.mark.parametrize("t, value", [("1/1031", 0), ("1/3000001", 0),
+                                      ("515/1031", -2)],
+                         ids=["1/1031", "1/3000001", "515/1031"])
+def test_signature_beyond_field_budget_answers(capsys, t, value):
+    report = run_json(capsys, ["signature", "--knot", fx("torus_2_3.json"),
+                               "--t", t])
+    assert report["input"]["t"] == t
+    assert report["result"] == {"t": t, "signature": value}
+    V = build({"kind": "torus", "p": 2, "q": 3})
+    assert value == lt_signature(V, Fraction(1, 8) if value == 0
+                                 else Fraction(2, 5))
 
 
 def test_budget_env_override(capsys, monkeypatch):
@@ -420,3 +429,78 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the signature command evaluates on arcs; lt_signature evaluates at t
+
+
+def _knot_fixtures():
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".json"):
+            with open(fx(name)) as fh:
+                if "kind" in json.load(fh):
+                    out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("name", _knot_fixtures())
+def test_signature_grid_matches_direct_route(capsys, name):
+    # every k/40 and k/97: the same value as lt_signature at t itself, and
+    # exit 2 with the same message at exactly its singular points.  The
+    # direct route at k/97 costs up to 0.7 s a point on the three torus
+    # knots of size 12 and more, so there it runs at every eighth k.
+    with open(fx(name)) as fh:
+        model = build(json.load(fh))
+    large = model.matrix.size >= 12
+    for d in (40, 97):
+        for k in range(1, d):
+            if large and d == 97 and k % 8 != 1:
+                continue
+            t = Fraction(k, d)
+            code = main(["signature", "--knot", fx(name), "--t", str(t),
+                         "--json"])
+            captured = capsys.readouterr()
+            try:
+                expected = lt_signature(model, t)
+            except SingularAtT as e:
+                assert code == 2, (name, t)
+                assert captured.out == ""
+                assert captured.err == "precondition violated: %s\n" % e
+                continue
+            assert code == 0, (name, t)
+            assert json.loads(captured.out)["result"] == {
+                "t": str(t), "signature": expected}, (name, t)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # like `knotconcord alexander ... --json | head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotconcord.cli", "alexander",
+             "--knot", fx("torus_2_3.json"), "--json"],
+            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_signature_and_obstruction_paths_import_no_sympy():
+    # with sympy unimportable, the arc isolator and the twisted-double
+    # obstruction give the same bytes as a normal run
+    guard = ("import sys; sys.modules['sympy'] = None; "
+             "from knotconcord.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["signature", "--knot", fx("torus_2_3.json"),
+                  "--t", "1/1031", "--json"],
+                 ["obstruct-twisted-double", "--a", "5", "--n", "1",
+                  "--json"]):
+        plain = subprocess.run([sys.executable, "-m", "knotconcord.cli"]
+                               + argv, capture_output=True)
+        guarded = subprocess.run([sys.executable, "-c", guard] + argv,
+                                 capture_output=True)
+        assert plain.returncode == guarded.returncode == 0
+        assert guarded.stdout == plain.stdout

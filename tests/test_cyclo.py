@@ -10,9 +10,9 @@ from knotconcord.cover import unit_roots_mod
 from knotconcord.cyclo import (
     CyclotomicField,
     _CyclotomicField,
-    _cos_table,
     _pi_fixed,
     cyclotomic_polynomial,
+    fixed_cos,
     poly_gcd,
 )
 from knotconcord.errors import PreconditionError
@@ -208,10 +208,10 @@ def test_cos_table_within_one_unit(bits):
     digits = bits * 3 // 10 + 30
     scale = sp.Integer(2) ** bits
     for n in list(range(1, 61)) + [211]:
-        table = _cos_table(n, n, bits)
+        table = fixed_cos(n, range(n), bits)
         for j, C in enumerate(table):
             assert abs(C - scale * _oracle_cos(j, n, digits)) < 1, (n, j)
-    assert CyclotomicField(211).cos_table(bits) == _cos_table(211, 210, bits)
+    assert CyclotomicField(211).cos_table(bits) == fixed_cos(211, range(210), bits)
 
 
 def _oracle_sign(F, a):

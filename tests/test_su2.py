@@ -13,7 +13,8 @@ import pytest
 
 from knotconcord.errors import EndpointCollision, PreconditionError, SingularAtT
 from knotconcord.seifert import lt_signature, torus_matrix
-from knotconcord.su2 import count_signature, rep_arcs, verify_herald
+from knotconcord.su2 import (_count_arcs, count_signature, rep_arcs,
+                             verify_herald)
 
 
 def test_rep_arcs_smallest_cases():
@@ -56,6 +57,33 @@ def test_count_signature_examples():
     assert count_signature(5, F(1, 2)) == 16
     assert count_signature(5, F(1, 2)) == lt_signature(torus_matrix(-5, 6),
                                                        F(1, 2))
+
+
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except EndpointCollision as e:
+        return "collision: %s" % e
+
+
+def test_integer_count_matches_arc_list():
+    # count_signature counts on the scale a(a+1) without building arcs; the
+    # arc list is the oracle.  The grids k/(2N), N = a(a+1), hold every
+    # arc endpoint; k/(N+1) and k/97 mostly miss them.
+    collisions = counts = 0
+    for a in range(1, 31):
+        arcs = rep_arcs(a)
+        N = a * (a + 1)
+        for den in (2 * N, N + 1, 97):
+            for k in range(1, den, max(1, den // 40)):
+                t = F(k, den)
+                want = _outcome(_count_arcs, arcs, t)
+                assert _outcome(count_signature, a, t) == want, (a, t)
+                if isinstance(want, str):
+                    collisions += 1
+                else:
+                    counts += 1
+    assert collisions > 100 and counts > 1000
 
 
 def test_count_signature_endpoint_collision():
