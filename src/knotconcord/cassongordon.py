@@ -103,11 +103,6 @@ class SigGrowth:
         return {"coefficient": int(c) if c.denominator == 1 else str(c)}
 
 
-def sig_add(x, y):
-    """Growth coefficients add under connected sum with a split character."""
-    return SigGrowth(x.coefficient + y.coefficient)
-
-
 class DiscExpr:
     """Formal discriminant class modulo norms.
 
@@ -158,9 +153,6 @@ class DiscExpr:
         out.tokens = tokens
         return out
 
-    def is_trivial(self):
-        return not self.factors and not self.tokens
-
     def shift_multiset(self, key):
         """Sorted multiset of shifts carried by one polynomial, with
         multiplicity; handy against the exponent-set helpers."""
@@ -202,19 +194,6 @@ def _token_json(token):
     if isinstance(token, tuple):
         return [_token_json(t) for t in token]
     return token
-
-
-def disc_mul(x, y):
-    """Discriminants multiply under connected sum with a split character."""
-    if x.p != y.p:
-        raise PreconditionError("cannot multiply expressions over different moduli")
-    factors = dict(x.factors)
-    for k, m in y.factors.items():
-        factors[k] = factors.get(k, 0) + m
-    tokens = dict(x.tokens)
-    for k, m in y.tokens.items():
-        tokens[k] = tokens.get(k, 0) + m
-    return DiscExpr(x.p, factors, tokens)
 
 
 def residual_token(base_id, char_id):
@@ -900,11 +879,12 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     companions carry equal signs; the first sign is +1 (mirror the whole
     sum otherwise).  HypothesisUnverified propagates from the record.
     """
-    if not companions:
-        raise PreconditionError("at least one companion is required")
+    if not isinstance(companions, (list, tuple)) or not companions:
+        raise PreconditionError("companions must be a non-empty list")
     n = len(companions)
-    signs = [1] * n if signs is None else [int(s) for s in signs]
-    if len(signs) != n or any(s not in (1, -1) for s in signs):
+    signs = [1] * n if signs is None else signs
+    if (not isinstance(signs, (list, tuple)) or len(signs) != n
+            or any(_integer(s, "a sign") not in (1, -1) for s in signs)):
         raise PreconditionError("signs must be +1/-1, one per companion")
     if signs[0] != 1:
         raise PreconditionError("the leading sign must be +1; mirror the "

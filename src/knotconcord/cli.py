@@ -28,7 +28,7 @@ from .diagram import (MetacyclicGroup, classify_characters, labeling_space,
                       parse_pd)
 from .errors import BudgetExceeded, PreconditionError
 from .metabolizers import DEFAULT_BUDGET, enumerate_metabolizers
-from .seifert import alexander, arc_point, build, lt_signature
+from .seifert import _only, alexander, arc_point, build, lt_signature
 
 BUDGET_ENV = "KNOTCONCORD_BUDGET"
 
@@ -193,6 +193,7 @@ def _cmd_mutant_sum(args):
     if not isinstance(spec, dict) or "companions" not in spec:
         raise PreconditionError(
             "mutant-sum input must be an object with a 'companions' list")
+    _only(spec, ("companions", "signs", "mode"), "the mutant-sum input")
     companions = spec["companions"]
     signs = spec.get("signs")
     mode = args.mode or spec.get("mode")
@@ -221,9 +222,12 @@ def _cmd_labelings(args):
     text = _load_text(args.pd)
     D = parse_pd(text)
     if args.p is not None:
+        if (args.d, args.n, args.q) != (None, None, None):
+            raise PreconditionError(
+                "--p (dihedral) cannot be combined with --d/--n/--q")
         G = MetacyclicGroup.dihedral(args.p)
     elif args.n is not None and args.q is not None:
-        G = MetacyclicGroup(args.d, args.n, args.q)
+        G = MetacyclicGroup(2 if args.d is None else args.d, args.n, args.q)
     else:
         raise PreconditionError(
             "give either --p (dihedral) or --d/--n/--q (metacyclic)")
@@ -330,7 +334,8 @@ def _build_parser():
     p = add("labelings", help="metacyclic labelings of a planar diagram")
     p.add_argument("--pd", required=True, help="PD text file")
     p.add_argument("--p", type=int, help="dihedral: labels mod this prime")
-    p.add_argument("--d", type=int, default=2, help="metacyclic exponent")
+    p.add_argument("--d", type=int,
+                   help="metacyclic exponent (default 2)")
     p.add_argument("--n", type=int, help="metacyclic modulus")
     p.add_argument("--q", type=int, help="metacyclic twist")
     p.add_argument("--classify", action="store_true",

@@ -298,10 +298,6 @@ class CharacterModule:
     order: int
     invariant_factors: tuple
 
-    @property
-    def is_trivial(self):
-        return self.order == 1
-
     def to_json(self):
         return {"group": self.group.to_json(),
                 "order": self.order,

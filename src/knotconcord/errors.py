@@ -24,10 +24,6 @@ class EndpointCollision(PreconditionError):
     where the arc count is ill defined."""
 
 
-class UnsupportedGenus(PreconditionError):
-    """Operation implemented only for 2x2 Seifert matrices."""
-
-
 class InfiniteHomology(PreconditionError):
     """The branched cover has infinite first homology."""
 

@@ -20,7 +20,7 @@ from . import linalg
 from .cyclo import (CyclotomicField, _is_prime, _trim, cyclotomic_polynomial,
                     fixed_cos, poly_gcd)
 from .errors import (BudgetExceeded, InternalInvariantViolation,
-                     PreconditionError, SingularAtT, UnsupportedGenus)
+                     PreconditionError, SingularAtT)
 from .kernels import hermitian_inertia
 
 
@@ -41,10 +41,6 @@ class SeifertMatrix:
             raise PreconditionError("det(V - V^T) must equal 1")
         self.entries = rows
         self.size = n
-
-    @property
-    def genus(self):
-        return self.size // 2
 
     def transpose(self):
         return SeifertMatrix(linalg.transpose(self.entries))
@@ -538,113 +534,6 @@ def signature_profile(V, points):
     return [(Fraction(pt), lt_signature(V, pt)) for pt in points]
 
 
-class FoxMilnorResult:
-    def __init__(self, passes, pairing, failures):
-        self.passes = passes
-        self.pairing = pairing      # list of (factor, reciprocal factor, multiplicity)
-        self.failures = failures    # human-readable reasons
-    def __repr__(self):
-        return "FoxMilnorResult(passes=%r)" % (self.passes,)
-
-
-def fox_milnor(V):
-    """Test whether the Alexander polynomial factors as f(t) f(1/t) up to
-    units over Q: every irreducible factor must pair with its reciprocal
-    at equal multiplicity, and self-reciprocal factors must occur to even
-    powers."""
-    delta = alexander(V)
-    factors = _rational_factors(delta)
-    mult = {}
-    for coeffs, e in factors:
-        mult[coeffs] = mult.get(coeffs, 0) + e
-    pairing = []
-    failures = []
-    seen = set()
-    for coeffs in sorted(mult):
-        if coeffs in seen:
-            continue
-        rec = _reciprocal_coeffs(coeffs)
-        if rec == coeffs:
-            seen.add(coeffs)
-            if mult[coeffs] % 2:
-                failures.append("self-reciprocal factor %r has odd multiplicity %d"
-                                % (list(coeffs), mult[coeffs]))
-            else:
-                pairing.append((coeffs, coeffs, mult[coeffs]))
-        else:
-            seen.add(coeffs)
-            seen.add(rec)
-            if mult.get(rec, 0) != mult[coeffs]:
-                failures.append("factor %r (multiplicity %d) does not match "
-                                "reciprocal %r (multiplicity %d)"
-                                % (list(coeffs), mult[coeffs], list(rec), mult.get(rec, 0)))
-            else:
-                pairing.append((coeffs, rec, mult[coeffs]))
-    return FoxMilnorResult(not failures, pairing, failures)
-
-
-def _rational_factors(poly):
-    """Irreducible factors over Q of an integer polynomial (coefficient
-    tuple, lowest degree first), as primitive integer coefficient tuples
-    (ascending, positive leading coefficient) with multiplicities.  The
-    content is dropped."""
-    from sympy import Poly, Symbol, factor_list
-
-    if len(poly) <= 1:
-        return []
-    x = Symbol("x")
-    expr = sum(c * x ** e for e, c in enumerate(poly))
-    _, facs = factor_list(Poly(expr, x))
-    out = []
-    for f, e in facs:
-        cs = [int(c) for c in reversed(f.all_coeffs())]
-        out.append((_canonical_coeffs(cs), int(e)))
-    return out
-
-
-def _canonical_coeffs(cs):
-    while cs and cs[-1] == 0:
-        cs = cs[:-1]
-    lo = 0
-    while lo < len(cs) and cs[lo] == 0:
-        lo += 1
-    cs = cs[lo:]
-    g = 0
-    for c in cs:
-        g = gcd(g, abs(c))
-    if g:
-        cs = [c // g for c in cs]
-    if cs and cs[-1] < 0:
-        cs = [-c for c in cs]
-    return tuple(cs)
-
-
-def _reciprocal_coeffs(coeffs):
-    return _canonical_coeffs(list(reversed(coeffs)))
-
-
-def metabolizing_vectors(V, bound=10):
-    """Primitive integer vectors v with v^T V v = 0, for 2x2 matrices,
-    searched over |components| <= bound and normalized so the first
-    nonzero component is positive."""
-    if isinstance(V, KnotModel):
-        V = V.matrix
-    if V.size != 2:
-        raise UnsupportedGenus("isotropic vector search implemented for genus 1 only")
-    found = set()
-    for x in range(0, bound + 1):
-        for y in range(-bound, bound + 1):
-            if (x, y) == (0, 0) or gcd(x, abs(y)) != 1:
-                continue
-            if x == 0 and y < 0:
-                continue
-            row0 = V.entries[0][0] * x + V.entries[0][1] * y
-            row1 = V.entries[1][0] * x + V.entries[1][1] * y
-            if x * row0 + y * row1 == 0:
-                found.add((x, y))
-    return sorted(found)
-
-
 # ---------------------------------------------------------------------------
 # Braid fence surfaces for torus knots.
 #
@@ -805,6 +694,21 @@ def _integer(value, what):
     return value
 
 
+def _only(d, keys, where):
+    """Refuse a field of d outside keys, so a misspelled key is not
+    silently dropped."""
+    for key in d:
+        if key not in keys:
+            raise PreconditionError("unknown field %r in %s" % (key, where))
+
+
+# the fields of each knot kind, besides "kind" itself
+_FIELDS = {"matrix": ("entries",), "torus": ("p", "q"),
+           "twisted_double": ("a",), "mirror": ("knot",),
+           "sum": ("summands",), "order_two": ("companion",),
+           "satellite": ("base", "base_token", "infections")}
+
+
 def _dicts(value, what):
     if not isinstance(value, (list, tuple)) or not all(isinstance(x, dict) for x in value):
         raise PreconditionError("%s must be a list of dicts" % what)
@@ -826,13 +730,16 @@ def build(spec):
                        "pattern": "double_lift"|"triple_lift", "param": int}, ...]}
 
     "sign", "base_token" and "infections" may be omitted; every other field
-    is required.  Integers must be ints, not bools, floats or strings.
-    Anything else raises PreconditionError.
+    is required, and no other field is allowed.  Integers must be ints, not
+    bools, floats or strings.  Anything else raises PreconditionError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise PreconditionError("knot description must be a dict with a 'kind' field")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise PreconditionError("unknown knot kind %r" % (kind,))
     where = "the %s knot description" % (kind,)
+    _only(spec, ("kind",) + _FIELDS[kind], where)
     if kind == "matrix":
         rows = _get(spec, "entries", where)
         if (not isinstance(rows, (list, tuple))
@@ -851,6 +758,7 @@ def build(spec):
     if kind == "sum":
         summands = []
         for item in _dicts(_get(spec, "summands", where), "'summands'"):
+            _only(item, ("sign", "knot"), "a summand")
             sign = _integer(item.get("sign", 1), "summand sign")
             if sign not in (1, -1):
                 raise PreconditionError("summand sign must be +1 or -1")
@@ -867,16 +775,17 @@ def build(spec):
         inf = [Infection("B1", companion, "double_lift", 1),
                Infection("B2", companion.mirror(), "double_lift", 2)]
         return KnotModel([Summand(base, None, inf)], spec)
-    if kind == "satellite":
-        base = build(_get(spec, "base", where))
-        if not base.matrix_only:
-            raise PreconditionError("satellite base must be matrix-presented")
-        token = spec.get("base_token")
-        infections = [
-            Infection(_get(i, "curve", "an infection"),
-                      build(_get(i, "companion", "an infection")),
-                      _get(i, "pattern", "an infection"),
-                      _integer(_get(i, "param", "an infection"), "infection 'param'"))
-            for i in _dicts(spec.get("infections", ()), "'infections'")]
-        return KnotModel([Summand(base.matrix, token, infections)], spec)
-    raise PreconditionError("unknown knot kind %r" % (kind,))
+    # kind == "satellite"
+    base = build(_get(spec, "base", where))
+    if not base.matrix_only:
+        raise PreconditionError("satellite base must be matrix-presented")
+    token = spec.get("base_token")
+    infections = []
+    for i in _dicts(spec.get("infections", ()), "'infections'"):
+        _only(i, ("curve", "companion", "pattern", "param"), "an infection")
+        infections.append(Infection(
+            _get(i, "curve", "an infection"),
+            build(_get(i, "companion", "an infection")),
+            _get(i, "pattern", "an infection"),
+            _integer(_get(i, "param", "an infection"), "infection 'param'")))
+    return KnotModel([Summand(base.matrix, token, infections)], spec)

@@ -46,11 +46,6 @@ class RepArc:
     def __repr__(self):
         return "RepArc(m=%d, n=%d, (%s, %s))" % (self.m, self.n, self.lo, self.hi)
 
-    def to_json(self):
-        return {"m": self.m, "n": self.n,
-                "interval": [str(self.lo), str(self.hi)],
-                "folded": self.folded}
-
 
 def rep_arcs(a):
     """Complete arc list for the (-a, a+1) torus knot group, ordered by

@@ -14,13 +14,13 @@ import pytest
 
 from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       NORM, NOT_NORM, UNKNOWN,
-                                      check_poly_hypotheses, disc_mul,
+                                      check_poly_hypotheses,
                                       mixed_exponents, mutant_family_spec,
                                       mutant_sum_obstruction, norm_test,
                                       orbit_exponents, order2_obstruction,
                                       residual_token,
                                       satellite_delta, satellite_sigma,
-                                      sig_add, twisted_double_obstruction,
+                                      twisted_double_obstruction,
                                       _case_expression)
 from knotconcord.cover import branched_cover
 from knotconcord.errors import (BudgetExceeded, HypothesisUnverified,
@@ -41,12 +41,8 @@ KEY_B = (5, -11, 5)
 # carriers
 
 
-def test_sig_growth_addition():
-    assert sig_add(SigGrowth(2), SigGrowth(-6)).coefficient == -4
-    assert sig_add(SigGrowth(0), SigGrowth(F(1, 2))) == SigGrowth(F(1, 2))
-    a, b, c = SigGrowth(1), SigGrowth(-3), SigGrowth(7)
-    assert sig_add(a, b) == sig_add(b, a)
-    assert sig_add(sig_add(a, b), c) == sig_add(a, sig_add(b, c))
+def test_sig_growth_zero_and_json():
+    assert SigGrowth(F(2, 4)) == SigGrowth(F(1, 2)) != SigGrowth(1)
     assert SigGrowth(0).is_zero()
     assert not SigGrowth(F(-1, 3)).is_zero()
     assert SigGrowth(4).to_json() == {"coefficient": 4}
@@ -55,25 +51,16 @@ def test_sig_growth_addition():
 
 def test_disc_expr_multiplication():
     e = DiscExpr(7)
-    assert e.is_trivial()
+    assert e.factors == {} and e.tokens == {}
     x = e.times_factor(KEY_A, 3).times_factor(KEY_A, 10)  # shift 10 wraps to 3
     assert x.factors == {(KEY_A, 3): 2}
     y = DiscExpr(7).times_factor(KEY_B, 0).times_token(("delta", "K", (1, 0)))
-    z = disc_mul(x, y)
-    assert z.factors == {(KEY_A, 3): 2, (KEY_B, 0): 1}
-    assert z.tokens == {("delta", "K", (1, 0)): 1}
-    assert disc_mul(x, y) == disc_mul(y, x)
-    assert disc_mul(disc_mul(x, y), z) == disc_mul(x, disc_mul(y, z))
-    assert disc_mul(e, x) == x
-    # inverse multiplicities cancel to the identity
-    inv = DiscExpr(7).times_factor(KEY_A, 3, -2)
-    assert disc_mul(x, inv).is_trivial()
+    assert y.factors == {(KEY_B, 0): 1}
     # appends copy their operand and drop a multiplicity that reaches zero
-    assert x.times_factor(KEY_A, 3, -2).is_trivial()
+    assert x.times_factor(KEY_A, 3, -2) == DiscExpr(7)
     assert y.times_token(TOKEN, -1) == DiscExpr(7).times_factor(KEY_B, 0)
     assert x.factors == {(KEY_A, 3): 2} and y.tokens == {TOKEN: 1}
-    with pytest.raises(PreconditionError):
-        disc_mul(DiscExpr(5), DiscExpr(7))
+    assert e == DiscExpr(7) != DiscExpr(5)
 
 
 TOKEN = ("delta", "K", (1, 0))
@@ -597,6 +584,12 @@ def test_mutant_sum_preconditions():
         mutant_sum_obstruction([COMP_A, COMP_B], signs=[-1, 1])
     with pytest.raises(PreconditionError):
         mutant_sum_obstruction([COMP_A], signs=[2])
+    # signs and companions are validated, not coerced by int()
+    for signs in (["x"], [1.0], [True], 1):
+        with pytest.raises(PreconditionError):
+            mutant_sum_obstruction([COMP_A], signs=signs)
+    with pytest.raises(PreconditionError):
+        mutant_sum_obstruction(5)
     with pytest.raises(HypothesisUnverified):
         mutant_sum_obstruction([[[-1, 1], [0, 6]]])
     with pytest.raises(HypothesisUnverified):

@@ -7,16 +7,19 @@ values repeat numbers already pinned in the module test files; the su2
 comparison is a genuine dual route (arc counting vs matrix signature).
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from knotconcord.cli import main
+import knotconcord
+from knotconcord.cli import _HANDLERS, main
 from knotconcord.errors import SingularAtT
 from knotconcord.seifert import build, lt_signature
 
@@ -285,6 +288,9 @@ MALFORMED_SPECS = [
      "field 'a' is missing from the twisted_double knot description"),
     ({"kind": "sum"},
      "field 'summands' is missing from the sum knot description"),
+    ({"kind": "sum",
+      "summands": [{"Sign": -1, "knot": {"kind": "torus", "p": 2, "q": 3}}]},
+     "unknown field 'Sign' in a summand"),
 ]
 
 
@@ -314,13 +320,17 @@ BAD_ARGUMENTS = [
     (["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--budget", "-1"],
      {}),
     (["obstruct-order2", "--i", "1", "--j", "2"], {"KNOTCONCORD_BUDGET": "0"}),
+    (["labelings", "--pd", fx("trefoil.pd"), "--p", "3", "--n", "7",
+      "--q", "2"], {}),
+    (["labelings", "--pd", fx("trefoil.pd"), "--p", "3", "--d", "2"], {}),
 ]
 
 
 @pytest.mark.parametrize("argv, env", BAD_ARGUMENTS, ids=[
     "cover-d1", "cover-d0", "cover-d-3", "linking-d1", "metabolizers-d1",
     "cg-sigma-p0", "cg-sigma-p-3", "cg-sigma-p1", "cg-delta-lifts",
-    "budget-0", "budget-minus-1", "budget-env-0"])
+    "budget-0", "budget-minus-1", "budget-env-0", "labelings-p-with-n-q",
+    "labelings-p-with-d"])
 def test_bad_arguments_exit_2(capsys, monkeypatch, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -364,6 +374,18 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, command, text):
     assert captured.out == ""
     assert captured.err.startswith("precondition violated: ")
     assert captured.err.count("\n") == 1
+
+
+def test_mutant_sum_unknown_field_exits_2(capsys, tmp_path):
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps({"companions": [[[-1, 1], [0, 3]]],
+                                "sign": [1]}))
+    code = main(["obstruct-mutant-sum", "--knot", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: unknown field 'sign' "
+                            "in the mutant-sum input\n")
 
 
 def test_cover_degree_budget_exits_3(capsys):
@@ -489,18 +511,64 @@ def test_closed_stdout_exits_1_without_traceback():
     assert proc.stderr == b""
 
 
-def test_signature_and_obstruction_paths_import_no_sympy():
-    # with sympy unimportable, the arc isolator and the twisted-double
-    # obstruction give the same bytes as a normal run
-    guard = ("import sys; sys.modules['sympy'] = None; "
-             "from knotconcord.cli import main; sys.exit(main(sys.argv[1:]))")
-    for argv in (["signature", "--knot", fx("torus_2_3.json"),
-                  "--t", "1/1031", "--json"],
-                 ["obstruct-twisted-double", "--a", "5", "--n", "1",
-                  "--json"]):
-        plain = subprocess.run([sys.executable, "-m", "knotconcord.cli"]
-                               + argv, capture_output=True)
-        guarded = subprocess.run([sys.executable, "-c", guard] + argv,
-                                 capture_output=True)
-        assert plain.returncode == guarded.returncode == 0
-        assert guarded.stdout == plain.stdout
+NO_SYMPY_REQUESTS = [
+    ["alexander", "--knot", fx("torus_2_3.json")],
+    ["signature", "--knot", fx("torus_2_3.json"), "--t", "1/1031"],
+    ["cover", "--knot", fx("twisted_double_a1.json"), "--d", "3"],
+    ["linking", "--knot", fx("twisted_double_a1.json")],
+    ["metabolizers", "--knot", fx("sum_double_a2_n2.json"),
+     "--invariant-only"],
+    ["cg-sigma", "--knot", fx("torus_2_7.json"), "--a", "1", "--p", "5"],
+    ["cg-delta", "--knot", fx("twisted_double_a1.json"), "--lifts", "1,2,4"],
+    ["obstruct-twisted-double", "--a", "5", "--n", "1"],
+    ["obstruct-order2", "--i", "1", "--j", "2"],
+    ["obstruct-mutant-sum", "--knot", fx("mutant_single.json")],
+    ["su2", "--a", "3", "--t", "1/7"],
+    ["labelings", "--pd", fx("trefoil.pd"), "--p", "3", "--classify"],
+]
+
+# runs each request of a JSON list with sympy unimportable and prints the
+# exit codes and stdout texts as one JSON list
+_NO_SYMPY_CHILD = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None
+from knotconcord.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_signature_and_obstruction_paths_import_no_sympy(capsys):
+    # with sympy unimportable, one request per subcommand gives the same
+    # exit code and stdout bytes as here; all run in one child process
+    assert [argv[0] for argv in NO_SYMPY_REQUESTS] == list(_HANDLERS)
+    plain = []
+    for argv in NO_SYMPY_REQUESTS:
+        code = main(argv + ["--json"])
+        plain.append([code, capsys.readouterr().out])
+    assert all(code == 0 for code, _ in plain)
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_CHILD, json.dumps(NO_SYMPY_REQUESTS)],
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == plain
+
+
+def test_package_imports_no_sympy():
+    found = []
+    for path in sorted(Path(knotconcord.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%d" % (path.name, node.lineno)
+                      for m in modules if m.split(".")[0] == "sympy"]
+    assert found == []

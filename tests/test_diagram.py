@@ -228,7 +228,6 @@ def test_classify_trefoil_z3():
     C = classify_characters(parse_pd(TREFOIL), MetacyclicGroup.dihedral(3))
     assert C.order == 3
     assert C.invariant_factors == (3,)
-    assert not C.is_trivial
 
 
 def test_classify_figure8_z5():
@@ -244,13 +243,13 @@ def test_classify_granny_z3_z3():
 
 def test_classify_unknot_trivial():
     C = classify_characters(parse_pd(""), MetacyclicGroup.dihedral(7))
-    assert C.is_trivial
+    assert C.order == 1
     assert C.invariant_factors == ()
 
 
 def test_classify_trefoil_metacyclic_trivial():
     C = classify_characters(parse_pd(TREFOIL), MetacyclicGroup(3, 49, 30))
-    assert C.is_trivial
+    assert C.order == 1
 
 
 def test_classify_requires_prime_power():
@@ -308,7 +307,7 @@ def test_reidemeister_invariance():
 def test_reidemeister_unknot_pair():
     G = MetacyclicGroup.dihedral(7)
     assert labeling_space(parse_pd(UNKNOT_R2), G).size == 7
-    assert classify_characters(parse_pd(UNKNOT_R2), G).is_trivial
+    assert classify_characters(parse_pd(UNKNOT_R2), G).order == 1
 
 
 def test_classify_order_divides_cover_homology():

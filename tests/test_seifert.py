@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.errors import (InternalInvariantViolation, PreconditionError,
-                                SingularAtT, UnsupportedGenus)
+                                SingularAtT)
 from knotconcord.seifert import (
     SeifertMatrix,
     _interpolate_integer_poly,
     alexander,
     build,
-    fox_milnor,
     lt_signature,
-    metabolizing_vectors,
     torus_matrix,
     twisted_double_matrix,
 )
@@ -173,23 +171,6 @@ def test_signature_singular_at_alexander_root():
         lt_signature(TREFOIL, Fraction(3, 2))
 
 
-def test_fox_milnor_verdicts():
-    assert fox_milnor(twisted_double_matrix(1)).passes      # (2t-1)(t-2)
-    assert not fox_milnor(TREFOIL).passes                   # t^2 - t + 1
-    doubled = FIG8.block_sum(FIG8)                          # (t^2-3t+1)^2
-    assert fox_milnor(doubled).passes
-    assert not fox_milnor(FIG8).passes                      # odd power of self-reciprocal
-    assert fox_milnor(SeifertMatrix([])).passes
-
-
-def test_metabolizing_vectors():
-    assert metabolizing_vectors(twisted_double_matrix(1)) == [(1, -1), (2, 1)]
-    with pytest.raises(UnsupportedGenus):
-        metabolizing_vectors(torus_matrix(3, 4))
-    # trefoil has no isotropic vector: its quadratic form -x^2 + xy - y^2 is definite
-    assert metabolizing_vectors(TREFOIL) == []
-
-
 def test_build_matrix_and_torus():
     m = build({"kind": "matrix", "entries": [[-1, 1], [0, -1]]})
     assert m.matrix.entries == [[-1, 1], [0, -1]]
@@ -244,6 +225,8 @@ def test_build_rejects_bad_input():
     with pytest.raises(PreconditionError):
         build({"kind": "nonsense"})
     with pytest.raises(PreconditionError):
+        build({"kind": ["torus"], "p": 2, "q": 3})
+    with pytest.raises(PreconditionError):
         build({"kind": "twisted_double", "a": 0})
     with pytest.raises(PreconditionError):
         build({"kind": "sum", "summands": [{"sign": 2, "knot": {"kind": "torus", "p": 2, "q": 3}}]})
@@ -252,3 +235,21 @@ def test_build_rejects_bad_input():
         build({"kind": "sum", "summands": [
             {"sign": -1, "knot": {"kind": "order_two",
                                   "companion": {"kind": "torus", "p": 2, "q": 3}}}]})
+    # a field outside a kind's documented set is refused, not dropped
+    torus = {"kind": "torus", "p": 2, "q": 3}
+    base = {"kind": "matrix", "entries": [[-1, 1], [0, -1]]}
+    infection = {"curve": "B1", "companion": torus, "pattern": "double_lift",
+                 "param": 1}
+    for spec, key in [
+            ({**base, "name": "3_1"}, "name"),
+            ({**torus, "r": 5}, "r"),
+            ({"kind": "twisted_double", "a": 1, "n": 2}, "n"),
+            ({"kind": "mirror", "knot": torus, "sign": -1}, "sign"),
+            ({"kind": "sum", "summands": [], "signs": [1]}, "signs"),
+            ({"kind": "sum", "summands": [{"Sign": -1, "knot": torus}]}, "Sign"),
+            ({"kind": "order_two", "companion": torus, "base": base}, "base"),
+            ({"kind": "satellite", "base": base, "token": "K"}, "token"),
+            ({"kind": "satellite", "base": base,
+              "infections": [{**infection, "params": 1}]}, "params")]:
+        with pytest.raises(PreconditionError, match="unknown field '%s'" % key):
+            build(spec)

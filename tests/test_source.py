@@ -108,3 +108,58 @@ def test_reference_guard_catches_planted_definitions():
     assert _unreferenced({"m.py": src}, {
         "m.py": src, "t.py": "from m import dead\nUsed().spare()\n"}) == [
         "m.py:6 dead"]
+
+
+# the package definitions that only the tests reach, each with the reason it
+# stays: "oracle", a reference implementation a faster path is held to;
+# "paper", a statement of the paper that a test checks; "test-reader", a
+# reader or constructor many tests share
+_TEST_ONLY = {
+    "linalg.invert_rational": "oracle",
+    "su2.rep_arcs": "oracle",
+    "su2._count_arcs": "oracle",
+    "metabolizers.check_diagonal_lemma": "paper",
+    "metabolizers.project_metabolizer": "paper",
+    "cassongordon.orbit_exponents": "paper",
+    "cassongordon.mixed_exponents": "paper",
+    "cover.char_space": "paper",
+    "seifert.signature_profile": "paper",
+    "cyclo.pack": "test-reader",
+    "cyclo.from_rational": "test-reader",
+    "cover.evaluate": "test-reader",
+    "cassongordon.shift_multiset": "test-reader",
+}
+
+
+def _unlisted(package, table):
+    """Definitions that nothing in the `package` sources references but
+    that `table` does not list, as module:line name strings, followed by
+    the table entries that the package itself reaches or no longer
+    defines, as "stale module.name"."""
+    only = {}
+    for entry in _unreferenced(package, package):
+        loc, name = entry.split()
+        only[loc.split(".py:")[0] + "." + name] = entry
+    return ([entry for key, entry in sorted(only.items()) if key not in table]
+            + ["stale " + key for key in sorted(table) if key not in only])
+
+
+def test_test_only_definitions_are_listed():
+    # a definition that only tests reach stays only for a listed reason
+    package = {path.name: path.read_text() for path in
+               sorted(Path(knotconcord.__file__).parent.glob("*.py"))}
+    assert _unlisted(package, _TEST_ONLY) == []
+    assert set(_TEST_ONLY.values()) <= {"oracle", "paper", "test-reader"}
+
+
+def test_test_only_guard_catches_planted_definitions():
+    src = ("def run():\n    return helper()\n"
+           "def helper():\n    return 1\n"
+           "def probe():\n    return 2\n")
+    assert _unlisted({"m.py": src}, {"m.run": "paper"}) == ["m.py:5 probe"]
+    assert _unlisted({"m.py": src},
+                     {"m.run": "paper", "m.probe": "oracle"}) == []
+    # an entry the package reaches, or no longer defines, is stale
+    assert _unlisted({"m.py": src}, {"m.run": "paper", "m.probe": "oracle",
+                                     "m.helper": "oracle", "m.gone": "paper"}
+                     ) == ["stale m.gone", "stale m.helper"]
