@@ -19,7 +19,6 @@ sums over the 3-fold cover with its mod-7 eigencharacter calculus.
 
 import itertools
 from fractions import Fraction
-from functools import cache
 from math import isqrt
 
 from . import linalg
@@ -30,9 +29,8 @@ from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
 from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
                            vanishing_chars, find_odd_char, admissible_pair,
                            span_vectors)
-from .seifert import (SeifertMatrix, KnotModel, build, alexander, arc_point,
-                      lt_signature, torus_matrix, twisted_double_matrix,
-                      _integer)
+from .seifert import (SeifertMatrix, KnotModel, build, alexander, signature,
+                      torus_matrix, twisted_double_matrix, _integer)
 
 NORM = "NORM"
 NOT_NORM = "NOT_NORM"
@@ -433,25 +431,19 @@ def satellite_sigma(base, J, a, p):
     at (a mod p)/p is added to the growth coefficient.  Value 0 contributes
     nothing; a singular evaluation point propagates SingularAtT.
 
-    Signatures are memoised on (companion matrix entries, arc point of
-    (a mod p)/p), so the obstructions' tables and witness replays compute
-    each arc of the companion's signature function once; a singular point
-    raises in seifert.arc_point every time."""
+    Signatures come from seifert.signature, memoised per process on
+    (companion matrix entries, arc point of (a mod p)/p), so the
+    obstructions' tables and witness replays compute each arc of the
+    companion's signature function once; a singular point raises in
+    seifert.arc_point every time."""
     p = int(p)
     if p < 2:
         raise PreconditionError("character order must be at least 2, got %d" % p)
     a = int(a) % p
     if a == 0:
         return SigGrowth(base.coefficient)
-    V = _companion_matrix(J)
-    entries = tuple(tuple(r) for r in V.entries)
-    point = arc_point(V, Fraction(a, p))
-    return SigGrowth(base.coefficient + _companion_signature(entries, point))
-
-
-@cache
-def _companion_signature(entries, t):
-    return lt_signature(SeifertMatrix(entries), t)
+    return SigGrowth(base.coefficient
+                     + signature(_companion_matrix(J), Fraction(a, p)))
 
 
 def satellite_delta(base, J, lift_values, p=None):
@@ -690,8 +682,7 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
                                "family; no claim is made"})
         return report
     companion = torus_matrix(-a, a + 1)
-    sig = {j: satellite_sigma(SigGrowth(0), companion, j, p).coefficient
-           for j in range(1, p)}
+    sig = {j: signature(companion, Fraction(j, p)) for j in range(1, p)}
     all_positive = all(v > 0 for v in sig.values())
     V = twisted_double_matrix(a)
     one = linking_form(V, 2)
@@ -718,12 +709,12 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
                       "character_dim": S.dim,
                       "characters_checked": len(chars),
                       "all_coefficients_positive": positive,
-                      "min_coefficient": min(int(c) for c in coeffs.values()),
+                      "min_coefficient": min(coeffs.values()),
                       "witness": {"character": list(witness),
                                   "growth": acc.to_json()}})
     report.update({
         "companion": {"kind": "torus", "p": -a, "q": a + 1},
-        "companion_signatures": {str(j): int(v) for j, v in sorted(sig.items())},
+        "companion_signatures": {str(j): v for j, v in sorted(sig.items())},
         "all_signatures_positive": all_positive,
         "metabolizer_count": len(mets),
         "cases": cases,
@@ -771,18 +762,14 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
                 raise PreconditionError("order-two driver expects double_lift "
                                         "infections")
             V = inf.companion.matrix
-            per.append({u: (Fraction(0) if (inf.param * u) % p == 0
-                            else satellite_sigma(SigGrowth(0), V, inf.param * u,
-                                                 p).coefficient)
+            per.append({u: (0 if (inf.param * u) % p == 0
+                            else signature(V, Fraction(inf.param * u % p, p)))
                         for u in range(p)})
         tables.append(per)
 
     def coefficient(u_vec):
-        total = Fraction(0)
-        for s, per in enumerate(tables):
-            for table in per:
-                total += table[u_vec[s] % p]
-        return total
+        return sum(table[u_vec[s] % p]
+                   for s, per in enumerate(tables) for table in per)
 
     cases = []
     obstructed = bool(mets)
@@ -794,7 +781,7 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
         nonzero_found = False
         for u in sorted(chars):
             c = coefficient(u)
-            entries.append({"character": list(u), "coefficient": int(c)})
+            entries.append({"character": list(u), "coefficient": c})
             if c != 0:
                 nonzero_found = True
             if u[0] == 1 and canonical is None:
@@ -820,7 +807,7 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
             "summand_multiplicities": [i, j],
             "cover_group": list(form.group),
             "metabolizer_count": len(mets),
-            "coefficient": int(canonical),
+            "coefficient": canonical,
             "cases": cases,
             "obstructed": obstructed,
             "claim": "not cg-slice" if obstructed else None,

@@ -14,7 +14,7 @@ feeds the slice-obstruction drivers.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd
+from math import comb, gcd
 
 from . import linalg
 from .cyclo import (CyclotomicField, _is_prime, _trim, cyclotomic_polynomial,
@@ -42,12 +42,30 @@ class SeifertMatrix:
         self.entries = rows
         self.size = n
 
+    @classmethod
+    def _derived(cls, rows):
+        """A matrix built from valid ones by an operation that keeps
+        det(V - V^T) = 1, so the check is not run again.  V - V^T is skew
+        with determinant 1, so the size n is even; the transpose changes
+        V - V^T to its negative, of determinant (-1)^n = 1, the mirror
+        -V^T leaves it as it is, and a block sum multiplies determinants."""
+        V = cls.__new__(cls)
+        V.entries = rows
+        V.size = len(rows)
+        return V
+
     def transpose(self):
-        return SeifertMatrix(linalg.transpose(self.entries))
+        return SeifertMatrix._derived(linalg.transpose(self.entries))
 
     def mirror(self):
         # mirror image: negate the transposed matrix
-        return SeifertMatrix([[-x for x in row] for row in linalg.transpose(self.entries)])
+        return SeifertMatrix._derived(
+            [[-x for x in row] for row in linalg.transpose(self.entries)])
+
+    @cached_property
+    def key(self):
+        """The entries as a tuple of row tuples, the key of every memo."""
+        return tuple(map(tuple, self.entries))
 
     @cached_property
     def blocks(self):
@@ -56,14 +74,9 @@ class SeifertMatrix:
 
     def block_sum(self, other):
         n, m = self.size, other.size
-        out = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = self.entries[i][j]
-        for i in range(m):
-            for j in range(m):
-                out[n + i][n + j] = other.entries[i][j]
-        return SeifertMatrix(out)
+        return SeifertMatrix._derived(
+            [r + [0] * m for r in self.entries]
+            + [[0] * n + r for r in other.entries])
 
     def __eq__(self, other):
         return isinstance(other, SeifertMatrix) and self.entries == other.entries
@@ -103,28 +116,50 @@ def alexander(V):
     and positive leading coefficient."""
     if isinstance(V, KnotModel):
         V = V.matrix
-    return _alexander_coeffs(tuple(map(tuple, V.entries)))
+    return _alexander_coeffs(V.key)
 
 
 @cache
 def _alexander_coeffs(entries):
     """Integer coefficients of the normalized Alexander polynomial, lowest
-    exponent first, memoised on the matrix entries.  The polynomial is
-    never 0: its value at t = 1 is det(V - V^T) = 1."""
-    n = len(entries)
+    exponent first, memoised on the matrix entries.
+
+    D(t) = det(V - tV^T) is palindromic of degree n = 2g, so D(t) =
+    t^g P(t + 1/t) with deg P <= g (_x_form), and the g + 1 samples
+    P(k + 1/k) = D(k) / k^g, k = 1 .. g + 1, determine P.  D(1) =
+    det(V - V^T) = 1 (so the polynomial is never 0); every other sample is
+    the product of the determinants of the blocks."""
+    g = len(entries) // 2
     blocks = _blocks(entries)
-    # degree <= n, so n+1 integer sample points determine the polynomial;
-    # each sample is the product of the determinants of the blocks
-    samples = []
-    for k in range(n + 1):
+    xs, ys = [], []
+    for k in range(1, g + 2):
         value = 1
-        for b in blocks:
-            value *= linalg.det_bareiss([[entries[i][j] - k * entries[j][i]
-                                          for j in b] for i in b])
-        samples.append(value)
-    coeffs = _interpolate_integer_poly(samples)
+        if k > 1:
+            for b in blocks:
+                value *= linalg.det_bareiss([[entries[i][j] - k * entries[j][i]
+                                              for j in b] for i in b])
+        xs.append(Fraction(k * k + 1, k))
+        ys.append(Fraction(value, k ** g))
+    # Newton divided differences, then Horner: P <- P * (x - xs[k]) + c_k
+    for level in range(1, g + 1):
+        for k in range(g, level - 1, -1):
+            ys[k] = (ys[k] - ys[k - 1]) / (xs[k] - xs[k - level])
+    P = [ys[g]]
+    for k in range(g - 1, -1, -1):
+        P = [a - xs[k] * b for a, b in zip([0] + P, P + [0])]
+        P[0] += ys[k]
+    if any(c.denominator != 1 for c in P):
+        raise InternalInvariantViolation(
+            "a determinant polynomial must be integral")
+    # D(t) = sum_i P_i t^(g-i) (t^2 + 1)^i
+    coeffs = [0] * (2 * g + 1)
+    for i, c in enumerate(P):
+        for j in range(i + 1):
+            coeffs[g - i + 2 * j] += int(c) * comb(i, j)
     while coeffs[0] == 0:
         coeffs.pop(0)
+    while coeffs[-1] == 0:
+        coeffs.pop()
     return tuple(c if coeffs[-1] > 0 else -c for c in coeffs)
 
 
@@ -134,7 +169,8 @@ def _interpolate_integer_poly(values):
 
     Newton form over the falling factorials: f = sum_k c_k x(x-1)...(x-k+1)
     with c_k = (forward difference)^k f(0) / k!, which is an integer for
-    every k exactly when f has integer coefficients."""
+    every k exactly when f has integer coefficients.  The tests hold
+    _alexander_coeffs to it on the n + 1 samples D(0) .. D(n)."""
     n = len(values)
     diffs = list(values)
     newton = []
@@ -529,6 +565,26 @@ def arc_point(V, t):
     return arcs.point(j, s)
 
 
+# lt_signature by (matrix entries, arc point), kept for the life of the
+# process; exceptions are not stored
+_signatures = {}
+
+
+def signature(V, t):
+    """lt_signature(V, t), computed once per process for each arc of V.
+
+    arc_point runs on every request, so a singular t raises SingularAtT
+    every time; on a miss, lt_signature is called at the arc point and its
+    value stored under (entries, arc point).  lt_signature itself keeps no
+    memo, so a direct call always computes."""
+    if isinstance(V, KnotModel):
+        V = V.matrix
+    key = (V.key, arc_point(V, t))
+    if key not in _signatures:
+        _signatures[key] = lt_signature(V, key[1])
+    return _signatures[key]
+
+
 def signature_profile(V, points):
     """lt_signature at each point of an iterable of rationals."""
     return [(Fraction(pt), lt_signature(V, pt)) for pt in points]
@@ -653,7 +709,7 @@ class KnotModel:
     @cached_property
     def matrix(self):
         """Block sum of the summand matrices, built once per model."""
-        out = SeifertMatrix([])
+        out = SeifertMatrix._derived([])
         for s in self.summands:
             out = out.block_sum(s.matrix)
         return out

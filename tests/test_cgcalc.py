@@ -385,10 +385,10 @@ def test_twisted_double_signatures_computed_once(monkeypatch, capsys):
     # the table already holds, and the table's 4 points j/5 all lie on the
     # arc (1/6, 5/6) of T(-2,3)'s signature function: one inertia call, at
     # the arc point 1/2
-    from knotconcord import cassongordon, seifert
+    from knotconcord import seifert
     from knotconcord.cli import main
 
-    cassongordon._companion_signature.cache_clear()
+    seifert._signatures.clear()
     calls = []
     inertia = seifert.hermitian_inertia
 

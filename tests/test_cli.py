@@ -496,6 +496,68 @@ def test_signature_grid_matches_direct_route(capsys, name):
                 "t": str(t), "signature": expected}, (name, t)
 
 
+# T(2,5): Delta = Phi_10, so the upper half circle has the arcs (0, 1/10),
+# (1/10, 3/10) and (3/10, 1/2], and 1/10, 3/10 are singular
+MEMO_REQUESTS = ["1/7", "6/7", "2/9", "1/7", "1/2", "2/5", "3/5", "1/20",
+                 "19/20", "2/9", "1/2"]
+MEMO_SINGULAR = ["1/10", "9/10", "3/10", "1/10"]
+
+
+def test_signature_memo_computes_each_arc_once(capsys, monkeypatch):
+    # repeated requests, t and 1 - t, and two points of one arc: one
+    # inertia per block and arc, in one process
+    from knotconcord import seifert
+
+    seifert._signatures.clear()
+    calls = []
+    inertia = seifert.hermitian_inertia
+
+    def counted(*args):
+        calls.append(args)
+        return inertia(*args)
+
+    monkeypatch.setattr(seifert, "hermitian_inertia", counted)
+    values = {}
+    for t in MEMO_REQUESTS:
+        value = run_json(capsys, ["signature", "--knot", fx("torus_2_5.json"),
+                                  "--t", t])["result"]["signature"]
+        assert values.setdefault(t, value) == value
+    blocks = build({"kind": "torus", "p": 2, "q": 5}).matrix.blocks
+    assert len(calls) == 3 * len(blocks)
+    assert values["1/7"] == values["6/7"] == values["2/9"]
+    assert values["1/2"] == values["2/5"] == values["3/5"]
+    assert values["1/20"] == values["19/20"] == 0
+
+
+def test_signature_memo_bytes_match_a_fresh_process(capsys):
+    # each report of one long-lived process, memo hits included, is the
+    # report of a process that answers that request alone
+    argvs = [["signature", "--knot", fx("torus_2_5.json"), "--t", t, "--json"]
+             for t in MEMO_REQUESTS]
+    for argv in argvs:
+        assert main(argv) == 0
+        here = capsys.readouterr().out.encode()
+        fresh = subprocess.run([sys.executable, "-m", "knotconcord.cli"] + argv,
+                               capture_output=True)
+        assert fresh.returncode == 0
+        assert here == fresh.stdout, argv
+
+
+def test_signature_memo_keeps_singular_points_singular(capsys):
+    # a singular t is never memoised: exit 2 and the same message each time
+    for t in MEMO_SINGULAR + MEMO_REQUESTS[:2] + MEMO_SINGULAR:
+        code = main(["signature", "--knot", fx("torus_2_5.json"), "--t", t,
+                     "--json"])
+        captured = capsys.readouterr()
+        if t in MEMO_SINGULAR:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (
+                "precondition violated: form singular at t = %s\n" % t)
+        else:
+            assert code == 0
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # like `knotconcord alexander ... --json | head -c 0`
     read_end, write_end = os.pipe()

@@ -1,15 +1,19 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotconcord.cyclo import cyclotomic_polynomial
+from knotconcord.linalg import det_bareiss
 from knotconcord.errors import (InternalInvariantViolation, PreconditionError,
                                 SingularAtT)
 from knotconcord.seifert import (
     SeifertMatrix,
+    _alexander_coeffs,
     _interpolate_integer_poly,
     alexander,
     build,
@@ -78,6 +82,89 @@ def test_interpolation_refuses_non_integer_polynomials():
     # x(x - 1)/2 takes integer values at 0, 1, 2 but is not in Z[x]
     with pytest.raises(InternalInvariantViolation):
         _interpolate_integer_poly([0, 0, 1])
+
+
+def skew_det(V):
+    E = V.entries
+    return det_bareiss([[E[i][j] - E[j][i] for j in range(V.size)]
+                        for i in range(V.size)])
+
+
+@st.composite
+def seifert_matrices(draw, max_genus=2):
+    # V - V^T the standard symplectic form, then a random unimodular
+    # congruence P V P^T, so the blocks and the skew part vary
+    n = 2 * draw(st.integers(0, max_genus))
+    flat = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    V = [flat[i * n:(i + 1) * n] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            V[j][i] = V[i][j] - (1 if i % 2 == 0 and j == i + 1 else 0)
+    if n:
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                        st.integers(-2, 2))
+        for i, j, c in draw(st.lists(ops, max_size=4)):
+            if i != j:
+                V[i] = [a + c * b for a, b in zip(V[i], V[j])]
+                for row in V:
+                    row[i] += c * row[j]
+    return SeifertMatrix(V)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seifert_matrices(), seifert_matrices())
+def test_derived_matrices_keep_the_skew_determinant(V, W):
+    # transpose, mirror and block_sum skip the det(V - V^T) = 1 check
+    for M in (V.transpose(), V.mirror(), V.block_sum(W),
+              W.mirror().block_sum(V.transpose()), V.mirror().mirror()):
+        assert skew_det(M) == 1
+        assert SeifertMatrix(M.entries) == M
+    assert V.mirror().mirror() == V == V.transpose().transpose()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_input_matrices_are_still_validated(rows):
+    skew = [[rows[i][j] - rows[j][i] for j in range(len(rows))]
+            for i in range(len(rows))]
+    if det_bareiss(skew) == 1:
+        assert SeifertMatrix(rows).entries == rows
+    else:
+        with pytest.raises(PreconditionError, match="det"):
+            SeifertMatrix(rows)
+
+
+def alexander_oracle(V):
+    # the n + 1-point route: D(0) .. D(n) of the whole matrix, interpolated
+    E, n = V.entries, V.size
+    samples = [det_bareiss([[E[i][j] - k * E[j][i] for j in range(n)]
+                            for i in range(n)]) for k in range(n + 1)]
+    coeffs = _interpolate_integer_poly(samples)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return tuple(c if coeffs[-1] > 0 else -c for c in coeffs)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+KNOT_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json")
+                       if "kind" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("name", KNOT_FIXTURES)
+def test_alexander_half_samples_match_full_samples_on_fixtures(name):
+    V = build(json.loads((FIXTURES / name).read_text())).matrix
+    assert _alexander_coeffs.__wrapped__(V.key) == alexander_oracle(V)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(seifert_matrices(), min_size=1, max_size=3))
+def test_alexander_half_samples_match_full_samples_on_block_sums(parts):
+    V = parts[0]
+    for W in parts[1:]:
+        V = V.block_sum(W)
+    assert _alexander_coeffs.__wrapped__(V.key) == alexander_oracle(V)
 
 
 def random_seifert(rng, genus):

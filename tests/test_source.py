@@ -116,6 +116,7 @@ def test_reference_guard_catches_planted_definitions():
 # reader or constructor many tests share
 _TEST_ONLY = {
     "linalg.invert_rational": "oracle",
+    "seifert._interpolate_integer_poly": "oracle",
     "su2.rep_arcs": "oracle",
     "su2._count_arcs": "oracle",
     "metabolizers.check_diagonal_lemma": "paper",
