@@ -113,14 +113,15 @@ class CoverHomology:
     factors are the nontrivial invariant factors; deck[i][j] gives the
     coefficient of generator i in the image of generator j, reduced mod
     factors[i]; pairing[i][j] is the linking number of generators i and j,
-    a Fraction in [0, 1).
+    a Fraction in [0, 1).  All three are tuples: branched_cover hands the
+    same object to every caller.
     """
 
     def __init__(self, degree, factors, deck, pairing):
         self.degree = degree
         self.factors = tuple(int(f) for f in factors)
         self.deck = tuple(tuple(int(x) for x in row) for row in deck)
-        self.pairing = pairing
+        self.pairing = tuple(map(tuple, pairing))
         order = 1
         for f in self.factors:
             order *= f
@@ -145,10 +146,20 @@ class CoverHomology:
                 "deck": [list(r) for r in self.deck]}
 
 
+# branched_cover and linking_form by (matrix entries, d), kept for the
+# life of the process; exceptions are not stored
+_covers = {}
+_forms = {}
+
+
 def branched_cover(V, d):
-    """Homology and deck action of the d-fold branched cover, d >= 2."""
+    """Homology and deck action of the d-fold branched cover, d >= 2,
+    computed once per process for each (V, d)."""
     if not isinstance(V, SeifertMatrix):
         V = SeifertMatrix(V)
+    key = (V.key, d)
+    if key in _covers:
+        return _covers[key]
     if d < 2:
         raise PreconditionError("cover degree must be at least 2, got %d" % d)
     M = V.entries
@@ -217,6 +228,7 @@ def branched_cover(V, d):
         fixed = _congruence_kernel_count(TmI, list(factors), list(factors))
         if fixed != 1:
             raise InternalInvariantViolation("deck action has fixed points")
+    _covers[key] = H
     return H
 
 
@@ -290,15 +302,22 @@ class LinkingForm:
 def linking_form(V, d):
     """Linking form of the d-fold branched cover, from the layered
     presentation: lk(x, y) = -x^t L^{-1} y mod Z on cokernel generators,
-    as branched_cover reads it off the Smith transforms of L."""
+    as branched_cover reads it off the Smith transforms of L.  Computed
+    once per process for each (V, d)."""
+    if not isinstance(V, SeifertMatrix):
+        V = SeifertMatrix(V)
+    key = (V.key, d)
+    if key in _forms:
+        return _forms[key]
     H = branched_cover(V, d)
-    if H.rank == 0:
-        return LinkingForm((), (), (), homology=H)
     form = LinkingForm(H.factors, H.pairing, H.deck, homology=H)
-    if not form.is_nonsingular():
-        raise InternalInvariantViolation("linking form is singular")
-    if not form.deck_is_isometry():
-        raise InternalInvariantViolation("deck action does not preserve lk")
+    if H.rank:
+        if not form.is_nonsingular():
+            raise InternalInvariantViolation("linking form is singular")
+        if not form.deck_is_isometry():
+            raise InternalInvariantViolation(
+                "deck action does not preserve lk")
+    _forms[key] = form
     return form
 
 
@@ -355,17 +374,45 @@ def deck_eigenspaces(T, p, e, degree, constraints=()):
     the kernel basis itself, whether or not T splits; for e > 1 and a
     split T it is the lift of that basis to the image of P_lam.  Roots
     that agree mod p (possible only when p divides degree and e > 1)
-    raise UnsupportedShape.
+    raise UnsupportedShape.  A degree of None stands for the order of T
+    mod q.
+
+    Only the kernels depend on the constraints: the roots, the shifted
+    matrices T - lam, the projectors and split are computed once per
+    process for each (T, p, e, degree) by _deck_split.
     """
+    key = (tuple(map(tuple, T)), p, e, degree)
+    if key not in _splits:
+        _splits[key] = _deck_split(*key)
+    parts, split = _splits[key]
+    q = p ** e
+    eigen = {}
+    for lam, shifted, proj in parts:
+        kernel = linalg.modp_kernel(list(constraints) + list(shifted), p)
+        eigen[lam] = [tuple(x % q for x in linalg.mat_vec(proj, v))
+                      for v in kernel]
+    return eigen, split
+
+
+# _deck_split by (T, p, e, degree), kept for the life of the process;
+# exceptions are not stored
+_splits = {}
+
+
+def _deck_split(T, p, e, degree):
+    """([(lam, T - lam, P_lam) for each root lam], split), the part of
+    deck_eigenspaces that does not depend on the constraints."""
     q = p ** e
     k = len(T)
+    if degree is None:
+        degree = _matrix_order_mod(T, q)
     roots = unit_roots_mod(degree, q)
 
     def shifted(lam):
         return [[T[i][j] - (lam if i == j else 0) for j in range(k)]
                 for i in range(k)]
 
-    eigen = {}
+    parts = []
     split = True
     for lam in roots:
         proj = linalg.identity(k)
@@ -381,10 +428,9 @@ def deck_eigenspaces(T, p, e, degree, constraints=()):
         if linalg.modm_mat_mul(T, proj, q) != [[lam * x % q for x in row]
                                                for row in proj]:
             split = False
-        kernel = linalg.modp_kernel(list(constraints) + shifted(lam), p)
-        eigen[lam] = [tuple(x % q for x in linalg.mat_vec(proj, v))
-                      for v in kernel]
-    return eigen, split
+        parts.append((lam, tuple(map(tuple, shifted(lam))),
+                      tuple(map(tuple, proj))))
+    return parts, split
 
 
 def char_space(H, p):
@@ -459,8 +505,8 @@ def dual_linking(L, p):
     # deck restricted to the p-part in the h basis
     T = [[L.deck[idx[a]][idx[b]] * cof[b] * pow(cof[a], -1, q) % q
           for b in range(k)] for a in range(k)]
-    degree = (L.homology.degree if L.homology is not None
-              else _matrix_order_mod(T, q))
+    # a direct sum carries no homology; the order of T is then its degree
+    degree = L.homology.degree if L.homology is not None else None
     eigen, split = deck_eigenspaces(linalg.transpose(T), p, e, degree)
     if not split:
         raise UnsupportedShape("deck eigenvalues do not split mod %d" % q)

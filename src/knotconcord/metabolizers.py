@@ -11,8 +11,11 @@ diagonal whose product squares to the group order.  Row i is diag[i] e_i
 plus a tail t in the box [0, diag[i+1]) x ... x [0, diag[k-1]).  Once
 rows i+1..k-1 are fixed, the conditions <row i, row j> = 0 (mod den), den
 the common denominator of the Gram matrix, are linear congruences in t,
-and each fixed row keeps its linear form N row.  The congruences are
-brought to echelon form by unimodular integer row operations, which works
+and each fixed row keeps its linear form N row.  A tail coordinate whose
+diagonal entry is 1 has the box [0, 1), so it is 0, and its coefficient
+is zeroed in every congruence; no pivot of the echelon form then lands on
+a column that has a single value to offer.  The congruences are brought
+to echelon form by unimodular integer row operations, which works
 for any den, and the tail is solved from its last coordinate to its
 first: a coordinate that starts no congruence is free, and one that
 starts g t = s (mod den) has no value unless h = gcd(g, den) divides s,
@@ -31,13 +34,21 @@ skips the orbit work and runs as the unrestricted one.
 
 The search is exhaustive within a budget on the number of candidates,
 the tails that pass the linear conditions of their node.
+
+Each search runs once per process for each form and effective deck (none
+for the unrestricted search or a scalar deck): the sorted Hermite bases
+it found and its candidate count are kept, and a later call gets a new
+list of Metabolizers on those bases, or the BudgetExceeded a fresh search
+would raise when its budget is below that count.  A search that raises
+is not kept.  Each search interns its Hermite rows, so the kept bases
+share the few distinct rows they hold.
 """
 
 from itertools import product
 from math import gcd, isqrt
 
 from . import linalg
-from .cover import CharSpace, _matrix_order_mod, deck_eigenspaces
+from .cover import CharSpace, deck_eigenspaces
 from .errors import BudgetExceeded, InternalInvariantViolation
 
 DEFAULT_BUDGET = 10 ** 6
@@ -45,6 +56,8 @@ DEFAULT_BUDGET = 10 ** 6
 
 class Metabolizer:
     """Self-annihilating half-order subgroup, canonical generator rows."""
+
+    __slots__ = ("group", "basis", "order")
 
     def __init__(self, group, basis):
         """group: the invariant factors; basis: the Hermite rows of the
@@ -138,6 +151,8 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
     their deck orbits) rather than searched; the module docstring has the
     details.  The budget counts candidate rows, those that pass these
     linear conditions; a search that needs more raises BudgetExceeded.
+    Each search runs once per process; the module docstring says how a
+    later call replays it.
     """
     k = len(L.group)
     if k == 0:
@@ -145,11 +160,33 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
     root = isqrt(L.order)
     if root * root != L.order:
         return []
-    search = _Search(L, invariant_only, budget)
-    for diag in _diag_choices(L.group, root, 0, 1):
-        search.fill(diag, k - 1)
-    search.found.sort(key=lambda m: m.basis)
-    return search.found
+    # a scalar deck, as on every double branched cover, leaves every
+    # subgroup invariant, and its orbit forms are unit multiples of a
+    # row's own form, so the plain search finds the same candidates
+    deck = (L.deck if invariant_only and not _is_scalar(L.deck, L.group)
+            else None)
+    key = (L.group, L.N, L.den, deck)
+    if key not in _searches:
+        search = _Search(L, deck, budget)
+        for diag in _diag_choices(L.group, root, 0, 1):
+            search.fill(diag, k - 1)
+        search.found.sort(key=lambda m: m.basis)
+        _searches[key] = (tuple(m.basis for m in search.found), search.nodes)
+    bases, nodes = _searches[key]
+    if nodes > budget:
+        raise _over_budget(budget)
+    return [Metabolizer(L.group, basis) for basis in bases]
+
+
+# enumerate_metabolizers by (group, N, den, effective deck): the sorted
+# Hermite bases of the metabolizers and the candidates the search visited,
+# kept for the life of the process; a search that raises is not stored
+_searches = {}
+
+
+def _over_budget(budget):
+    return BudgetExceeded(
+        "metabolizer search visited more than %d candidates" % budget, budget)
 
 
 def _diag_choices(group, root, i, prod):
@@ -177,19 +214,17 @@ class _Search:
     would not see happen.
     """
 
-    def __init__(self, L, invariant_only, budget):
+    def __init__(self, L, deck, budget):
+        """deck: the deck of L for an invariant search, else None."""
         self.group = L.group
         self.N, self.den = L.N, L.den
-        # a scalar deck, as on every double branched cover, leaves every
-        # subgroup invariant, and its orbit forms are unit multiples of a
-        # row's own form, so the plain search finds the same candidates
-        invariant_only = invariant_only and not _is_scalar(L.deck, L.group)
-        self.deck = L.deck if invariant_only else None
+        self.deck = deck
         self.budget = budget
         self.nodes = 0
         self.found = []
         self.rows = [None] * len(L.group)
         self.forms = [None] * len(L.group)
+        self.interned = {}
 
     def fill(self, diag, i):
         group, rows, N, den = self.group, self.rows, self.N, self.den
@@ -200,14 +235,10 @@ class _Search:
                     image = _deck_image(self.deck, r)
                     if not _suffix_member(rows, diag, image, 0):
                         return
-            self.found.append(Metabolizer(group, rows))
+            basis = [self.interned.setdefault(r, r) for r in map(tuple, rows)]
+            self.found.append(Metabolizer(group, basis))
             return
-        # <row, v> = diag[i] (N v)[i] + sum_m t_m (N v)[m] for the tail t
-        system = set()
-        for j in range(i + 1, k):
-            for form in self.forms[j]:
-                system.add(tuple(form[i + 1:]) + ((-diag[i] * form[i]) % den,))
-        by_col = _echelon(system, k - i - 1, den)
+        by_col = _echelon(self.system(diag, i), k - i - 1, den)
         if by_col is None:
             return
         rel = [0] * k
@@ -215,9 +246,7 @@ class _Search:
         for tail in _tail_walk(by_col, diag[i + 1:], den):
             self.nodes += 1
             if self.nodes > self.budget:
-                raise BudgetExceeded(
-                    "metabolizer search visited more than %d candidates"
-                    % self.budget, self.budget)
+                raise _over_budget(self.budget)
             row = [0] * i + [diag[i]] + tail
             if not _pairs_to_zero(N, den, row, row):
                 continue
@@ -232,6 +261,21 @@ class _Search:
                 self.forms[i] = [_linear_form(N, den, v) for v in orbit]
                 self.fill(diag, i - 1)
             rows[i] = None
+
+    def system(self, diag, i):
+        """The congruences on the tail of row i, one per linear form of
+        the rows below it: <row, v> = diag[i] (N v)[i] + sum_m t_m (N v)[m].
+        A tail column whose diagonal entry is 1 holds only t_m = 0, so its
+        coefficient is zeroed."""
+        den = self.den
+        live = [d > 1 for d in diag[i + 1:]]
+        system = set()
+        for forms in self.forms[i + 1:]:
+            for form in forms:
+                system.add(tuple([x if on else 0
+                                  for x, on in zip(form[i + 1:], live)])
+                           + ((-diag[i] * form[i]) % den,))
+        return system
 
 
 def _is_scalar(deck, group):
@@ -419,24 +463,41 @@ def vanishing_chars(L, A, p):
     idx = [i for i, f in enumerate(L.group) if f % p == 0]
     constraints = [[row[i] % p for i in idx] for row in A.basis]
     action = [[L.deck[i][j] % p for i in idx] for j in idx]
-    degree = (L.homology.degree if L.homology is not None
-              else _matrix_order_mod(action, p))
+    # a direct sum carries no homology; the order of the action is then
+    # its degree
+    degree = L.homology.degree if L.homology is not None else None
     eigen, _ = deck_eigenspaces(action, p, 1, degree, constraints)
     return CharSpace(p, linalg.modp_kernel(constraints, p), eigen)
 
 
 def span_vectors(basis, p, budget=DEFAULT_BUDGET):
     """The nonzero vectors of the row span of an independent basis mod p,
-    in lexicographic order of their coefficients."""
+    in lexicographic order of their coefficients.
+
+    Each vector is the previous one plus one row: the next coefficient
+    vector raises c_j by one and wraps every later c_m from p - 1 to 0,
+    which adds row m once more, so the step adds the sum of rows j..dim-1.
+    """
     dim = len(basis)
     if p ** dim > budget:
         raise BudgetExceeded("span of dimension %d exceeds the budget" % dim,
                              budget)
     n = len(basis[0]) if basis else 0
-    for coeffs in product(range(p), repeat=dim):
-        if any(coeffs):
-            yield tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) % p
-                        for j in range(n))
+    steps = [None] * dim
+    acc = [0] * n
+    for j in range(dim - 1, -1, -1):
+        acc = [(a + b) % p for a, b in zip(acc, basis[j])]
+        steps[j] = acc
+    coeffs = [0] * dim
+    vec = [0] * n
+    for _ in range(p ** dim - 1):
+        j = dim - 1
+        while coeffs[j] == p - 1:
+            coeffs[j] = 0
+            j -= 1
+        coeffs[j] += 1
+        vec = [(a + b) % p for a, b in zip(vec, steps[j])]
+        yield tuple(vec)
 
 
 def _weight(vec):

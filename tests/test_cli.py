@@ -543,6 +543,49 @@ def test_signature_memo_bytes_match_a_fresh_process(capsys):
         assert here == fresh.stdout, argv
 
 
+# T(2,3) # T(2,3) and T(2,3) # -T(2,3) at d = 3 have one linking form, so
+# the second one's metabolizer requests are memo hits; budgets below the
+# candidate count (59 on mutant_single, more on the sums) must still exit 3
+COVER_MEMO_REQUESTS = [
+    ["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--d", "2"],
+    ["cover", "--knot", fx("sum_double_a2_n2.json"), "--d", "2"],
+    ["obstruct-mutant-sum", "--knot", fx("mutant_single.json")],
+    ["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--d", "2",
+     "--invariant-only", "--budget", "2"],
+    ["linking", "--knot", fx("sum_double_a2_n2.json"), "--d", "2"],
+    ["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--d", "2",
+     "--invariant-only"],
+    ["obstruct-mutant-sum", "--knot", fx("mutant_equal_pair.json"),
+     "--mode", "enumerate"],
+    ["obstruct-mutant-sum", "--knot", fx("mutant_single.json"),
+     "--budget", "58"],
+    ["metabolizers", "--knot", fx("sum_double_a2_n3.json"), "--d", "2",
+     "--budget", "2"],
+    ["cover", "--knot", fx("torus_2_3.json"), "--d", "6"],
+    ["linking", "--knot", fx("torus_2_3.json"), "--d", "3"],
+    ["metabolizers", "--knot", fx("torus_2_3.json"), "--d", "3"],
+    ["obstruct-mutant-sum", "--knot", fx("mutant_single.json")],
+]
+
+
+def test_cover_memo_reports_match_a_fresh_process(capsys):
+    # after a mixed sequence in one process, hits and refusals included,
+    # every exit code, stdout and stderr is that of a process that answers
+    # the request alone
+    codes = set()
+    for argv in COVER_MEMO_REQUESTS + COVER_MEMO_REQUESTS[::-1]:
+        code = main(argv + ["--json"])
+        here = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "knotconcord.cli"] + argv + ["--json"],
+            capture_output=True, text=True)
+        assert (code, here.out) == (fresh.returncode, fresh.stdout), argv
+        if code:
+            assert here.err == fresh.stderr, argv
+        codes.add(code)
+    assert codes == {0, 2, 3}
+
+
 def test_signature_memo_keeps_singular_points_singular(capsys):
     # a singular t is never memoised: exit 2 and the same message each time
     for t in MEMO_SINGULAR + MEMO_REQUESTS[:2] + MEMO_SINGULAR:

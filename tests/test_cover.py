@@ -15,10 +15,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotconcord import linalg
+from knotconcord import cover, linalg
 from knotconcord.cover import (LinkingForm, _congruence_kernel_count,
-                               branched_cover, char_space, deck_eigenspaces,
-                               dual_linking, linking_form, unit_roots_mod)
+                               _matrix_order_mod, branched_cover, char_space,
+                               deck_eigenspaces, dual_linking, linking_form,
+                               unit_roots_mod)
 from knotconcord.errors import (InfiniteHomology, InhomogeneousGroup,
                                 UnsupportedShape)
 from knotconcord.seifert import (SeifertMatrix, alexander, torus_matrix,
@@ -80,6 +81,37 @@ def test_infinite_homology_raises():
     # Delta of the trefoil vanishes at primitive sixth roots of unity
     with pytest.raises(InfiniteHomology):
         branched_cover(torus_matrix(2, 3), 6)
+
+
+def test_infinite_homology_raises_on_every_call():
+    # an exception is never stored, so every call computes and raises
+    V = torus_matrix(2, 3)
+    for _ in range(3):
+        with pytest.raises(InfiniteHomology):
+            branched_cover(V, 6)
+        with pytest.raises(InfiniteHomology):
+            linking_form(V, 6)
+    assert (V.key, 6) not in cover._covers
+    assert (V.key, 6) not in cover._forms
+
+
+def test_cover_and_form_memo_by_entries_and_degree(monkeypatch):
+    # equal entries give the same objects, whatever matrix object carries
+    # them; a form hit builds no cover
+    V, W = twisted_double_matrix(2), SeifertMatrix([[-1, 1], [0, 6]])
+    H, L = branched_cover(V, 3), linking_form(V, 3)
+    calls = []
+    monkeypatch.setattr(cover, "branched_cover",
+                        lambda *args: calls.append(args))
+    assert linking_form(W, 3) is L and calls == []
+    monkeypatch.undo()
+    assert branched_cover([list(r) for r in W.entries], 3) is H
+    assert L.homology is H and H.degree == 3
+    assert branched_cover(V, 2) is not H
+    # shared objects hold no list
+    assert isinstance(H.pairing, tuple)
+    assert all(isinstance(row, tuple) for row in H.pairing)
+    assert L.gram == H.pairing
 
 
 def test_deck_power_returns_to_identity():
@@ -423,6 +455,69 @@ def test_deck_eigenspaces_split_actions(case):
     # the union is a basis of (Z_q)^k: k vectors, a unit determinant
     assert len(columns) == k
     assert linalg.det_bareiss([list(r) for r in zip(*columns)]) % p
+
+
+def _deck_eigenspaces_oracle(T, p, e, degree, constraints=()):
+    """deck_eigenspaces as it was before its constraint-free part was
+    kept: roots, projectors and split recomputed on every call."""
+    q = p ** e
+    k = len(T)
+    if degree is None:
+        degree = _matrix_order_mod(T, q)
+    roots = unit_roots_mod(degree, q)
+
+    def shifted(lam):
+        return [[T[i][j] - (lam if i == j else 0) for j in range(k)]
+                for i in range(k)]
+
+    eigen = {}
+    split = True
+    for lam in roots:
+        proj = linalg.identity(k)
+        for mu in roots:
+            if mu != lam:
+                c = pow(lam - mu, -1, q)
+                proj = [[x * c % q for x in row]
+                        for row in linalg.modm_mat_mul(shifted(mu), proj, q)]
+        if linalg.modm_mat_mul(T, proj, q) != [[lam * x % q for x in row]
+                                               for row in proj]:
+            split = False
+        kernel = linalg.modp_kernel(list(constraints) + shifted(lam), p)
+        eigen[lam] = [tuple(x % q for x in linalg.mat_vec(proj, v))
+                      for v in kernel]
+    return eigen, split
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(split_actions(), st.data())
+def test_cached_deck_split_matches_uncached(case, data):
+    # the first call may store the split, the later ones read it; each
+    # agrees with a full recomputation, for an explicit degree and for
+    # the degree None that stands for the order of T
+    T, p, e, degree, _ = case
+    k = len(T)
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
+                                       max_size=k), max_size=k))
+    for deg in (degree, None):
+        for constraints in ((), rows, rows[:1]):
+            assert (deck_eigenspaces(T, p, e, deg, constraints)
+                    == _deck_eigenspaces_oracle(T, p, e, deg, constraints))
+    # the mod-p action of a direct sum, where T need not split and its
+    # order may exceed the cap: the same answer or the same refusal
+    action = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
+                                         max_size=k), min_size=k, max_size=k))
+    if linalg.modp_rref(action, p)[1] == list(range(k)):
+        for constraints in ((), rows, ()):
+            assert (_outcome(deck_eigenspaces, action, p, 1, None, constraints)
+                    == _outcome(_deck_eigenspaces_oracle, action, p, 1, None,
+                                constraints))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except UnsupportedShape as exc:
+        return str(exc)
 
 
 def test_dual_linking_refuses_non_split_deck():

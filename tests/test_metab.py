@@ -19,15 +19,17 @@ from hypothesis import strategies as st
 
 from knotconcord.cassongordon import satellite_base_matrix
 from knotconcord.cover import LinkingForm, direct_sum, linking_form
+from knotconcord import metabolizers
 from knotconcord.errors import BudgetExceeded
-from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer,
+from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
                                       _canonical_basis, _deck_image,
-                                      _is_scalar, _pairs_to_zero,
-                                      _suffix_member, admissible_pair,
+                                      _diag_choices, _echelon, _is_scalar,
+                                      _pairs_to_zero, _suffix_member,
+                                      _tail_walk, admissible_pair,
                                       check_diagonal_lemma,
                                       enumerate_metabolizers, find_odd_char,
                                       is_metabolizer, project_metabolizer,
-                                      vanishing_chars)
+                                      span_vectors, vanishing_chars)
 from knotconcord.seifert import SeifertMatrix, build
 
 GENUS2_MODEL = SeifertMatrix([[-1, 1, 1, 1],
@@ -415,6 +417,169 @@ def test_scalar_deck_invariant_list_is_plain_list(name):
     assert L.homology.degree == 2 and _is_scalar(L.deck, L.group)
     assert (enumerate_metabolizers(L, invariant_only=True)
             == enumerate_metabolizers(L))
+
+
+class _OldSystemSearch(_Search):
+    """The search on the congruences as they were before tail columns of
+    bound 1 had their coefficients zeroed.  At every node it also walks
+    both systems and records whether they give the same tails in the same
+    order."""
+
+    def system(self, diag, i):
+        old = {tuple(form[i + 1:]) + ((-diag[i] * form[i]) % self.den,)
+               for forms in self.forms[i + 1:] for form in forms}
+        bounds = diag[i + 1:]
+
+        def walk(system):
+            by_col = _echelon(system, len(bounds), self.den)
+            if by_col is None:
+                return []
+            return [tuple(t) for t in _tail_walk(by_col, bounds, self.den)]
+
+        self.mismatches += walk(old) != walk(super().system(diag, i))
+        self.checked += 1
+        return old
+
+
+def _fresh_search(cls, L, invariant_only, budget=DEFAULT_BUDGET):
+    """One search of L run directly, past the memo of
+    enumerate_metabolizers; its found list stays in discovery order."""
+    deck = (L.deck if invariant_only and not _is_scalar(L.deck, L.group)
+            else None)
+    search = cls(L, deck, budget)
+    search.mismatches = search.checked = 0
+    for diag in _diag_choices(L.group, isqrt(L.order), 0, 1):
+        search.fill(diag, len(L.group) - 1)
+    return search
+
+
+@pytest.mark.parametrize("invariant_only", [False, True],
+                         ids=["all", "invariant"])
+@pytest.mark.parametrize("name", WORKLOAD_FORMS)
+def test_zeroed_columns_walk_matches_old_system(name, invariant_only):
+    # same tails in the same order at every node, so the same metabolizers
+    # in the same discovery order and the same candidate count; the
+    # budget boundary of CANDIDATES holds for both systems
+    L = _workload_form(name)
+    old = _fresh_search(_OldSystemSearch, L, invariant_only)
+    new = _fresh_search(_Search, L, invariant_only)
+    assert old.checked and old.mismatches == 0
+    assert [m.basis for m in new.found] == [m.basis for m in old.found]
+    count = CANDIDATES[name][invariant_only]
+    assert new.nodes == old.nodes == count
+    for cls in (_Search, _OldSystemSearch):
+        _fresh_search(cls, L, invariant_only, budget=count)
+        with pytest.raises(BudgetExceeded):
+            _fresh_search(cls, L, invariant_only, budget=count - 1)
+
+
+def _top_fills(monkeypatch):
+    """Record the diagonal of every _Search.fill call made at the top
+    row of a search."""
+    calls = []
+    fill = _Search.fill
+
+    def counted(self, diag, i):
+        if i == len(self.group) - 1:
+            calls.append(diag)
+        return fill(self, diag, i)
+
+    monkeypatch.setattr(_Search, "fill", counted)
+    return calls
+
+
+def test_memo_runs_scalar_deck_search_once(monkeypatch):
+    # on a double cover the deck is -1, so the plain and the invariant
+    # request are one search: each diagonal is filled from the top once
+    path = Path(__file__).parent / "fixtures" / "sum_double_a2_n2.json"
+    L = linking_form(build(json.loads(path.read_text())).matrix, 2)
+    assert _is_scalar(L.deck, L.group)
+    metabolizers._searches.clear()
+    calls = _top_fills(monkeypatch)
+    plain = enumerate_metabolizers(L)
+    invariant = enumerate_metabolizers(L, invariant_only=True)
+    assert plain == invariant and plain
+    assert calls == list(_diag_choices(L.group, isqrt(L.order), 0, 1))
+
+
+def test_memo_shares_search_between_equal_forms(monkeypatch):
+    # on 2-torsion -1/2 = 1/2, so T(2,3)^4 and T(2,3)^2 # -T(2,3)^2 have
+    # one form at d = 3, deck included: one search each way for both
+    A, B = _workload_form("t23x4"), _workload_form("t23x2_mt23x2")
+    assert A is not B
+    assert (A.group, A.N, A.den, A.deck) == (B.group, B.N, B.den, B.deck)
+    metabolizers._searches.clear()
+    calls = _top_fills(monkeypatch)
+    diagonals = list(_diag_choices(A.group, isqrt(A.order), 0, 1))
+    for invariant_only, total in ((False, 2295), (True, 27)):
+        del calls[:]
+        assert len(enumerate_metabolizers(A, invariant_only)) == total
+        assert (enumerate_metabolizers(B, invariant_only)
+                == enumerate_metabolizers(A, invariant_only))
+        assert calls == diagonals
+
+
+@pytest.mark.parametrize("invariant_only", [False, True],
+                         ids=["all", "invariant"])
+def test_memo_replays_budget(invariant_only):
+    # a hit finishes within the candidate count c and raises the fresh
+    # search's BudgetExceeded below it, whichever request came first
+    L = _workload_form("mutant_pm")
+    count = CANDIDATES["mutant_pm"][invariant_only]
+    metabolizers._searches.clear()
+    with pytest.raises(BudgetExceeded) as fresh:
+        enumerate_metabolizers(L, invariant_only, budget=count - 1)
+    assert not metabolizers._searches
+    found = enumerate_metabolizers(L, invariant_only, budget=count)
+    assert len(metabolizers._searches) == 1
+    assert enumerate_metabolizers(L, invariant_only, budget=count) == found
+    with pytest.raises(BudgetExceeded) as hit:
+        enumerate_metabolizers(L, invariant_only, budget=count - 1)
+    assert str(hit.value) == str(fresh.value) == (
+        "metabolizer search visited more than %d candidates" % (count - 1))
+    assert hit.value.budget == fresh.value.budget == count - 1
+
+
+def test_memo_returns_a_copy():
+    L = _workload_form("t27x2_mt27x2")
+    first = enumerate_metabolizers(L)
+    expected = list(first)
+    first.clear()
+    second = enumerate_metabolizers(L)
+    assert second == expected and second is not first
+    second.reverse()
+    assert enumerate_metabolizers(L) == expected
+
+
+def test_memo_interns_rows():
+    # the kept lists share one object per distinct Hermite row
+    metabolizers._searches.clear()
+    found = enumerate_metabolizers(_workload_form("t23x4"))
+    rows = [r for m in found for r in m.basis]
+    assert len(rows) == 18360
+    assert len({id(r) for r in rows}) == len(set(rows)) == 155
+    with pytest.raises(AttributeError):
+        found[0].extra = 1
+
+
+def _span_comprehension(basis, p):
+    """span_vectors as it was: every coordinate a sum over the basis."""
+    n = len(basis[0]) if basis else 0
+    return [tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) % p
+                  for j in range(n))
+            for coeffs in itertools.product(range(p), repeat=len(basis))
+            if any(coeffs)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.sampled_from([3, 5, 7]).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(0, 4).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-p, 2 * p), min_size=width, max_size=width),
+        min_size=0, max_size=4)))))
+def test_span_vectors_matches_comprehension(case):
+    # up to four rows of up to four entries, not reduced mod p
+    p, basis = case
+    assert list(span_vectors(basis, p)) == _span_comprehension(basis, p)
 
 
 @pytest.mark.parametrize("group, deck, scalar", [
