@@ -19,18 +19,18 @@ sums over the 3-fold cover with its mod-7 eigencharacter calculus.
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from . import linalg
 from .cover import direct_sum, dual_linking, linking_form
-from .cyclo import poly_gcd, _is_prime
+from .cyclo import factor, is_prime, poly_gcd
 from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
                      BudgetExceeded, InternalInvariantViolation)
 from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
                            vanishing_chars, find_odd_char, admissible_pair,
                            span_vectors)
-from .seifert import (SeifertMatrix, KnotModel, build, alexander, signature,
-                      torus_matrix, twisted_double_matrix, _integer)
+from .seifert import (SeifertMatrix, KnotModel, build, alexander, check_size,
+                      signature, torus_matrix, twisted_double_matrix, _integer)
 
 NORM = "NORM"
 NOT_NORM = "NOT_NORM"
@@ -252,22 +252,10 @@ def _resolve_poly(J):
 
 
 def _squarefree_part(n):
-    # signed squarefree kernel by trial division; inputs here are tiny
+    """Signed squarefree kernel: n over its largest square factor."""
     if n == 0:
         return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return sign * out * n
+    return (1 if n > 0 else -1) * prod(p for p, e in factor(abs(n)) if e % 2)
 
 
 class PolyHypotheses:
@@ -667,8 +655,9 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
         raise PreconditionError("clasp parameter must be a positive integer")
     if not isinstance(n, int) or n < 1:
         raise PreconditionError("summand count must be a positive integer")
+    check_size(a * (a - 1), "the companion T(%d,%d)" % (-a, a + 1))
     p = 2 * a + 1
-    if not _is_prime(p):
+    if not is_prime(p):
         raise PreconditionError("2a+1 = %d must be prime" % p)
     single = {"kind": "twisted_double", "a": a}
     spec = single if n == 1 else {
@@ -738,6 +727,8 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
     """
     if not isinstance(i, int) or not isinstance(j, int) or i < 1 or j < 1:
         raise PreconditionError("companion multiplicities must be positive integers")
+    check_size(6 * max(i, j), "a companion sum of %d copies of T(2,7)"
+               % max(i, j))
     p = 5
     torus = {"kind": "torus", "p": 2, "q": 7}
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from . import linalg
+from .cyclo import factor
 from .errors import (BudgetExceeded, InfiniteHomology, InhomogeneousGroup,
                      InternalInvariantViolation, PreconditionError,
                      UnsupportedShape)
@@ -194,7 +195,7 @@ def branched_cover(V, d):
         raise InternalInvariantViolation(
             "deck rotation does not preserve the relation lattice")
 
-    D, U, W, Uinv, Winv = linalg.smith_normal_form(L)
+    D, U, W, Uinv = linalg.smith_normal_form(L)
     m = len(L)
     diag = [D[i][i] for i in range(m)]
     if any(x == 0 for x in diag):
@@ -467,14 +468,9 @@ def _matrix_order_mod(T, m, cap=512):
 
 
 def _p_primary_exponent(factors, p):
-    exps = set()
-    for f in factors:
-        e = 0
-        while f % p == 0:
-            f //= p
-            e += 1
-        if e:
-            exps.add(e)
+    """The exponent e of a homogeneous p-primary part (Z_{p^e})^k of the
+    group with these invariant factors; 0 when it is trivial."""
+    exps = {e for f in factors for q, e in factor(f) if q == p}
     if not exps:
         return 0
     if len(exps) > 1:

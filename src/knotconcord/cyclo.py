@@ -7,6 +7,9 @@ The ground rings used throughout the package are
   * Q(zeta_n) = Q[x]/Phi_n(x), with zeta_n a primitive n-th root of unity
     (CyclotomicField); for prime p the modulus is 1 + x + ... + x^(p-1).
 
+Integers are factored here and nowhere else in the package: factor(n) by
+trial division, with euler_phi and is_prime read off it.
+
 Field elements are coefficient vectors on the power basis 1, zeta, ...,
 zeta^(phi(n)-1).  Conjugation is the ring involution zeta -> 1/zeta.
 Inverses come from the extended Euclidean algorithm modulo Phi_n, run
@@ -84,6 +87,40 @@ def _euclid(f, g):
 
 
 # ---------------------------------------------------------------------------
+# integer factorisation
+
+def factor(n):
+    """Prime factorisation of an integer n >= 1 by trial division, as a
+    tuple of pairs (p, e) with p increasing; () for n = 1."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 1
+            n //= p
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def euler_phi(n):
+    """Euler's phi of an integer n >= 1."""
+    for p, _ in factor(n):
+        n -= n // p
+    return n
+
+
+def is_prime(n):
+    """Whether the integer n is prime."""
+    return n > 1 and factor(n)[0][0] == n
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic polynomials and fields
 
 _cyclo_cache = {}
@@ -102,16 +139,7 @@ def cyclotomic_polynomial(n):
         return list(_cyclo_cache[n])
     if n == 1:
         return [-1, 1]
-    primes = []
-    m, q = n, 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
+    primes = [q for q, _ in factor(n)]
     deg = 1
     for q in primes:
         deg *= q - 1
@@ -427,14 +455,3 @@ class _CyclotomicField:
                     "sign of a provably nonzero element did not separate; "
                     "element may not be self-conjugate")
             bits *= 4
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True

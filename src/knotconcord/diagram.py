@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
+from .cyclo import euler_phi, factor
 from .errors import (IncidenceError, InternalInvariantViolation, ParseError,
                      PreconditionError)
 
@@ -196,7 +197,10 @@ def _relation_rows(D, G):
 
 
 def _cyclic_orders(rows, cols, n):
-    """Orders of the cyclic pieces of {x in Z_n^cols : rows . x = 0}."""
+    """Orders of the cyclic pieces of {x in Z_n^cols : rows . x = 0}: the
+    gcds with n of the Smith diagonal d_1 | d_2 | ..., padded with n.  They
+    form an ascending divisibility chain, so the entries above 1 are the
+    invariant factors."""
     if not rows or cols == 0:
         return [n] * cols
     rows = [[x % n for x in row] for row in rows]
@@ -204,34 +208,6 @@ def _cyclic_orders(rows, cols, n):
     gs = [gcd(d, n) for d in diag]
     gs += [n] * (cols - len(diag))
     return gs
-
-
-def _invariant_factors(gs):
-    """Regroup cyclic orders into an ascending divisibility chain."""
-    primes = {}
-    for g in gs:
-        m = g
-        f = 2
-        while f * f <= m:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            if e:
-                primes.setdefault(f, []).append(e)
-            f += 1
-        if m > 1:
-            primes.setdefault(m, []).append(1)
-    width = max((len(v) for v in primes.values()), default=0)
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, exps in primes.items():
-            exps = sorted(exps, reverse=True)
-            if i < len(exps):
-                f *= p ** exps[i]
-        factors.append(f)
-    return tuple(sorted(factors))
 
 
 @dataclass(frozen=True)
@@ -279,15 +255,14 @@ def labeling_space(D, G):
     if size % n != 0:
         raise InternalInvariantViolation(
             "translation subgroup must sit inside the solution module")
-    units = sum(1 for a in range(1, n) if gcd(a, n) == 1)
     return LabelingSpace(group=G,
                          arc_count=D.arc_count,
                          relation_count=len(rows),
                          size=size,
-                         invariant_factors=_invariant_factors(gs),
+                         invariant_factors=tuple(g for g in gs if g > 1),
                          translation_order=n,
                          classes_mod_translation=size // n,
-                         scaling_units=units)
+                         scaling_units=euler_phi(n))
 
 
 @dataclass(frozen=True)
@@ -312,13 +287,8 @@ def classify_characters(D, G):
     modulo translation are exactly the solutions after eliminating one arc
     coordinate, so the quotient is computed by dropping a column.
     """
-    # n is a prime power iff dividing out its smallest prime factor leaves 1
     n = G.n
-    m = n
-    p = min(f for f in range(2, n + 1) if n % f == 0)
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    if len(factor(n)) != 1:
         raise PreconditionError(
             f"character classification needs a prime power modulus, "
             f"got {n}")
@@ -330,4 +300,4 @@ def classify_characters(D, G):
         order *= g
     return CharacterModule(group=G,
                            order=order,
-                           invariant_factors=_invariant_factors(gs))
+                           invariant_factors=tuple(g for g in gs if g > 1))

@@ -139,7 +139,7 @@ def invert_integer(M):
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms.
 #
-# smith_normal_form(M) returns (D, U, V, Uinv, Vinv) with U*M*V = D,
+# smith_normal_form(M) returns (D, U, V, Uinv) with U*M*V = D,
 # U, V unimodular, D diagonal with d_1 | d_2 | ... (trailing zeros allowed;
 # diagonal entries are normalised nonnegative).
 
@@ -168,7 +168,6 @@ def smith_normal_form(M):
     U = identity(rows)
     Uinv = identity(rows)
     V = identity(cols)
-    Vinv = identity(cols)
 
     def row_op(dst, src, c):
         # A <- E A with E adding c*src to dst; U <- E U; Uinv <- Uinv E^-1
@@ -179,7 +178,6 @@ def smith_normal_form(M):
     def col_op(dst, src, c):
         _addmul_col(A, dst, src, c)
         _addmul_col(V, dst, src, c)
-        _addmul_row(Vinv, src, dst, -c)
 
     def row_swap(i, j):
         _swap_rows(A, i, j)
@@ -189,7 +187,6 @@ def smith_normal_form(M):
     def col_swap(i, j):
         _swap_cols(A, i, j)
         _swap_cols(V, i, j)
-        _swap_rows(Vinv, i, j)
 
     def row_negate(i):
         A[i] = [-x for x in A[i]]
@@ -243,7 +240,7 @@ def smith_normal_form(M):
             row_negate(k)
         k += 1
     D = A
-    return D, U, V, Uinv, Vinv
+    return D, U, V, Uinv
 
 
 def smith_diagonal(M):
@@ -257,7 +254,7 @@ def integer_kernel(M):
     cols = len(M[0]) if rows else 0
     if rows == 0:
         return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    D, U, V, Uinv, Vinv = smith_normal_form(M)
+    D, _, V, _ = smith_normal_form(M)
     r = 0
     for i in range(min(rows, cols)):
         if D[i][i] != 0:

@@ -137,11 +137,6 @@ def is_metabolizer(L, generators):
     return True
 
 
-def _deck_image(deck, vec):
-    k = len(vec)
-    return [sum(deck[i][j] * vec[j] for j in range(k)) for i in range(k)]
-
-
 def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
     """All metabolizers of L, optionally only the deck-invariant ones,
     sorted by Hermite basis.
@@ -232,7 +227,7 @@ class _Search:
         if i < 0:
             if self.deck is not None:
                 for r in rows:
-                    image = _deck_image(self.deck, r)
+                    image = linalg.mat_vec(self.deck, r)
                     if not _suffix_member(rows, diag, image, 0):
                         return
             basis = [self.interned.setdefault(r, r) for r in map(tuple, rows)]
@@ -313,7 +308,7 @@ def _deck_orbit(deck, group, vec):
     orbit = [v]
     seen = {v}
     while True:
-        v = tuple(x % f for x, f in zip(_deck_image(deck, v), group))
+        v = tuple(x % f for x, f in zip(linalg.mat_vec(deck, v), group))
         if v in seen:
             return orbit
         orbit.append(v)

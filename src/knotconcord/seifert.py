@@ -17,15 +17,31 @@ from functools import cache, cached_property
 from math import comb, gcd
 
 from . import linalg
-from .cyclo import (CyclotomicField, _is_prime, _trim, cyclotomic_polynomial,
-                    fixed_cos, poly_gcd)
+from .cyclo import (CyclotomicField, _trim, cyclotomic_polynomial, euler_phi,
+                    fixed_cos, is_prime, poly_gcd)
 from .errors import (BudgetExceeded, InternalInvariantViolation,
                      PreconditionError, SingularAtT)
 from .kernels import hermitian_inertia
 
 
+# Largest Seifert matrix size n = 2g that a knot may have.  Tests and
+# benchmark workloads reach 30 (T(-6,7)); `signature --t 1/3` takes about
+# 3 s on T(-10,11), of size 90, and 14 s on T(-12,13), of size 132.
+MAX_SEIFERT_SIZE = 90
+
+
+def check_size(n, what):
+    """Raise BudgetExceeded when `what` needs a Seifert matrix of size n
+    over MAX_SEIFERT_SIZE."""
+    if n > MAX_SEIFERT_SIZE:
+        raise BudgetExceeded("%s needs a Seifert matrix of size %d, over the "
+                             "budget of %d" % (what, n, MAX_SEIFERT_SIZE),
+                             MAX_SEIFERT_SIZE)
+
+
 class SeifertMatrix:
-    """Square integer matrix V with det(V - V^T) = 1."""
+    """Square integer matrix V with det(V - V^T) = 1, of size at most
+    MAX_SEIFERT_SIZE."""
 
     def __init__(self, entries):
         rows = [list(r) for r in entries]
@@ -36,6 +52,7 @@ class SeifertMatrix:
             for x in r:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise PreconditionError("Seifert matrix entries must be integers")
+        check_size(n, "the knot")
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         if linalg.det_bareiss(skew) != 1:
             raise PreconditionError("det(V - V^T) must equal 1")
@@ -45,10 +62,12 @@ class SeifertMatrix:
     @classmethod
     def _derived(cls, rows):
         """A matrix built from valid ones by an operation that keeps
-        det(V - V^T) = 1, so the check is not run again.  V - V^T is skew
-        with determinant 1, so the size n is even; the transpose changes
-        V - V^T to its negative, of determinant (-1)^n = 1, the mirror
-        -V^T leaves it as it is, and a block sum multiplies determinants."""
+        det(V - V^T) = 1, so that check is not run again; the size check
+        is, as a block sum grows.  V - V^T is skew with determinant 1, so
+        the size n is even; the transpose changes V - V^T to its negative,
+        of determinant (-1)^n = 1, the mirror -V^T leaves it as it is, and
+        a block sum multiplies determinants."""
+        check_size(len(rows), "the knot")
         V = cls.__new__(cls)
         V.entries = rows
         V.size = len(rows)
@@ -200,17 +219,6 @@ def _interpolate_integer_poly(values):
 MAX_FIELD_DEGREE = 1024
 
 
-def _euler_phi(n):
-    out, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out - out // n if n > 1 else out
-
-
 def lt_signature(V, t):
     """Signature of (1-w)V + (1-conj(w))V^T at w = exp(2*pi*i*t), t in (0,1).
 
@@ -231,7 +239,7 @@ def lt_signature(V, t):
     if V.size == 0:
         return 0
     # phi(d) >= sqrt(d/2), so a larger d needs no factoring
-    if d > 2 * MAX_FIELD_DEGREE ** 2 or _euler_phi(d) > MAX_FIELD_DEGREE:
+    if d > 2 * MAX_FIELD_DEGREE ** 2 or euler_phi(d) > MAX_FIELD_DEGREE:
         raise BudgetExceeded("t = %s needs Q(zeta_%d), whose degree phi(%d) "
                              "exceeds the budget of %d"
                              % (t, d, d, MAX_FIELD_DEGREE), MAX_FIELD_DEGREE)
@@ -393,7 +401,7 @@ def _phi_floor(d):
     while den * p <= d:
         num, den = num * (p - 1), den * p
         p += 1
-        while not _is_prime(p):
+        while not is_prime(p):
             p += 1
     return min(-(-d * num // den), num * (p - 1))
 
@@ -421,7 +429,7 @@ class _Arcs:
         angles = []
         d = 3
         while len(f) > 1 and _phi_floor(d) <= 2 * (len(f) - 1):
-            if _euler_phi(d) <= 2 * (len(f) - 1):
+            if euler_phi(d) <= 2 * (len(f) - 1):
                 q = _quotient(f, _psi(d))
                 if q is not None:
                     f = q
@@ -508,7 +516,7 @@ class _Arcs:
             best = None
             d = 2
             while best is None or _phi_floor(d) < best[0]:
-                phi = _euler_phi(d)
+                phi = euler_phi(d)
                 if best is None or phi < best[0]:
                     a = self._first_on_arc(j, s, d)
                     if a is not None:
@@ -648,6 +656,7 @@ def torus_matrix(p, q):
         raise PreconditionError("torus knot parameters must be coprime")
     if abs(p) < 2 or abs(q) < 2:
         raise PreconditionError("torus knot parameters must exceed 1 in magnitude")
+    check_size((abs(p) - 1) * (abs(q) - 1), "T(%d,%d)" % (p, q))
     mirror = (p < 0) != (q < 0)
     p, q = abs(p), abs(q)
     if p > q:

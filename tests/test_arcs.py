@@ -16,14 +16,13 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotconcord.cyclo import CyclotomicField
+from knotconcord.cyclo import CyclotomicField, euler_phi
 from knotconcord.errors import (BudgetExceeded, PreconditionError,
                                 SingularAtT)
 from knotconcord.kernels import hermitian_inertia
-from knotconcord.seifert import (MAX_FIELD_DEGREE, SeifertMatrix, _euler_phi,
-                                 _isolate, _phi_floor, _sturm_chain,
-                                 alexander, arc_point, lt_signature,
-                                 torus_matrix)
+from knotconcord.seifert import (MAX_FIELD_DEGREE, SeifertMatrix, _isolate,
+                                 _phi_floor, _sturm_chain, alexander,
+                                 arc_point, lt_signature, torus_matrix)
 
 TREFOIL = torus_matrix(2, 3)
 
@@ -121,7 +120,7 @@ def test_close_irrational_roots():
     assert arc_point(V, hi) == F(1, 2)
     inner = arc_point(V, F(14, 625))  # 0.0224
     assert lo < inner < hi and inner not in (arc_point(V, lo), F(1, 2))
-    assert _euler_phi(inner.denominator) > 12
+    assert euler_phi(inner.denominator) > 12
     values = {outcome(V, t) for t in (lo, inner, hi)}
     assert len(values) == 3
 
@@ -203,7 +202,7 @@ def _oracle_point(delta, t):
     for d in range(2, 400):
         for a in range(1, d // 2 + 1):
             if gcd(a, d) == 1 and below < mpmath.mpf(a) / d < above:
-                key = (_euler_phi(d), d, a)
+                key = (euler_phi(d), d, a)
                 best = key if best is None else min(best, key)
     return F(best[2], best[1])
 
@@ -302,5 +301,5 @@ def test_arc_route_equals_direct_route(parts, t):
     assert arc_outcome(V, t) == outcome(V, t)
     # and the point is no dearer than t itself
     if isinstance(outcome(V, t), int):
-        assert _euler_phi(arc_point(V, t).denominator) <= _euler_phi(
+        assert euler_phi(arc_point(V, t).denominator) <= euler_phi(
             t.denominator)

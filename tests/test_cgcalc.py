@@ -9,8 +9,12 @@ parities were derived by hand mod 7 before being frozen here.
 import json
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       NORM, NOT_NORM, UNKNOWN,
@@ -21,7 +25,7 @@ from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       residual_token,
                                       satellite_delta, satellite_sigma,
                                       twisted_double_obstruction,
-                                      _case_expression)
+                                      _case_expression, _squarefree_part)
 from knotconcord.cover import branched_cover
 from knotconcord.errors import (BudgetExceeded, HypothesisUnverified,
                                 PreconditionError, SingularAtT,
@@ -626,3 +630,19 @@ def test_mutant_family_shares_abelian_invariants():
             == branched_cover(plain.matrix, 3).factors == (49, 49))
     assert [i.param for i in mutated.infections] == [1, -1]
     assert [i.param for i in plain.infections] == [1, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-10 ** 9, max_value=10 ** 9).filter(bool))
+def test_squarefree_part_leaves_a_square(n):
+    s = _squarefree_part(n)
+    assert (s > 0) == (n > 0)
+    assert all(e == 1 for e in sp.factorint(abs(s)).values())
+    q, r = divmod(n, s)
+    assert r == 0 and isqrt(q) ** 2 == q
+
+
+def test_squarefree_part_of_zero():
+    assert _squarefree_part(0) == 0
+    assert [_squarefree_part(n) for n in (1, -1, 12, -12, 49, 50)] == [
+        1, -1, 3, -3, 1, 2]

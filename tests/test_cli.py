@@ -20,6 +20,7 @@ import pytest
 
 import knotconcord
 from knotconcord.cli import _HANDLERS, main
+from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.errors import SingularAtT
 from knotconcord.seifert import build, lt_signature
 
@@ -230,6 +231,27 @@ def test_labelings_metacyclic(capsys):
     assert report["result"]["characters"]["order"] == 1
 
 
+# the report at n = 10^8 as an O(n) count of units gave it, in about 20 s;
+# phi(n) from the factorisation must give the same bytes at once
+LABELINGS_1E8 = (
+    '{"command":"labelings","input":{"group":{"d":2,"n":100000000,'
+    '"q":99999999},"pd":["X[1,4,2,5]","X[3,6,4,1]","X[5,2,6,3]"]},'
+    '"notes":["meridian labelings b with x -> r^b t in the metacyclic group"],'
+    '"result":{"diagram":{"arcs":3,"crossings":3,"writhe":-3},'
+    '"labelings":{"arc_count":3,"classes_mod_translation":1,'
+    '"group":{"d":2,"n":100000000,"q":99999999},'
+    '"invariant_factors":[100000000],"relation_count":3,'
+    '"scaling_units":40000000,"size":100000000,'
+    '"translation_order":100000000}}}')
+
+
+def test_labelings_large_modulus(capsys):
+    code = main(["labelings", "--pd", fx("trefoil.pd"), "--d", "2",
+                 "--n", "100000000", "--q", "99999999", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == LABELINGS_1E8 + "\n"
+
+
 # ---------------------------------------------------------------------------
 # report mechanics: determinism, rendering, exit codes
 
@@ -396,6 +418,56 @@ def test_cover_degree_budget_exits_3(capsys):
     assert captured.err == ("budget exceeded: the 400-fold cover of a 2 x 2 "
                             "Seifert matrix needs a layered presentation of "
                             "size 798, over the budget of 64\n")
+
+
+# each request needs a Seifert matrix far past seifert.MAX_SEIFERT_SIZE = 90;
+# before the size was bounded, each ran for 10 s or more
+SEIFERT_SIZE_REQUESTS = [
+    (["alexander", "--knot", {"kind": "torus", "p": 40, "q": 41}],
+     "T(40,41) needs a Seifert matrix of size 1560"),
+    (["signature", "--knot", {"kind": "torus", "p": -16, "q": 17},
+      "--t", "1/3"], "T(-16,17) needs a Seifert matrix of size 240"),
+    (["alexander", "--knot", {"kind": "sum", "summands": [
+        {"knot": {"kind": "torus", "p": 2, "q": 7}}] * 16}],
+     "the knot needs a Seifert matrix of size 96"),
+    (["obstruct-order2", "--i", "50", "--j", "1"],
+     "a companion sum of 50 copies of T(2,7) needs a Seifert matrix of "
+     "size 300"),
+    (["obstruct-twisted-double", "--a", str(10 ** 18)],
+     "the companion T(-%d,%d) needs a Seifert matrix of size %d"
+     % (10 ** 18, 10 ** 18 + 1, 10 ** 18 * (10 ** 18 - 1))),
+]
+
+
+@pytest.mark.parametrize("argv, message", SEIFERT_SIZE_REQUESTS,
+                         ids=["torus-alexander", "torus-signature", "sum",
+                              "order2", "twisted-double"])
+def test_seifert_size_budget_exits_3_quickly(tmp_path, argv, message):
+    argv = list(argv)
+    if isinstance(argv[2], dict):
+        (tmp_path / "knot.json").write_text(json.dumps(argv[2]))
+        argv[2] = str(tmp_path / "knot.json")
+    proc = subprocess.run([sys.executable, "-m", "knotconcord.cli"] + argv,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("budget exceeded: %s, over the budget of 90\n"
+                           % message)
+
+
+def test_largest_torus_knot_still_answers(capsys, tmp_path):
+    # T(-10,11) has size 90; its Alexander polynomial is Phi_22 Phi_55 Phi_110
+    (tmp_path / "knot.json").write_text('{"kind":"torus","p":-10,"q":11}')
+    report = run_json(capsys, ["alexander", "--knot",
+                               str(tmp_path / "knot.json")])
+    expected = [1]
+    for k in (22, 55, 110):
+        phi = cyclotomic_polynomial(k)
+        expected = [sum(expected[i] * phi[j - i]
+                        for i in range(len(expected)) if 0 <= j - i < len(phi))
+                    for j in range(len(expected) + len(phi) - 1)]
+    assert report["result"]["coefficients"] == [
+        [e, c, 1] for e, c in enumerate(expected) if c]
 
 
 def test_exit_code_budget(capsys):

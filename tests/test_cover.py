@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from knotconcord import cover, linalg
 from knotconcord.cover import (LinkingForm, _congruence_kernel_count,
-                               _matrix_order_mod, branched_cover, char_space,
+                               _matrix_order_mod, _p_primary_exponent,
+                               branched_cover, char_space,
                                deck_eigenspaces, dual_linking, linking_form,
                                unit_roots_mod)
 from knotconcord.errors import (InfiniteHomology, InhomogeneousGroup,
@@ -201,7 +202,7 @@ def _circulant_route(V, d):
     for j in range(d):
         for a in range(n):
             shift[((j + 1) % d) * n + a][j * n + a] = 1
-    D, U, W, Uinv, Winv = linalg.smith_normal_form(C)
+    D, U, W, Uinv = linalg.smith_normal_form(C)
     diag = linalg.smith_diagonal(D)
     keep = [i for i, x in enumerate(diag) if x != 1]
     assert all(diag[i] != 0 for i in keep)
@@ -401,6 +402,21 @@ def test_dual_linking_needs_homogeneous_part():
     assert sorted(L.group) == [3, 9]
     with pytest.raises(InhomogeneousGroup):
         dual_linking(L, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(1, 60)),
+                min_size=1, max_size=5))
+def test_p_primary_exponent_needs_one_exponent(p, parts):
+    factors = [p ** e * c for e, c in parts]
+    exps = sorted({sp.multiplicity(p, f) for f in factors} - {0})
+    if len(exps) > 1:
+        with pytest.raises(InhomogeneousGroup) as e:
+            _p_primary_exponent(factors, p)
+        assert str(e.value) == "p-primary part has mixed exponents %s" % exps
+    else:
+        assert _p_primary_exponent(factors, p) == (exps[0] if exps else 0)
 
 
 def test_dual_linking_trivial_part():

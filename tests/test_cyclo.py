@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,10 @@ from knotconcord.cyclo import (
     _CyclotomicField,
     _pi_fixed,
     cyclotomic_polynomial,
+    euler_phi,
+    factor,
     fixed_cos,
+    is_prime,
     poly_gcd,
 )
 from knotconcord.errors import PreconditionError
@@ -277,3 +281,46 @@ def test_sign_real_rejects_non_real_at_cap(n):
     F = CyclotomicField(n)
     with pytest.raises(ArithmeticError):
         F.sign_real(F.sub(F.zeta_elt(1), F.zeta_elt(-1)))
+
+
+# ---------------------------------------------------------------------------
+# integer factorisation, with sympy as the oracle
+
+
+def test_factor_small():
+    assert factor(1) == ()
+    assert factor(2) == ((2, 1),)
+    assert factor(360) == ((2, 3), (3, 2), (5, 1))
+    assert factor(10 ** 8) == ((2, 8), (5, 8))
+    assert factor(99999999) == ((3, 2), (11, 1), (73, 1), (101, 1), (137, 1))
+    assert factor(1000003) == ((1000003, 1),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 9))
+def test_factor_multiplies_back_with_increasing_primes(n):
+    fs = factor(n)
+    assert math.prod(p ** e for p, e in fs) == n
+    assert all(e >= 1 for _, e in fs)
+    primes = [p for p, _ in fs]
+    assert primes == sorted(set(primes))
+    assert all(sp.isprime(p) for p in primes)
+    assert dict(fs) == sp.factorint(n)
+
+
+def test_euler_phi_counts_units():
+    for n in range(1, 3001):
+        assert euler_phi(n) == sum(1 for a in range(1, n + 1)
+                                   if math.gcd(a, n) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 9))
+def test_euler_phi_and_is_prime_match_sympy(n):
+    assert euler_phi(n) == sp.totient(n)
+    assert is_prime(n) == sp.isprime(n)
+
+
+def test_is_prime_below_3000_matches_sympy():
+    assert [n for n in range(-5, 3001) if is_prime(n)] == list(
+        sp.primerange(2, 3001))

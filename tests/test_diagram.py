@@ -8,10 +8,14 @@ classes are all killed by 3, so the quotient module must be Z3 + Z3.
 """
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotconcord.cover import branched_cover
 from knotconcord.diagram import (Diagram, MetacyclicGroup, classify_characters,
-                                 labeling_space, parse_pd, _relation_rows)
+                                 labeling_space, parse_pd, _cyclic_orders,
+                                 _relation_rows)
 from knotconcord.errors import IncidenceError, ParseError, PreconditionError
 from knotconcord.seifert import SeifertMatrix, torus_matrix
 
@@ -253,10 +257,23 @@ def test_classify_trefoil_metacyclic_trivial():
 
 
 def test_classify_requires_prime_power():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as e:
         classify_characters(parse_pd(FIG8), MetacyclicGroup(4, 15, 2))
+    assert str(e.value) == ("character classification needs a prime power "
+                            "modulus, got 15")
     # prime powers are fine
     classify_characters(parse_pd(FIG8), MetacyclicGroup(2, 9, 8))
+
+
+def test_classify_accepts_exactly_prime_powers():
+    D = parse_pd(TREFOIL)
+    for n in range(2, 200):
+        G = MetacyclicGroup.dihedral(n) if n > 2 else MetacyclicGroup(2, 2, 1)
+        if len(sp.factorint(n)) == 1:
+            classify_characters(D, G)
+        else:
+            with pytest.raises(PreconditionError):
+                classify_characters(D, G)
 
 
 def test_classify_consistent_with_labeling_count():
@@ -324,3 +341,60 @@ def test_classify_order_divides_cover_homology():
             hn *= gcd(f, G.n ** 10)
         C = classify_characters(parse_pd(text), G)
         assert hn % C.order == 0
+
+
+# ---------------------------------------------------------------------------
+# invariant factors off the Smith diagonal
+
+
+def _regrouped(gs):
+    """Invariant factors of the product of cyclic groups of orders gs, by
+    splitting each order into prime powers and regrouping them into an
+    ascending divisibility chain: the route labeling_space took before it
+    read them off the Smith diagonal."""
+    primes = {}
+    for g in gs:
+        for p, e in sp.factorint(g).items():
+            primes.setdefault(p, []).append(e)
+    width = max((len(v) for v in primes.values()), default=0)
+    factors = []
+    for i in range(width):
+        f = 1
+        for p, exps in primes.items():
+            exps = sorted(exps, reverse=True)
+            if i < len(exps):
+                f *= p ** exps[i]
+        factors.append(f)
+    return tuple(sorted(factors))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 5), st.data())
+def test_cyclic_orders_are_a_divisibility_chain(n, cols, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-2 * n, 2 * n),
+                                       min_size=cols, max_size=cols),
+                              max_size=5))
+    gs = _cyclic_orders(rows, cols, n)
+    assert len(gs) == cols
+    assert all(b % a == 0 for a, b in zip(gs, gs[1:]))
+    assert tuple(g for g in gs if g > 1) == _regrouped(gs)
+
+
+def test_invariant_factors_match_regrouping():
+    groups = [MetacyclicGroup.dihedral(3), MetacyclicGroup.dihedral(5),
+              MetacyclicGroup(2, 9, 8), MetacyclicGroup(3, 49, 30),
+              MetacyclicGroup(4, 15, 2), MetacyclicGroup(2, 45, 44),
+              MetacyclicGroup(2, 100, 99)]
+    for text in [TREFOIL, FIG8, GRANNY, TREFOIL_R1, TREFOIL_R2]:
+        D = parse_pd(text)
+        for G in groups:
+            rows = _relation_rows(D, G)
+            gs = _cyclic_orders(rows, D.arc_count, G.n)
+            L = labeling_space(D, G)
+            assert L.invariant_factors == _regrouped(gs)
+            assert L.scaling_units == sp.totient(G.n)
+            if len(sp.factorint(G.n)) == 1:
+                gs = _cyclic_orders([r[:-1] for r in rows], D.arc_count - 1,
+                                    G.n)
+                C = classify_characters(D, G)
+                assert C.invariant_factors == _regrouped(gs)

@@ -125,10 +125,10 @@ def test_smith_normal_form_properties():
         n = rng.randint(1, 5)
         m = rng.randint(1, 5)
         M = [[rng.randint(-8, 8) for _ in range(m)] for _ in range(n)]
-        D, U, V, Uinv, Vinv = linalg.smith_normal_form(M)
+        D, U, V, Uinv = linalg.smith_normal_form(M)
         assert linalg.mat_mul(linalg.mat_mul(U, M), V) == D
         assert linalg.mat_mul(U, Uinv) == linalg.identity(n)
-        assert linalg.mat_mul(V, Vinv) == linalg.identity(m)
+        assert abs(linalg.det_bareiss(V)) == 1
         diag = [D[i][i] for i in range(min(n, m))]
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:

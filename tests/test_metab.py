@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from knotconcord.cassongordon import satellite_base_matrix
 from knotconcord.cover import LinkingForm, direct_sum, linking_form
-from knotconcord import metabolizers
+from knotconcord import linalg, metabolizers
 from knotconcord.errors import BudgetExceeded
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
-                                      _canonical_basis, _deck_image,
+                                      _canonical_basis,
                                       _diag_choices, _echelon, _is_scalar,
                                       _pairs_to_zero, _suffix_member,
                                       _tail_walk, admissible_pair,
@@ -121,7 +121,7 @@ def _walk_oracle(L, invariant_only=False, budget=DEFAULT_BUDGET):
                 basis = [list(r) for r in rows]
                 if invariant_only:
                     for r in basis:
-                        image = _deck_image(L.deck, r)
+                        image = linalg.mat_vec(L.deck, r)
                         if not _suffix_member(basis, diag, image, 0):
                             return
                 found.append(Metabolizer(group, basis))
@@ -672,7 +672,6 @@ def test_metabolizers_unchanged_by_relabelling(make, perm, invariant_only):
 
 
 def _in_span_mod_p(basis, vec, p):
-    from knotconcord import linalg
     rows = [list(r) for r in basis] + [list(vec)]
     red, piv = linalg.modp_rref([list(r) for r in basis], p)
     red2, piv2 = linalg.modp_rref(rows, p)
@@ -709,7 +708,6 @@ def test_find_odd_char_wide_spans_constructive():
         n = rng.randrange(2, 7)
         m = n // 2 + 1
         basis = [[rng.randrange(7) for _ in range(n)] for _ in range(m)]
-        from knotconcord import linalg
         red, piv = linalg.modp_rref(basis, 7)
         if len(piv) <= n // 2:
             continue

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.linalg import det_bareiss
-from knotconcord.errors import (InternalInvariantViolation, PreconditionError,
-                                SingularAtT)
+from knotconcord.errors import (BudgetExceeded, InternalInvariantViolation,
+                                PreconditionError, SingularAtT)
 from knotconcord.seifert import (
+    MAX_SEIFERT_SIZE,
     SeifertMatrix,
     _alexander_coeffs,
     _interpolate_integer_poly,
@@ -201,6 +202,33 @@ def test_torus_validation():
         torus_matrix(2, 4)
     with pytest.raises(PreconditionError):
         torus_matrix(1, 5)
+
+
+def test_seifert_size_budget():
+    # T(-10,11), of size (10 - 1)(11 - 1) = 90, is the largest torus knot
+    assert torus_matrix(-10, 11).size == MAX_SEIFERT_SIZE == 90
+    with pytest.raises(BudgetExceeded) as e:
+        torus_matrix(40, 41)
+    assert str(e.value) == ("T(40,41) needs a Seifert matrix of size 1560, "
+                            "over the budget of 90")
+    assert e.value.budget == MAX_SEIFERT_SIZE
+    # an explicit matrix is refused before its determinant is taken
+    with pytest.raises(BudgetExceeded) as e:
+        SeifertMatrix([[0] * 92 for _ in range(92)])
+    assert str(e.value) == ("the knot needs a Seifert matrix of size 92, "
+                            "over the budget of 90")
+    # a sum fails at the first block sum past the bound
+    V = TREFOIL
+    for _ in range(44):
+        V = V.block_sum(TREFOIL)
+    assert V.size == 90
+    assert V.mirror().transpose().size == 90
+    with pytest.raises(BudgetExceeded):
+        V.block_sum(TREFOIL)
+    model = build({"kind": "sum", "summands": [
+        {"knot": {"kind": "torus", "p": 2, "q": 3}}] * 46})
+    with pytest.raises(BudgetExceeded):
+        model.matrix
 
 
 def litherland_count(p, q, t):

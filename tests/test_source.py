@@ -57,6 +57,48 @@ def test_float_guard_catches_planted_uses():
         "<source>:1", "<source>:2", "<source>:3"]
 
 
+def _square_loops(source, name="<source>"):
+    """The `while x * x <= y` loops of a module's source, as (name, line,
+    function) triples, the function being the innermost one around the
+    loop ("<module>" at top level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            test = child.test if isinstance(child, ast.While) else None
+            if (isinstance(test, ast.Compare) and len(test.ops) == 1
+                    and isinstance(test.ops[0], ast.LtE)
+                    and isinstance(test.left, ast.BinOp)
+                    and isinstance(test.left.op, ast.Mult)
+                    and ast.dump(test.left.left) == ast.dump(test.left.right)):
+                found.append((name, child.lineno, function))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source, filename=name), "<module>")
+    return found
+
+
+def test_one_trial_division_loop():
+    # integers are factored in one place, cyclo.factor
+    found = []
+    for path in sorted(Path(knotconcord.__file__).parent.glob("*.py")):
+        found += _square_loops(path.read_text(), path.name)
+    assert [(name, function) for name, _, function in found] == [
+        ("cyclo.py", "factor")], found
+
+
+def test_square_loop_guard_catches_planted_loops():
+    src = ("def f(n):\n    while d * d <= n:\n        d += 1\n"
+           "    while d * e <= n:\n        d += 1\n"
+           "def g():\n    def h():\n"
+           "        while n.k * n.k <= m:\n            pass\n"
+           "while i * i < n:\n    pass\n"
+           "while i * i <= n:\n    pass\n")
+    assert _square_loops(src) == [("<source>", 2, "f"), ("<source>", 8, "h"),
+                                  ("<source>", 12, "<module>")]
+
+
 def _unreferenced(definitions, references):
     """Names of the functions, classes and methods defined in the
     `definitions` sources that no name, attribute or import alias in the
