@@ -9,6 +9,14 @@ pivoting: nonzero diagonal pivots are consumed first; if the remaining
 block has an all-zero diagonal but a nonzero entry b = A[i][j], the
 hyperbolic 2x2 block [[0, b], [conj(b), 0]] is split off (it contributes
 one positive and one negative eigenvalue).  All arithmetic is exact.
+
+Only nonzero entries are worked on.  A diagonal pivot p changes A[r][c]
+by A[r][p] A[p][p]^-1 A[p][c], and A[r][p] = conj(A[p][r]), so only the
+pairs r, c with A[p][r] != 0 and A[p][c] != 0 change; every other entry
+would have 0 subtracted from it, which leaves it as it is.  Likewise a
+hyperbolic block on rows i, j changes only the rows and columns that are
+nonzero in row i or row j.  Seifert forms are banded, so elimination
+fills in only inside the band and most pairs are skipped.
 """
 
 
@@ -36,19 +44,17 @@ def hermitian_pivots(F, matrix):
             p = A[pi][pi]
             pivots.append(p)
             ip = inverse(p)
-            rest = [i for i in active if i != pi]
-            m = len(rest)
-            w = [mul(A[r][pi], ip) for r in rest]
-            for ri in range(m):
-                r = rest[ri]
-                wr = w[ri]
-                for ci in range(ri, m):
-                    c = rest[ci]
-                    upd = sub(A[r][c], mul(wr, A[pi][c]))
-                    A[r][c] = upd
-                    if ci != ri:
+            Ap = A[pi]
+            active = [i for i in active if i != pi]
+            nz = [c for c in active if not is_zero(Ap[c])]
+            for ri, r in enumerate(nz):
+                Ar = A[r]
+                wr = mul(Ar[pi], ip)
+                for c in nz[ri:]:
+                    upd = sub(Ar[c], mul(wr, Ap[c]))
+                    Ar[c] = upd
+                    if c != r:
                         A[c][r] = conj(upd)
-            active = rest
             continue
         fi = fj = -1
         for ii in range(len(active)):
@@ -63,21 +69,18 @@ def hermitian_pivots(F, matrix):
         two_blocks += 1
         ib = inverse(A[fi][fj])
         ibc = conj(ib)
-        rest = [i for i in active if i != fi and i != fj]
-        m = len(rest)
+        Ai, Aj = A[fi], A[fj]
+        active = [i for i in active if i != fi and i != fj]
+        nz = [c for c in active if not (is_zero(Ai[c]) and is_zero(Aj[c]))]
         # A[r][c] -= A[r][fj]*(1/b)*A[fi][c] + A[r][fi]*(1/conj(b))*A[fj][c]
-        u = [mul(A[r][fj], ib) for r in rest]
-        v = [mul(A[r][fi], ibc) for r in rest]
-        for ri in range(m):
-            r = rest[ri]
-            ur = u[ri]
-            vr = v[ri]
-            for ci in range(ri, m):
-                c = rest[ci]
-                t = add(mul(ur, A[fi][c]), mul(vr, A[fj][c]))
-                upd = sub(A[r][c], t)
-                A[r][c] = upd
-                if ci != ri:
+        for ri, r in enumerate(nz):
+            Ar = A[r]
+            ur = mul(Ar[fj], ib)
+            vr = mul(Ar[fi], ibc)
+            for c in nz[ri:]:
+                t = add(mul(ur, Ai[c]), mul(vr, Aj[c]))
+                upd = sub(Ar[c], t)
+                Ar[c] = upd
+                if c != r:
                     A[c][r] = conj(upd)
-        active = rest
     return pivots, two_blocks, 0

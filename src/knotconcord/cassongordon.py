@@ -151,15 +151,6 @@ class DiscExpr:
         out.tokens = tokens
         return out
 
-    def shift_multiset(self, key):
-        """Sorted multiset of shifts carried by one polynomial, with
-        multiplicity; handy against the exponent-set helpers."""
-        out = []
-        for (k, shift), mult in self.factors.items():
-            if k == tuple(key):
-                out.extend([shift] * mult)
-        return tuple(sorted(out))
-
     def __eq__(self, other):
         return (isinstance(other, DiscExpr) and self.p == other.p
                 and self.factors == other.factors and self.tokens == other.tokens)

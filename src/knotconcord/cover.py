@@ -274,14 +274,6 @@ class LinkingForm:
     def order(self):
         return prod(self.group)
 
-    def evaluate(self, x, y):
-        """Value of the form on elements given in generator coordinates."""
-        total = 0
-        for a, row in zip(x, self.N):
-            if a:
-                total += a * sum(n * b for n, b in zip(row, y))
-        return Fraction(total % self.den, self.den)
-
     def is_nonsingular(self):
         k = len(self.group)
         return _congruence_kernel_count(self.N, self.group, [self.den] * k) == 1

@@ -8,7 +8,8 @@ The ground rings used throughout the package are
     (CyclotomicField); for prime p the modulus is 1 + x + ... + x^(p-1).
 
 Integers are factored here and nowhere else in the package: factor(n) by
-trial division, with euler_phi and is_prime read off it.
+trial division up to MAX_TRIAL_DIVISOR, with euler_phi and is_prime read
+off it.
 
 Field elements are coefficient vectors on the power basis 1, zeta, ...,
 zeta^(phi(n)-1).  Conjugation is the ring involution zeta -> 1/zeta.
@@ -23,9 +24,9 @@ precision, so no floating-point value is ever computed.
 """
 
 import math
-from fractions import Fraction
 
-from .errors import InternalInvariantViolation, PreconditionError
+from .errors import (BudgetExceeded, InternalInvariantViolation,
+                     PreconditionError)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +90,24 @@ def _euclid(f, g):
 # ---------------------------------------------------------------------------
 # integer factorisation
 
+# Largest trial divisor factor() tries, about 0.2 s of divisions: every n
+# below 10^12 is factored, and so is every n with at most one prime factor
+# over 10^6; the product of two larger primes is refused.
+MAX_TRIAL_DIVISOR = 10 ** 6
+
+
 def factor(n):
     """Prime factorisation of an integer n >= 1 by trial division, as a
-    tuple of pairs (p, e) with p increasing; () for n = 1."""
+    tuple of pairs (p, e) with p increasing; () for n = 1.  Raises
+    BudgetExceeded when a divisor over MAX_TRIAL_DIVISOR would be tried."""
+    whole = n
     out = []
     p = 2
     while p * p <= n:
+        if p > MAX_TRIAL_DIVISOR:
+            raise BudgetExceeded(
+                "factoring %d needs trial divisors over the budget of %d"
+                % (whole, MAX_TRIAL_DIVISOR), MAX_TRIAL_DIVISOR)
         if n % p == 0:
             e = 1
             n //= p
@@ -400,23 +413,6 @@ class _CyclotomicField:
                 % (self.n, self.n))
         s += [0] * (self.deg - len(s))
         return self.normalize(([x * ad for x in s], r[0]))
-
-    # -- conversions ----------------------------------------------------
-
-    def pack(self, fracs):
-        """Tuple of Fractions -> packed (nums, den)."""
-        fracs = [Fraction(x) for x in fracs]
-        if len(fracs) != self.deg:
-            raise PreconditionError("Q(zeta_%d) elements have %d coordinates"
-                                    % (self.n, self.deg))
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        return self.normalize(([int(f * den) for f in fracs], den))
-
-    def from_rational(self, q):
-        q = Fraction(q)
-        v = [0] * self.deg
-        v[0] = q.numerator
-        return self.normalize((v, q.denominator))
 
     # -- sign certification ----------------------------------------------
 

@@ -74,11 +74,22 @@ def mat_pow(A, k):
 
 
 def det_bareiss(M):
-    """Determinant of an integer matrix by fraction-free elimination."""
+    """Determinant of an integer matrix by fraction-free elimination.
+
+    Step k sets A[i][j] = (p_k A[i][j] - A[i][k] A[k][j]) / p_(k-1), an
+    exact division (Bareiss 1968), p_k being the k-th pivot.  A row with
+    A[i][k] = 0 is only scaled by p_k / p_(k-1), so its update is put off:
+    at[i] records the pivot p_s after which the row was last written, its
+    true entries are A[i][j] p_(k-1) / p_s, and when A[i][k] != 0 the
+    update reads (p_k A[i][j] - A[i][k] A[k][j]) / p_s.  Each of these
+    divisions gives an entry of the eliminated matrix, so is exact.  In a
+    banded matrix only the rows that meet the band are written at each
+    step."""
     n = len(M)
     if n == 0:
         return 1
     A = copy_mat(M)
+    at = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -86,17 +97,28 @@ def det_bareiss(M):
             for i in range(k + 1, n):
                 if A[i][k] != 0:
                     A[k], A[i] = A[i], A[k]
+                    at[k], at[i] = at[i], at[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pk = A[k][k]
+        Ak = A[k]
+        if at[k] != prev:
+            s = at[k]
+            Ak[k:] = [x * prev // s for x in Ak[k:]]
+        pk = Ak[k]
+        tail = Ak[k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (pk * A[i][j] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
+            Ai = A[i]
+            aik = Ai[k]
+            if aik:
+                s = at[i]
+                Ai[k] = 0
+                Ai[k + 1:] = [(pk * x - aik * y) // s
+                              for x, y in zip(Ai[k + 1:], tail)]
+                at[i] = pk
         prev = pk
-    return sign * A[n - 1][n - 1]
+    return sign * A[n - 1][n - 1] * prev // at[n - 1]
 
 
 def invert_rational(M):

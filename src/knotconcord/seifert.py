@@ -26,7 +26,7 @@ from .kernels import hermitian_inertia
 
 # Largest Seifert matrix size n = 2g that a knot may have.  Tests and
 # benchmark workloads reach 30 (T(-6,7)); `signature --t 1/3` takes about
-# 3 s on T(-10,11), of size 90, and 14 s on T(-12,13), of size 132.
+# 0.6 s on T(-10,11), of size 90, and 2.5 s on T(-12,13), of size 132.
 MAX_SEIFERT_SIZE = 90
 
 
@@ -213,9 +213,11 @@ def _interpolate_integer_poly(values):
     return out
 
 
-# Largest field degree phi(d) that lt_signature works over.  Fixtures, tests
-# and benchmark workloads need at most 210; the trefoil takes about 0.5 s at
-# t = 1/1021 (phi = 1020) and 2 s at 1/4620 (phi = 960).
+# Largest field degree phi(d) that lt_signature works over.  The CLI and the
+# drivers evaluate at arc points (arc_point), where the benchmark workloads
+# reach phi <= 6; only a direct lt_signature call at t = k/d works over
+# Q(zeta_d) itself, as the tests do up to phi = 96 (t = k/97).  The trefoil
+# takes about 0.5 s at t = 1/1021 (phi = 1020) and 2 s at 1/4620 (phi = 960).
 MAX_FIELD_DEGREE = 1024
 
 
@@ -248,9 +250,11 @@ def lt_signature(V, t):
     c1 = F.sub(one, F.zeta_elt(a))          # 1 - w
     c2 = F.sub(one, F.zeta_elt(d - a))      # 1 - conj(w)
     E = V.entries
+    nil = F.zero()
     total = 0
     for block in V.blocks:
         B = [[F.add(F.scale(c1, E[r][c]), F.scale(c2, E[c][r]))
+              if E[r][c] or E[c][r] else nil
               for c in block] for r in block]
         plus, minus, zero = hermitian_inertia(F, B)
         if zero:

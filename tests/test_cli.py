@@ -252,6 +252,29 @@ def test_labelings_large_modulus(capsys):
     assert capsys.readouterr().out == LABELINGS_1E8 + "\n"
 
 
+def _labelings(n, *extra):
+    return subprocess.run(
+        [sys.executable, "-m", "knotconcord.cli", "labelings", "--pd",
+         fx("trefoil.pd"), "--d", "2", "--n", str(n), "--q", str(n - 1),
+         *extra], capture_output=True, text=True, timeout=10)
+
+
+def test_labelings_modulus_budget():
+    # (10^9 + 7)(10^9 + 9) would take 10^9 trial divisions and is refused;
+    # the prime 10^9 + 7 takes 3 * 10^4 and answers
+    semiprime = (10 ** 9 + 7) * (10 ** 9 + 9)
+    for extra in ((), ("--classify",)):
+        proc = _labelings(semiprime, *extra)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("budget exceeded: factoring %d needs trial "
+                               "divisors over the budget of 1000000\n"
+                               % semiprime)
+    proc = _labelings(10 ** 9 + 7, "--classify", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["characters"]["order"] == 1
+
+
 # ---------------------------------------------------------------------------
 # report mechanics: determinism, rendering, exit codes
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,14 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotconcord import linalg
+from knotconcord import _inertia_py, linalg, seifert
+from knotconcord._inertia_py import hermitian_pivots
 from knotconcord.cyclo import CyclotomicField
 from knotconcord.errors import PreconditionError
 from knotconcord.kernels import hermitian_inertia
 
 
+def pack(F, fracs):
+    """The element of F with these rational power-basis coordinates."""
+    fracs = [Fraction(x) for x in fracs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return F.normalize(([int(f * den) for f in fracs], den))
+
+
 def rational_matrix(F, rows):
-    return [[F.from_rational(x) for x in row] for row in rows]
+    return [[pack(F, [x] + [0] * (F.deg - 1)) for x in row] for row in rows]
 
 
 def test_rational_inertia_frozen():
@@ -62,7 +71,7 @@ def test_rational_inertia_matches_jacobi():
 
 
 def random_hermitian(rng, F, n):
-    C = [[F.pack([Fraction(rng.randint(-3, 3)) for _ in range(F.deg)])
+    C = [[pack(F, [rng.randint(-3, 3) for _ in range(F.deg)])
           for _ in range(n)] for _ in range(n)]
     return [[F.add(C[i][j], F.conj(C[j][i])) for j in range(n)] for i in range(n)]
 
@@ -78,7 +87,7 @@ def test_inertia_dimensions_and_congruence_invariance():
             assert p + m + z == n
             # congruence P^H A P with unit upper triangular P preserves inertia
             P = [[F.one() if i == j
-                  else (F.pack([Fraction(rng.randint(-2, 2)) for _ in range(F.deg)])
+                  else (pack(F, [rng.randint(-2, 2) for _ in range(F.deg)])
                         if i < j else F.zero())
                   for j in range(n)] for i in range(n)]
             PH = [[F.conj(P[j][i]) for j in range(n)] for i in range(n)]
@@ -154,3 +163,153 @@ def test_inertia_is_additive_on_block_sums(case):
     S += [[F.zero()] * n + B[i] for i in range(m)]
     a, b = hermitian_inertia(F, A), hermitian_inertia(F, B)
     assert hermitian_inertia(F, S) == tuple(x + y for x, y in zip(a, b))
+
+
+def dense_hermitian_pivots(F, matrix):
+    """The pivot loop that updates every pair of remaining rows, zero or
+    not: the oracle `hermitian_pivots`, which skips the pairs a pivot
+    leaves as they are, is held to."""
+    mul, add, sub, conj = F.mul, F.add, F.sub, F.conj
+    inverse, is_zero = F.inverse, F.is_zero
+    A = [list(row) for row in matrix]
+    active = list(range(len(A)))
+    pivots = []
+    two_blocks = 0
+    while active:
+        pi = next((i for i in active if not is_zero(A[i][i])), -1)
+        if pi >= 0:
+            p = A[pi][pi]
+            pivots.append(p)
+            ip = inverse(p)
+            rest = [i for i in active if i != pi]
+            w = [mul(A[r][pi], ip) for r in rest]
+            for ri, r in enumerate(rest):
+                for c in rest[ri:]:
+                    upd = sub(A[r][c], mul(w[ri], A[pi][c]))
+                    A[r][c] = upd
+                    if c != r:
+                        A[c][r] = conj(upd)
+            active = rest
+            continue
+        pairs = [(i, j) for ii, i in enumerate(active) for j in active[ii + 1:]
+                 if not is_zero(A[i][j])]
+        if not pairs:
+            return pivots, two_blocks, len(active)
+        fi, fj = pairs[0]
+        two_blocks += 1
+        ib = inverse(A[fi][fj])
+        ibc = conj(ib)
+        rest = [i for i in active if i != fi and i != fj]
+        u = [mul(A[r][fj], ib) for r in rest]
+        v = [mul(A[r][fi], ibc) for r in rest]
+        for ri, r in enumerate(rest):
+            for c in rest[ri:]:
+                t = add(mul(u[ri], A[fi][c]), mul(v[ri], A[fj][c]))
+                upd = sub(A[r][c], t)
+                A[r][c] = upd
+                if c != r:
+                    A[c][r] = conj(upd)
+        active = rest
+    return pivots, two_blocks, 0
+
+
+@st.composite
+def sparse_hermitian(draw):
+    """A field and a Hermitian matrix over it whose nonzero entries lie in
+    a band or at random places, with an all-zero diagonal (the hyperbolic
+    branch), zero rows and repeated rows (a singular block) mixed in."""
+    F = CyclotomicField(draw(st.sampled_from([1, 3, 4, 5, 7, 8, 12])))
+    n = draw(st.integers(1, 9))
+    band = draw(st.integers(0, n))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def element():
+        return (F.normalize(([rng.randint(-3, 3) for _ in range(F.deg)],
+                             rng.randint(1, 3))))
+
+    A = [[F.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, min(n, i + band + 1)):
+            if rng.random() < density:
+                a = element()
+                A[i][j] = F.add(a, F.conj(a)) if i == j else a
+                A[j][i] = F.conj(A[i][j])
+    if draw(st.booleans()):
+        for i in range(n):
+            A[i][i] = F.zero()
+    # each index reads the rows of another: -1 gives a zero row, an earlier
+    # index a repeated one; the result is Hermitian again
+    source = [draw(st.sampled_from([i, i, i, -1] + list(range(i))))
+              for i in range(n)]
+    zero = F.zero()
+    return F, [[A[s][t] if s >= 0 and t >= 0 else zero for t in source]
+               for s in source]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(sparse_hermitian())
+def test_sparse_pivots_match_dense_oracle(case):
+    F, A = case
+    assert hermitian_pivots(F, A) == dense_hermitian_pivots(F, A)
+
+
+def _seifert_form(F, V, a):
+    """(1 - w)V + (1 - conj w)V^T at w = zeta_d^a, built in full."""
+    c1 = F.sub(F.one(), F.zeta_elt(a))
+    c2 = F.sub(F.one(), F.zeta_elt(F.n - a))
+    E = V.entries
+    return [[F.add(F.scale(c1, E[r][c]), F.scale(c2, E[c][r]))
+             for c in range(V.size)] for r in range(V.size)]
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (-3, 4), (-4, 5), (-6, 7)])
+def test_torus_forms_match_dense_oracle(p, q):
+    V = seifert.torus_matrix(p, q)
+    for d, a in ((3, 1), (5, 2), (7, 3), (8, 1)):
+        F = CyclotomicField(d)
+        B = _seifert_form(F, V, a)
+        assert hermitian_pivots(F, B) == dense_hermitian_pivots(F, B)
+
+
+class _CountingField:
+    """A field that counts its products."""
+
+    def __init__(self, F):
+        self._F = F
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(self._F, name)
+
+    def mul(self, a, b):
+        self.products += 1
+        return self._F.mul(a, b)
+
+
+def test_banded_form_skips_zero_products(monkeypatch):
+    # T(-6,7) is 30 x 30 with half-bandwidth 6; updating every pair, as the
+    # dense loop does, makes 4,930 products at t = 1/5, most of them by 0
+    forms = []
+    pivots = _inertia_py.hermitian_pivots
+
+    def record(F, matrix):
+        forms.append((F, matrix))
+        return pivots(F, matrix)
+
+    monkeypatch.setattr(_inertia_py, "hermitian_pivots", record)
+    V = seifert.torus_matrix(-6, 7)
+    assert seifert.lt_signature(V, Fraction(1, 5)) == 12
+    (F, B), = forms
+    sparse, dense = _CountingField(F), _CountingField(F)
+    assert pivots(sparse, B) == dense_hermitian_pivots(dense, B)
+    assert dense.products == 4930
+    assert sparse.products <= 620
+
+
+def test_block_sums_share_the_zero_element():
+    # lt_signature builds every block's form on one shared zero element
+    A, B = seifert.torus_matrix(2, 5), seifert.torus_matrix(-3, 4)
+    for t in (Fraction(1, 5), Fraction(2, 7)):
+        assert seifert.lt_signature(A.block_sum(B).block_sum(A), t) == (
+            2 * seifert.lt_signature(A, t) + seifert.lt_signature(B, t))

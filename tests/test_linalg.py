@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from knotconcord import linalg
 from knotconcord.cover import MAX_LAYERED_SIZE, _deck_matrix
 from knotconcord.errors import PreconditionError
+from knotconcord.seifert import torus_matrix
 
 
 def frac_det(M):
@@ -40,6 +41,74 @@ def test_det_bareiss_matches_fraction_elimination():
         n = rng.randint(1, 6)
         M = random_matrix(rng, n)
         assert linalg.det_bareiss(M) == frac_det(M)
+
+
+def dense_det_bareiss(M):
+    """Fraction-free elimination that updates every entry below and to the
+    right of each pivot: the oracle det_bareiss, which works only on the
+    nonzero ones and puts off the scaling of the rows it skips, is held to."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = linalg.copy_mat(M)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        pk = A[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (pk * A[i][j] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = pk
+    return sign * A[n - 1][n - 1]
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Square integer matrices with nonzero entries in a band or at random
+    places; the rows may be shuffled, which makes elimination swap rows."""
+    n = draw(st.integers(0, 10))
+    band = draw(st.integers(0, n))
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    M = [[rng.randint(-9, 9) if abs(i - j) <= band and rng.random() < density
+          else 0 for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rng.shuffle(M)
+    return M
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(sparse_integer_matrices())
+def test_det_bareiss_matches_dense_oracle(M):
+    assert linalg.det_bareiss(M) == dense_det_bareiss(M)
+
+
+def test_det_bareiss_sparse_rows_need_swaps():
+    # zero leading pivots force row swaps; skipped rows are scaled late
+    rng = random.Random(103)
+    swapped = 0
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        M = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)]
+             for _ in range(n)]
+        swapped += M[0][0] == 0 and any(row[0] for row in M)
+        assert linalg.det_bareiss(M) == dense_det_bareiss(M) == frac_det(M)
+    assert swapped > 20
+
+
+def test_det_bareiss_alexander_samples_match_dense_oracle():
+    E = torus_matrix(-6, 7).entries
+    n = len(E)
+    for k in (2, 5, 16):
+        M = [[E[i][j] - k * E[j][i] for j in range(n)] for i in range(n)]
+        assert linalg.det_bareiss(M) == dense_det_bareiss(M)
 
 
 def test_det_bareiss_known_values():

@@ -154,8 +154,8 @@ def test_reference_guard_catches_planted_definitions():
 
 # the package definitions that only the tests reach, each with the reason it
 # stays: "oracle", a reference implementation a faster path is held to;
-# "paper", a statement of the paper that a test checks; "test-reader", a
-# reader or constructor many tests share
+# "paper", a statement of the paper that a test checks.  A reader or
+# constructor that only tests use lives in the tests that use it
 _TEST_ONLY = {
     "linalg.invert_rational": "oracle",
     "seifert._interpolate_integer_poly": "oracle",
@@ -167,10 +167,6 @@ _TEST_ONLY = {
     "cassongordon.mixed_exponents": "paper",
     "cover.char_space": "paper",
     "seifert.signature_profile": "paper",
-    "cyclo.pack": "test-reader",
-    "cyclo.from_rational": "test-reader",
-    "cover.evaluate": "test-reader",
-    "cassongordon.shift_multiset": "test-reader",
 }
 
 
@@ -192,7 +188,7 @@ def test_test_only_definitions_are_listed():
     package = {path.name: path.read_text() for path in
                sorted(Path(knotconcord.__file__).parent.glob("*.py"))}
     assert _unlisted(package, _TEST_ONLY) == []
-    assert set(_TEST_ONLY.values()) <= {"oracle", "paper", "test-reader"}
+    assert set(_TEST_ONLY.values()) <= {"oracle", "paper"}
 
 
 def test_test_only_guard_catches_planted_definitions():
