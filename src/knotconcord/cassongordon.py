@@ -17,7 +17,6 @@ cover, the order-two satellite family over Z_5 + Z_5, and mutated-satellite
 sums over the 3-fold cover with its mod-7 eigencharacter calculus.
 """
 
-import itertools
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -28,7 +27,7 @@ from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
                      BudgetExceeded, InternalInvariantViolation)
 from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
                            vanishing_chars, find_odd_char, admissible_pair,
-                           span_vectors)
+                           span_vectors, subspaces, subspace_count)
 from .seifert import (SeifertMatrix, KnotModel, build, alexander, check_size,
                       signature, torus_matrix, twisted_double_matrix, _integer)
 
@@ -509,9 +508,9 @@ def norm_test(e, hypotheses=None):
 
 def _dual_eigenpair(form, sign=1):
     """For a 2-generator block of height two whose deck acts with
-    eigenvalues 2 and 4 on the mod-7 character space: the dual
-    eigenvectors and the matrix taking ambient character coordinates to
-    eigencoordinates.
+    eigenvalues 2 and 4 on the mod-7 character space: the matrix taking
+    ambient character coordinates to eigencoordinates, the inverse mod 7
+    of the column matrix (w2 | w4) of the dual eigenvectors.
 
     The eigenvectors and their pairing come from dual_linking, reduced
     mod 7.  The right eigenvector is rescaled so that the transported
@@ -536,26 +535,11 @@ def _dual_eigenpair(form, sign=1):
     w4 = tuple(scale * x % _P for x in dual.basis[i4])
     if scale * unit % _P != sign % _P:
         raise InternalInvariantViolation("pairing normalization failed")
-    det = (w2[0] * w4[1] - w4[0] * w2[1]) % _P
-    if det == 0:
-        raise InternalInvariantViolation("dual eigenvectors are dependent")
-    dinv = pow(det, -1, _P)
-    # rows of the inverse of the column matrix (w2 | w4)
-    to_eigen = [[w4[1] * dinv % _P, (-w4[0]) * dinv % _P],
-                [(-w2[1]) * dinv % _P, w2[0] * dinv % _P]]
-    return (w2, w4), to_eigen
-
-
-def _char_blocks(vec, to_eigen_list):
-    """Ambient character coordinates (2 per summand) -> eigencoordinate
-    pairs (a_s, b_s)."""
-    out = []
-    for s, te in enumerate(to_eigen_list):
-        u = (vec[2 * s], vec[2 * s + 1])
-        a = (te[0][0] * u[0] + te[0][1] * u[1]) % _P
-        b = (te[1][0] * u[0] + te[1][1] * u[1]) % _P
-        out.append((a, b))
-    return out
+    try:
+        return linalg.modm_inverse(linalg.transpose([w2, w4]), _P)
+    except ZeroDivisionError:
+        raise InternalInvariantViolation(
+            "dual eigenvectors are dependent") from None
 
 
 def _case_expression(a_vec, b_vec, model_summands, keys):
@@ -800,29 +784,6 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
 # driver: mutated satellite sums over the 3-fold cover
 
 
-def _rref_shapes(n, m):
-    """Echelon bases of all dimension-m subspaces of Z_7^n, each exactly once."""
-    for pivots in itertools.combinations(range(n), m):
-        free = [(r, c) for r in range(m) for c in range(n)
-                if c > pivots[r] and c not in pivots]
-        for vals in itertools.product(range(_P), repeat=len(free)):
-            rows = [[0] * n for _ in range(m)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free, vals):
-                rows[r][c] = v
-            yield [tuple(r) for r in rows]
-
-
-def _count_rref_shapes(n, m):
-    total = 0
-    for pivots in itertools.combinations(range(n), m):
-        k = sum(1 for r in range(m) for c in range(n)
-                if c > pivots[r] and c not in pivots)
-        total += _P ** k
-    return total
-
-
 def _cross_admissible(rows2, rows4, signs):
     # bilinearity: the constraint on sums of left and right characters
     # reduces to all basis cross pairs
@@ -880,8 +841,12 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     base = satellite_base_matrix()
     forms = [linking_form(base if signs[s] == 1 else base.mirror(), 3)
              for s in range(n)]
-    eigen_data = [_dual_eigenpair(f, signs[s]) for s, f in enumerate(forms)]
-    to_eigen = [d[1] for d in eigen_data]
+    # eigencoordinates (a_0, b_0, a_1, b_1, ...) of a character: the block
+    # sum of the summands' 2 x 2 matrices
+    to_eigen = []
+    for s, f in enumerate(forms):
+        for row in _dual_eigenpair(f, signs[s]):
+            to_eigen.append([0] * (2 * s) + row + [0] * (2 * (n - s - 1)))
 
     if mode is None:
         mode = "enumerate" if n <= 2 else "abstract"
@@ -916,15 +881,13 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
                 raise InternalInvariantViolation(
                     "vanishing characters do not split under the deck action")
             rows = {2: [], 4: []}
-            for lam in (2, 4):
+            for lam, side in ((2, 0), (4, 1)):
                 for vec in S.eigen.get(lam, ()):
-                    blocks = _char_blocks(vec, to_eigen)
-                    for (a, b) in blocks:
-                        if (lam == 2 and b) or (lam == 4 and a):
-                            raise InternalInvariantViolation(
-                                "eigenvector mixes the two eigencoordinates")
-                    rows[lam].append([blk[0 if lam == 2 else 1]
-                                      for blk in blocks])
+                    coords = [x % _P for x in linalg.mat_vec(to_eigen, vec)]
+                    if any(coords[1 - side::2]):
+                        raise InternalInvariantViolation(
+                            "eigenvector mixes the two eigencoordinates")
+                    rows[lam].append(coords[side::2])
             verdict = run_case(rows[2], rows[4],
                                {"metabolizer": A.to_json(),
                                 "charspace": {"dim": S.dim,
@@ -935,14 +898,14 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     else:
         shape_count = 0
         for m in range(n // 2 + 1, n + 1):
-            shape_count += 2 * _count_rref_shapes(n, m)
+            shape_count += 2 * subspace_count(n, m, _P)
         if n % 2 == 0:
-            shape_count += _count_rref_shapes(n, n // 2) ** 2
+            shape_count += subspace_count(n, n // 2, _P) ** 2
         if shape_count > budget:
             raise BudgetExceeded("abstract character-space enumeration needs "
                                  "%d shapes" % shape_count, budget)
         for m in range(n // 2 + 1, n + 1):
-            for shape in _rref_shapes(n, m):
+            for shape in subspaces(n, m, _P, budget):
                 for side in ("left", "right"):
                     rows2 = [list(r) for r in shape] if side == "left" else []
                     rows4 = [list(r) for r in shape] if side == "right" else []
@@ -952,7 +915,7 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
                     all_not_norm = all_not_norm and verdict == NOT_NORM
         if n % 2 == 0:
             half = n // 2
-            no_odd = [shape for shape in _rref_shapes(n, half)
+            no_odd = [shape for shape in subspaces(n, half, _P, budget)
                       if find_odd_char([list(r) for r in shape], n, _P) is None]
             for s2 in no_odd:
                 for s4 in no_odd:

@@ -351,9 +351,6 @@ class CharSpace:
                       for lam, vecs in eigen.items()}
         self.split = sum(len(vecs) for vecs in self.eigen.values()) == self.dim
 
-    def eigenvalues(self):
-        return sorted(l for l, b in self.eigen.items() if b)
-
 
 def deck_eigenspaces(T, p, e, degree, constraints=()):
     """Deck eigenspaces of T acting on column vectors over Z_q, q = p^e.

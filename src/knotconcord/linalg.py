@@ -338,24 +338,6 @@ def hermite_normal_form(rows_in):
     return out
 
 
-def lattice_contains(hnf_rows, vec):
-    """Membership of vec in the row lattice given by its Hermite form."""
-    if not hnf_rows:
-        return not any(vec)
-    cols = len(hnf_rows[0])
-    v = list(vec)
-    for r in hnf_rows:
-        c = next((j for j in range(cols) if r[j] != 0), None)
-        if c is None:
-            continue
-        if v[c] % r[c] != 0:
-            return False
-        q = v[c] // r[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, r)]
-    return not any(v)
-
-
 # ---------------------------------------------------------------------------
 # Modular linear algebra.  The moduli here are small (residue rings of the
 # covers we handle), so plain dense elimination is adequate.

@@ -6,22 +6,27 @@ subgroup whose order squares to the group order.  Subgroups are handled
 as integer lattices between diag(group) and Z^k, written in Hermite
 normal form so equality is syntactic.
 
-Enumeration fills Hermite bases row by row from the bottom, for each
-diagonal whose product squares to the group order.  Row i is diag[i] e_i
-plus a tail t in the box [0, diag[i+1]) x ... x [0, diag[k-1]).  Once
-rows i+1..k-1 are fixed, the conditions <row i, row j> = 0 (mod den), den
-the common denominator of the Gram matrix, are linear congruences in t,
-and each fixed row keeps its linear form N row.  A tail coordinate whose
-diagonal entry is 1 has the box [0, 1), so it is 0, and its coefficient
-is zeroed in every congruence; no pivot of the echelon form then lands on
-a column that has a single value to offer.  The congruences are brought
-to echelon form by unimodular integer row operations, which works
-for any den, and the tail is solved from its last coordinate to its
-first: a coordinate that starts no congruence is free, and one that
-starts g t = s (mod den) has no value unless h = gcd(g, den) divides s,
-and otherwise the values t_0 + (den / h) Z in the box.  Each solution is
-a candidate; it is kept if it pairs to zero with itself and the rows so
-far contain the relation f_i e_i.
+One walk enumerates subgroups, those of a given index that are isotropic
+for a form: the metabolizers are those of index the square root of the
+group order, and under the zero form every subgroup is isotropic, so the
+walk on it lists the subspaces of (Z/p)^n (subspaces, counted in closed
+form by subspace_count).  The walk fills Hermite bases row by row from
+the bottom, for each diagonal whose product is the index.  Row i is
+diag[i] e_i plus a tail t in the box
+[0, diag[i+1]) x ... x [0, diag[k-1]).  Once rows i+1..k-1 are fixed,
+the conditions <row i, row j> = 0 (mod den), den the common denominator
+of the Gram matrix, are linear congruences in t, and each fixed row
+keeps its linear form N row.  A tail coordinate whose diagonal entry is
+1 has the box [0, 1), so it is 0, and its coefficient is zeroed in every
+congruence; no pivot of the echelon form then lands on a column that has
+a single value to offer.  The congruences are brought to echelon form by
+unimodular integer row operations, which works for any den, and the tail
+is solved from its last coordinate to its first: a coordinate that
+starts no congruence is free, and one that starts g t = s (mod den) has
+no value unless h = gcd(g, den) divides s, and otherwise the values
+t_0 + (den / h) Z in the box.  Each solution is a candidate; it is kept
+if it pairs to zero with itself and the rows so far contain the relation
+f_i e_i.
 
 For deck-invariant metabolizers each fixed row contributes the linear
 forms of its whole deck orbit, and a candidate must also pair to zero
@@ -48,7 +53,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from . import linalg
-from .cover import CharSpace, deck_eigenspaces
+from .cover import CharSpace, LinkingForm, deck_eigenspaces
 from .errors import BudgetExceeded, InternalInvariantViolation
 
 DEFAULT_BUDGET = 10 ** 6
@@ -76,10 +81,6 @@ class Metabolizer:
         rows = (tuple(x % f for x, f in zip(row, self.group))
                 for row in self.basis)
         return tuple(r for r in rows if any(r))
-
-    def contains(self, vec):
-        lifted = [int(x) for x in vec]
-        return linalg.lattice_contains([list(r) for r in self.basis], lifted)
 
     def __eq__(self, other):
         return (isinstance(other, Metabolizer)
@@ -162,11 +163,8 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
             else None)
     key = (L.group, L.N, L.den, deck)
     if key not in _searches:
-        search = _Search(L, deck, budget)
-        for diag in _diag_choices(L.group, root, 0, 1):
-            search.fill(diag, k - 1)
-        search.found.sort(key=lambda m: m.basis)
-        _searches[key] = (tuple(m.basis for m in search.found), search.nodes)
+        bases, nodes = _walk(L, root, deck, budget)
+        _searches[key] = (tuple(sorted(bases)), nodes)
     bases, nodes = _searches[key]
     if nodes > budget:
         raise _over_budget(budget)
@@ -177,6 +175,43 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
 # Hermite bases of the metabolizers and the candidates the search visited,
 # kept for the life of the process; a search that raises is not stored
 _searches = {}
+
+
+def _walk(L, index, deck, budget):
+    """The subgroups of the given index that are isotropic for L and, when
+    deck is not None, invariant under it: their Hermite bases in the order
+    the walk finds them, and the number of candidates it visited."""
+    search = _Search(L, deck, budget)
+    for diag in _diag_choices(L.group, index, 0, 1):
+        search.fill(diag, len(L.group) - 1)
+    return search.found, search.nodes
+
+
+def subspaces(n, m, p, budget=DEFAULT_BUDGET):
+    """The m-dimensional subspaces of (Z/p)^n, p prime, each as the rows of
+    its reduced echelon basis: ordered by pivot columns, as
+    itertools.combinations orders them, then by the rows.
+
+    They are the subgroups of index p^(n - m), all isotropic for the zero
+    form; the rows of a Hermite basis whose diagonal entry is 1 are the
+    echelon rows, and the others are p e_i.  The budget bounds the walk's
+    candidates, as in enumerate_metabolizers.
+    """
+    zero = LinkingForm((p,) * n, [[0] * n for _ in range(n)])
+    bases, _ = _walk(zero, p ** (n - m), None, budget)
+    bases.sort(key=lambda b: ([row[i] for i, row in enumerate(b)], b))
+    return [tuple(row for i, row in enumerate(b) if row[i] == 1)
+            for b in bases]
+
+
+def subspace_count(n, m, p):
+    """The number of m-dimensional subspaces of (Z/p)^n, the Gaussian
+    binomial prod_{i<m} (p^(n-i) - 1) / (p^(i+1) - 1)."""
+    num = den = 1
+    for i in range(m):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 def _over_budget(budget):
@@ -199,8 +234,9 @@ def _diag_choices(group, root, i, prod):
 
 
 class _Search:
-    """One metabolizer search: the form, the rows fixed so far and, for
-    each, the linear forms a later row must pair to zero with.
+    """One walk: the form, the rows fixed so far and, for each, the linear
+    forms a later row must pair to zero with; found holds the Hermite
+    bases of the finished subgroups.
 
     The recursion lives in methods and module-level generators, never in
     closures defined per node or per diagonal: such a closure refers to
@@ -230,8 +266,8 @@ class _Search:
                     image = linalg.mat_vec(self.deck, r)
                     if not _suffix_member(rows, diag, image, 0):
                         return
-            basis = [self.interned.setdefault(r, r) for r in map(tuple, rows)]
-            self.found.append(Metabolizer(group, basis))
+            self.found.append(tuple(self.interned.setdefault(r, r)
+                                    for r in map(tuple, rows)))
             return
         by_col = _echelon(self.system(diag, i), k - i - 1, den)
         if by_col is None:
@@ -562,16 +598,7 @@ def check_diagonal_lemma(p, k, budget=DEFAULT_BUDGET):
         nonsingular += 1
         rows = [[1 if j == i else 0 for j in range(k)] + E[i]
                 for i in range(k)]
-        has_odd = False
-        for coeffs in product(range(p), repeat=k):
-            if not any(coeffs):
-                continue
-            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) % p
-                   for j in range(2 * k)]
-            if _weight(vec) % 2:
-                has_odd = True
-                break
-        if has_odd:
+        if any(_weight(v) % 2 for v in span_vectors(rows, p, budget)):
             continue
         without_odd += 1
         ok = all(_weight(row) == 1 for row in E)

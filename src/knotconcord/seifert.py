@@ -731,17 +731,6 @@ class KnotModel:
     def matrix_only(self):
         return all(not s.infections and s.token is None for s in self.summands)
 
-    @property
-    def infections(self):
-        out = []
-        for s in self.summands:
-            out.extend(s.infections)
-        return out
-
-    @property
-    def tokens(self):
-        return [s.token for s in self.summands if s.token is not None]
-
     def mirror(self):
         if not self.matrix_only:
             raise PreconditionError("mirroring implemented for matrix-presented knots only")

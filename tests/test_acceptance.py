@@ -114,7 +114,7 @@ def test_04_character_eigenspaces():
     S = char_space(H, 7)
     assert S.dim == 2
     assert S.split
-    assert S.eigenvalues() == [2, 4]
+    assert sorted(lam for lam, vecs in S.eigen.items() if vecs) == [2, 4]
     assert all(len(S.eigen[lam]) == 1 for lam in (2, 4))
     assert unit_roots_mod(3, 49) == [1, 18, 30]
 

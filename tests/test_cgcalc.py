@@ -549,6 +549,18 @@ def test_mutant_sum_three_summands_abstract():
         assert case["verdict"] == NOT_NORM
 
 
+def test_mutant_sum_abstract_budget():
+    # the 116 shapes of three summands are counted before any is visited
+    companions, signs = [COMP_A, COMP_A, COMP_B], [1, 1, -1]
+    rep = mutant_sum_obstruction(companions, signs=signs, budget=116)
+    assert len(rep["cases"]) == 116
+    with pytest.raises(BudgetExceeded) as exc:
+        mutant_sum_obstruction(companions, signs=signs, budget=115)
+    assert str(exc.value) == (
+        "abstract character-space enumeration needs 116 shapes")
+    assert exc.value.budget == 115
+
+
 def test_mutant_sum_every_character_is_admissible():
     reports = [mutant_sum_obstruction([COMP_A]),
                mutant_sum_obstruction([COMP_A, COMP_A]),
@@ -635,8 +647,8 @@ def test_mutant_family_shares_abelian_invariants():
     assert alexander(mutated.matrix) == alexander(plain.matrix)
     assert (branched_cover(mutated.matrix, 3).factors
             == branched_cover(plain.matrix, 3).factors == (49, 49))
-    assert [i.param for i in mutated.infections] == [1, -1]
-    assert [i.param for i in plain.infections] == [1, 1]
+    assert [i.param for m in mutated.summands for i in m.infections] == [1, -1]
+    assert [i.param for m in plain.summands for i in m.infections] == [1, 1]
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import knotconcord
-from knotconcord.cli import _HANDLERS, main
+from knotconcord.cli import _HANDLERS, BUDGET_ENV, main
 from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.errors import SingularAtT
 from knotconcord.seifert import build, lt_signature
@@ -198,6 +199,24 @@ def test_obstruct_mutant_sum_mode_override(capsys):
                                "--mode", "abstract"])
     assert report["result"]["mode"] == "abstract"
     assert report["result"]["obstructed"] is True
+
+
+def test_obstruct_mutant_sum_abstract_budget(tmp_path):
+    # four summands need 8123302 shapes, over the default budget: refused
+    # before the walk, in a fresh process
+    spec = tmp_path / "four.json"
+    spec.write_text(json.dumps({"companions": [[[-1, 1], [0, 3]]] * 4}))
+    env = {k: v for k, v in os.environ.items() if k != BUDGET_ENV}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotconcord.cli", "obstruct-mutant-sum",
+         "--knot", str(spec), "--mode", "abstract"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("budget exceeded: abstract character-space "
+                           "enumeration needs 8123302 shapes\n")
 
 
 # ---------------------------------------------------------------------------

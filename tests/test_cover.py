@@ -253,7 +253,7 @@ def test_genus2_model_char_space():
     H = branched_cover(GENUS2_MODEL, 3)
     C = char_space(H, 7)
     assert C.dim == 2
-    assert C.eigenvalues() == [2, 4]
+    assert sorted(lam for lam, vecs in C.eigen.items() if vecs) == [2, 4]
     assert len(C.eigen[2]) == 1
     assert len(C.eigen[4]) == 1
     assert len(C.eigen[1]) == 0

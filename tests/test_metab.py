@@ -29,7 +29,8 @@ from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
                                       check_diagonal_lemma,
                                       enumerate_metabolizers, find_odd_char,
                                       is_metabolizer, project_metabolizer,
-                                      span_vectors, vanishing_chars)
+                                      span_vectors, subspace_count,
+                                      subspaces, vanishing_chars)
 from knotconcord.seifert import SeifertMatrix, build
 
 GENUS2_MODEL = SeifertMatrix([[-1, 1, 1, 1],
@@ -157,14 +158,21 @@ def _walk_oracle(L, invariant_only=False, budget=DEFAULT_BUDGET):
     return found
 
 
+def _contains(A, vec):
+    """Whether vec lies in the subgroup A, by reduction against its
+    Hermite basis."""
+    diag = [row[i] for i, row in enumerate(A.basis)]
+    return _suffix_member(A.basis, diag, vec, 0)
+
+
 def test_unique_metabolizer_of_z25():
     L = LinkingForm((25,), ((F(1, 25),),))
     ms = enumerate_metabolizers(L)
     assert len(ms) == 1
     assert ms[0].generators == ((5,),)
     assert ms[0].order == 5
-    assert ms[0].contains((10,))
-    assert not ms[0].contains((1,))
+    assert _contains(ms[0], (10,))
+    assert not _contains(ms[0], (1,))
 
 
 def test_z5_square_diagonal_unit_form():
@@ -464,7 +472,7 @@ def test_zeroed_columns_walk_matches_old_system(name, invariant_only):
     old = _fresh_search(_OldSystemSearch, L, invariant_only)
     new = _fresh_search(_Search, L, invariant_only)
     assert old.checked and old.mismatches == 0
-    assert [m.basis for m in new.found] == [m.basis for m in old.found]
+    assert new.found == old.found
     count = CANDIDATES[name][invariant_only]
     assert new.nodes == old.nodes == count
     for cls in (_Search, _OldSystemSearch):
@@ -580,6 +588,58 @@ def test_span_vectors_matches_comprehension(case):
     # up to four rows of up to four entries, not reduced mod p
     p, basis = case
     assert list(span_vectors(basis, p)) == _span_comprehension(basis, p)
+
+
+def _rref_shapes(n, m, p):
+    """Reduced echelon bases of all m-dimensional subspaces of (Z/p)^n,
+    each exactly once: the pivot columns in itertools.combinations order,
+    then the free entries, row by row, in itertools.product order."""
+    for pivots in itertools.combinations(range(n), m):
+        free = [(r, c) for r in range(m) for c in range(n)
+                if c > pivots[r] and c not in pivots]
+        for vals in itertools.product(range(p), repeat=len(free)):
+            rows = [[0] * n for _ in range(m)]
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = 1
+            for (r, c), v in zip(free, vals):
+                rows[r][c] = v
+            yield tuple(tuple(r) for r in rows)
+
+
+def _count_rref_shapes(n, m, p):
+    """The number of bases _rref_shapes yields: p to the number of free
+    entries, summed over the pivot sets."""
+    total = 0
+    for pivots in itertools.combinations(range(n), m):
+        k = sum(1 for r in range(m) for c in range(n)
+                if c > pivots[r] and c not in pivots)
+        total += p ** k
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_subspaces_match_echelon_oracle(p):
+    # the walk on the zero form lists every subspace once, in the order
+    # of the echelon enumeration it replaced
+    for n in range(5):
+        for m in range(n + 1):
+            shapes = subspaces(n, m, p)
+            assert shapes == list(_rref_shapes(n, m, p)), (n, m)
+            assert len(shapes) == subspace_count(n, m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_subspace_count_matches_echelon_count(p):
+    for n in range(7):
+        for m in range(n + 1):
+            assert subspace_count(n, m, p) == _count_rref_shapes(n, m, p)
+
+
+def test_subspaces_budget():
+    # the walk for the 57 planes of (Z/7)^3 visits 69 candidates
+    assert len(subspaces(3, 2, 7, budget=69)) == 57
+    with pytest.raises(BudgetExceeded, match="more than 68 candidates"):
+        subspaces(3, 2, 7, budget=68)
 
 
 @pytest.mark.parametrize("group, deck, scalar", [
@@ -727,7 +787,7 @@ def test_find_odd_char_budget():
 
 def test_diagonal_lemma_counts():
     expect = {(3, 1): (2, 2), (3, 2): (48, 8), (5, 2): (480, 32),
-              (7, 2): (2016, 72)}
+              (7, 2): (2016, 72), (3, 3): (11232, 48)}
     for (p, k), (nonsing, no_odd) in expect.items():
         rep = check_diagonal_lemma(p, k)
         assert rep["nonsingular"] == nonsing

@@ -304,11 +304,16 @@ def test_build_sum_multiplies_alexander():
     assert alexander(s) == prod
 
 
+def _infections(model):
+    """The infections of every summand of a KnotModel, in order."""
+    return [inf for s in model.summands for inf in s.infections]
+
+
 def test_build_order_two_structure():
     m = build({"kind": "order_two", "companion": {"kind": "torus", "p": 2, "q": 3}})
     assert not m.matrix_only
     assert alexander(m.matrix) == (1, -3, 1)
-    infs = m.infections
+    infs = _infections(m)
     assert [i.curve for i in infs] == ["B1", "B2"]
     assert [i.pattern for i in infs] == ["double_lift", "double_lift"]
     assert [i.param for i in infs] == [1, 2]
@@ -330,8 +335,8 @@ def test_build_satellite_with_token():
                                                  "knot": {"kind": "torus", "p": 2, "q": 3}},
                     "pattern": "triple_lift", "param": -1},
                ]})
-    assert m.tokens == ["core"]
-    assert len(m.infections) == 2
+    assert [s.token for s in m.summands if s.token is not None] == ["core"]
+    assert len(_infections(m)) == 2
     assert m.matrix.size == 4
     assert alexander(m) == poly_mul((2, -5, 2), (2, -5, 2))
 
