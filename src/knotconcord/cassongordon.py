@@ -827,14 +827,13 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     record = HypothesisRecord.for_polys(keys)
     record.require(keys)
 
-    def companion_spec(J, idx):
+    def companion_spec(J):
         if isinstance(J, dict):
             return J
         return {"kind": "matrix",
                 "entries": [list(r) for r in _companion_matrix(J).entries]}
 
-    member_specs = [mutant_family_spec(companion_spec(J, s))
-                    for s, J in enumerate(companions)]
+    member_specs = [mutant_family_spec(companion_spec(J)) for J in companions]
     models = [build(ms) for ms in member_specs]
     summands = [m.summands[0] for m in models]
 

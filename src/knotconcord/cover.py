@@ -16,6 +16,7 @@ group raises InfiniteHomology.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 from . import linalg
@@ -113,16 +114,14 @@ class CoverHomology:
 
     factors are the nontrivial invariant factors; deck[i][j] gives the
     coefficient of generator i in the image of generator j, reduced mod
-    factors[i]; pairing[i][j] is the linking number of generators i and j,
-    a Fraction in [0, 1).  All three are tuples: branched_cover hands the
-    same object to every caller.
+    factors[i].  Both are tuples: branched_cover hands the same object to
+    every caller.
     """
 
-    def __init__(self, degree, factors, deck, pairing):
+    def __init__(self, degree, factors, deck):
         self.degree = degree
         self.factors = tuple(int(f) for f in factors)
         self.deck = tuple(tuple(int(x) for x in row) for row in deck)
-        self.pairing = tuple(map(tuple, pairing))
         order = 1
         for f in self.factors:
             order *= f
@@ -147,20 +146,21 @@ class CoverHomology:
                 "deck": [list(r) for r in self.deck]}
 
 
-# branched_cover and linking_form by (matrix entries, d), kept for the
-# life of the process; exceptions are not stored
-_covers = {}
-_forms = {}
-
-
 def branched_cover(V, d):
-    """Homology and deck action of the d-fold branched cover, d >= 2,
-    computed once per process for each (V, d)."""
+    """Homology and deck action of the d-fold branched cover, d >= 2: the
+    homology of linking_form(V, d), computed once per process for each
+    (V, d) by _cover."""
     if not isinstance(V, SeifertMatrix):
         V = SeifertMatrix(V)
-    key = (V.key, d)
-    if key in _covers:
-        return _covers[key]
+    return _cover(V, d).homology
+
+
+@cache
+def _cover(V, d):
+    """The checked linking form of the d-fold branched cover of the
+    SeifertMatrix V, carrying the checked homology as .homology; kept for
+    the life of the process, and an exception is not stored, so an
+    infinite or over-budget cover raises on every call."""
     if d < 2:
         raise PreconditionError("cover degree must be at least 2, got %d" % d)
     M = V.entries
@@ -215,7 +215,7 @@ def branched_cover(V, d):
     pairing = [[Fraction(-sum(Uinv[r][i] * W[r][j] for r in range(m)),
                          diag[j]) % 1 for j in keep] for i in keep]
 
-    H = CoverHomology(d, factors, deck, pairing)
+    H = CoverHomology(d, factors, deck)
     if H.order != expected:
         raise InternalInvariantViolation(
             "group order %d does not match Alexander product %d"
@@ -229,8 +229,14 @@ def branched_cover(V, d):
         fixed = _congruence_kernel_count(TmI, list(factors), list(factors))
         if fixed != 1:
             raise InternalInvariantViolation("deck action has fixed points")
-    _covers[key] = H
-    return H
+    form = LinkingForm(factors, pairing, H.deck, homology=H)
+    if k:
+        if not form.is_nonsingular():
+            raise InternalInvariantViolation("linking form is singular")
+        if not form.deck_is_isometry():
+            raise InternalInvariantViolation(
+                "deck action does not preserve lk")
+    return form
 
 
 class LinkingForm:
@@ -295,23 +301,11 @@ class LinkingForm:
 def linking_form(V, d):
     """Linking form of the d-fold branched cover, from the layered
     presentation: lk(x, y) = -x^t L^{-1} y mod Z on cokernel generators,
-    as branched_cover reads it off the Smith transforms of L.  Computed
-    once per process for each (V, d)."""
+    as _cover reads it off the Smith transforms of L.  Computed once per
+    process for each (V, d); its homology is branched_cover(V, d)."""
     if not isinstance(V, SeifertMatrix):
         V = SeifertMatrix(V)
-    key = (V.key, d)
-    if key in _forms:
-        return _forms[key]
-    H = branched_cover(V, d)
-    form = LinkingForm(H.factors, H.pairing, H.deck, homology=H)
-    if H.rank:
-        if not form.is_nonsingular():
-            raise InternalInvariantViolation("linking form is singular")
-        if not form.deck_is_isometry():
-            raise InternalInvariantViolation(
-                "deck action does not preserve lk")
-    _forms[key] = form
-    return form
+    return _cover(V, d)
 
 
 def direct_sum(*forms):
@@ -371,10 +365,7 @@ def deck_eigenspaces(T, p, e, degree, constraints=()):
     matrices T - lam, the projectors and split are computed once per
     process for each (T, p, e, degree) by _deck_split.
     """
-    key = (tuple(map(tuple, T)), p, e, degree)
-    if key not in _splits:
-        _splits[key] = _deck_split(*key)
-    parts, split = _splits[key]
+    parts, split = _deck_split(tuple(map(tuple, T)), p, e, degree)
     q = p ** e
     eigen = {}
     for lam, shifted, proj in parts:
@@ -384,14 +375,11 @@ def deck_eigenspaces(T, p, e, degree, constraints=()):
     return eigen, split
 
 
-# _deck_split by (T, p, e, degree), kept for the life of the process;
-# exceptions are not stored
-_splits = {}
-
-
+@cache
 def _deck_split(T, p, e, degree):
     """([(lam, T - lam, P_lam) for each root lam], split), the part of
-    deck_eigenspaces that does not depend on the constraints."""
+    deck_eigenspaces that does not depend on the constraints; kept for the
+    life of the process, and an exception is not stored."""
     q = p ** e
     k = len(T)
     if degree is None:

@@ -24,6 +24,7 @@ precision, so no floating-point value is ever computed.
 """
 
 import math
+from functools import cache
 
 from .errors import (BudgetExceeded, InternalInvariantViolation,
                      PreconditionError)
@@ -136,9 +137,6 @@ def is_prime(n):
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and fields
 
-_cyclo_cache = {}
-
-
 def cyclotomic_polynomial(n):
     """Coefficient list (low degree first) of Phi_n.
 
@@ -148,8 +146,6 @@ def cyclotomic_polynomial(n):
     (1/(1 - x^d) is the running sum with stride d).  Then Phi_n(x) =
     Phi_r(x^(n/r)).
     """
-    if n in _cyclo_cache:
-        return list(_cyclo_cache[n])
     if n == 1:
         return [-1, 1]
     primes = [q for q, _ in factor(n)]
@@ -171,7 +167,6 @@ def cyclotomic_polynomial(n):
     stride = n // math.prod(primes)
     out = [0] * (deg * stride + 1)
     out[::stride] = poly
-    _cyclo_cache[n] = list(out)
     return out
 
 
@@ -239,15 +234,6 @@ def fixed_cos(n, js, bits):
     return table
 
 
-_field_cache = {}
-
-
-def CyclotomicField(n):
-    if n not in _field_cache:
-        _field_cache[n] = _CyclotomicField(n)
-    return _field_cache[n]
-
-
 class _CyclotomicField:
     """Q(zeta_n) on the power basis, with packed integer arithmetic.
 
@@ -266,7 +252,6 @@ class _CyclotomicField:
         self.red = [self.redbase]
         for _ in range(self.deg - 2):
             self.red.append(self._times_zeta(self.red[-1]))
-        self._zeta_cache = {}
         self._cos_tables = {}
         # conj_mat[j] = zeta^(n-j) = zeta^-j, one multiplication by 1/zeta
         # per row; for deg > 1, n > 2 and Phi_n(0) = 1, so
@@ -297,14 +282,11 @@ class _CyclotomicField:
         k %= self.n
         if 0 < self.n - k < self.deg:
             return list(self.conj_mat[self.n - k])
-        if k in self._zeta_cache:
-            return list(self._zeta_cache[k])
         v = [0] * self.deg
         # multiply x^(deg-1) by x repeatedly, reducing at each step
         v[min(k, self.deg - 1)] = 1
         for _ in range(k - self.deg + 1):
             v = self._times_zeta(v)
-        self._zeta_cache[k] = list(v)
         return v
 
     def _times_zeta(self, v):
@@ -451,3 +433,8 @@ class _CyclotomicField:
                     "sign of a provably nonzero element did not separate; "
                     "element may not be self-conjugate")
             bits *= 4
+
+
+# one field per order, kept for the life of the process; an invalid order
+# raises on every call
+CyclotomicField = cache(_CyclotomicField)

@@ -89,10 +89,6 @@ class Diagram:
     def writhe(self):
         return sum(c[3] for c in self.crossings)
 
-    def to_json(self):
-        return {"crossings": [list(c) for c in self.crossings],
-                "arcs": [list(a) for a in self.arcs]}
-
 
 _ENTRY = re.compile(r"[Xx]([+-]?)\[(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]\Z")
 

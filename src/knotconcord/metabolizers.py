@@ -173,7 +173,10 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
 
 # enumerate_metabolizers by (group, N, den, effective deck): the sorted
 # Hermite bases of the metabolizers and the candidates the search visited,
-# kept for the life of the process; a search that raises is not stored
+# kept for the life of the process; a search that raises is not stored.
+# The package's one dict memo, not a functools.cache: a search runs with
+# the caller's budget, which is not part of the key, and a hit replays the
+# stored candidate count against the budget of the call at hand
 _searches = {}
 
 

@@ -83,7 +83,8 @@ class SeifertMatrix:
 
     @cached_property
     def key(self):
-        """The entries as a tuple of row tuples, the key of every memo."""
+        """The entries as a tuple of row tuples.  A matrix hashes as its
+        key, so equal matrices are one key of every memo."""
         return tuple(map(tuple, self.entries))
 
     @cached_property
@@ -99,6 +100,9 @@ class SeifertMatrix:
 
     def __eq__(self, other):
         return isinstance(other, SeifertMatrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.key)
 
     def __repr__(self):
         return "SeifertMatrix(%r)" % (self.entries,)
@@ -577,24 +581,23 @@ def arc_point(V, t):
     return arcs.point(j, s)
 
 
-# lt_signature by (matrix entries, arc point), kept for the life of the
-# process; exceptions are not stored
-_signatures = {}
-
-
 def signature(V, t):
     """lt_signature(V, t), computed once per process for each arc of V.
 
     arc_point runs on every request, so a singular t raises SingularAtT
     every time; on a miss, lt_signature is called at the arc point and its
-    value stored under (entries, arc point).  lt_signature itself keeps no
+    value kept under (matrix, arc point).  lt_signature itself keeps no
     memo, so a direct call always computes."""
     if isinstance(V, KnotModel):
         V = V.matrix
-    key = (V.key, arc_point(V, t))
-    if key not in _signatures:
-        _signatures[key] = lt_signature(V, key[1])
-    return _signatures[key]
+    return _signature(V, arc_point(V, t))
+
+
+@cache
+def _signature(V, point):
+    # lt_signature is looked up when called, not bound here, so a wrapped
+    # or rebound lt_signature is the one that runs
+    return lt_signature(V, point)
 
 
 def signature_profile(V, points):
@@ -645,11 +648,6 @@ def _braid_fence_matrix(word, strands):
                     V[i][j], V[j][i] = _CROSS_LATER
                 elif aj < ai < bj < bi:
                     V[i][j], V[j][i] = _CROSS_EARLIER
-            elif cj == ci - 1:
-                if aj < ai < bj < bi:
-                    V[j][i], V[i][j] = _CROSS_LATER
-                elif ai < aj < bi < bj:
-                    V[j][i], V[i][j] = _CROSS_EARLIER
     return SeifertMatrix(V)
 
 

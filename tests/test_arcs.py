@@ -16,6 +16,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotconcord import seifert
 from knotconcord.cyclo import CyclotomicField, euler_phi
 from knotconcord.errors import (BudgetExceeded, PreconditionError,
                                 SingularAtT)
@@ -123,6 +124,30 @@ def test_close_irrational_roots():
     assert euler_phi(inner.denominator) > 12
     values = {outcome(V, t) for t in (lo, inner, hi)}
     assert len(values) == 3
+
+
+def test_point_within_two_to_minus_ninety_of_a_root(monkeypatch):
+    # Delta = 2t^2 - 3t + 2 has a non-cyclotomic root pair on the circle at
+    # angle arccos(3/4) / 2 pi; the dyadic points either side of it, 2^-90
+    # apart, do not separate from the root at 64 bits, so the cosine
+    # precision doubles to 128
+    V = SeifertMatrix([[2, 1], [0, 1]])
+    assert alexander(V) == (2, -3, 2)
+    angle = sp.acos(sp.Rational(3, 4)) / (2 * sp.pi)
+    c = int(sp.floor(sp.N(angle * 2 ** 90, 60)))
+    below, above = F(c, 2 ** 90), F(c + 1, 2 ** 90)
+    asked = []
+    fixed_cos = seifert.fixed_cos
+
+    def counted(n, js, bits):
+        asked.append(bits)
+        return fixed_cos(n, js, bits)
+
+    monkeypatch.setattr(seifert, "fixed_cos", counted)
+    arcs = seifert._Arcs(alexander(V))
+    assert (arcs.rank(below), arcs.rank(above)) == (0, 1)
+    assert sorted(set(asked)) == [64, 128]
+    assert (seifert.signature(V, below), seifert.signature(V, above)) == (0, 2)
 
 
 def test_antisymmetric_cross_entries_stay_in_one_block():

@@ -399,7 +399,7 @@ def test_twisted_double_signatures_computed_once(monkeypatch, capsys):
     from knotconcord import seifert
     from knotconcord.cli import main
 
-    seifert._signatures.clear()
+    seifert._signature.cache_clear()
     calls = []
     inertia = seifert.hermitian_inertia
 

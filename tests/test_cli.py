@@ -622,7 +622,7 @@ def test_signature_memo_computes_each_arc_once(capsys, monkeypatch):
     # inertia per block and arc, in one process
     from knotconcord import seifert
 
-    seifert._signatures.clear()
+    seifert._signature.cache_clear()
     calls = []
     inertia = seifert.hermitian_inertia
 

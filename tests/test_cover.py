@@ -9,6 +9,7 @@ alternative block circulant presentation built by hand in this file.
 import itertools
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -16,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotconcord import cover, linalg
+from knotconcord.cli import main
 from knotconcord.cover import (LinkingForm, _congruence_kernel_count,
                                _matrix_order_mod, _p_primary_exponent,
                                branched_cover, char_space,
                                deck_eigenspaces, dual_linking, linking_form,
                                unit_roots_mod)
-from knotconcord.errors import (InfiniteHomology, InhomogeneousGroup,
-                                UnsupportedShape)
+from knotconcord.errors import (BudgetExceeded, InfiniteHomology,
+                                InhomogeneousGroup, UnsupportedShape)
 from knotconcord.seifert import (SeifertMatrix, alexander, torus_matrix,
                                  twisted_double_matrix)
 
@@ -94,16 +96,21 @@ def test_infinite_homology_raises():
 def test_infinite_homology_raises_on_every_call():
     # an exception is never stored, so every call computes and raises
     V = torus_matrix(2, 3)
+    kept = cover._cover.cache_info().currsize
     for _ in range(3):
         with pytest.raises(InfiniteHomology):
             branched_cover(V, 6)
         with pytest.raises(InfiniteHomology):
             linking_form(V, 6)
-    assert (V.key, 6) not in cover._covers
-    assert (V.key, 6) not in cover._forms
+        # 65 layers of rank 2, over MAX_LAYERED_SIZE
+        with pytest.raises(BudgetExceeded):
+            branched_cover(V, 66)
+        with pytest.raises(BudgetExceeded):
+            linking_form(V, 66)
+    assert cover._cover.cache_info().currsize == kept
 
 
-def test_cover_and_form_memo_by_entries_and_degree(monkeypatch):
+def test_cover_and_form_memo_by_entries_and_degree(monkeypatch, capsys):
     # equal entries give the same objects, whatever matrix object carries
     # them; a form hit builds no cover
     V, W = twisted_double_matrix(2), SeifertMatrix([[-1, 1], [0, 6]])
@@ -117,9 +124,21 @@ def test_cover_and_form_memo_by_entries_and_degree(monkeypatch):
     assert L.homology is H and H.degree == 3
     assert branched_cover(V, 2) is not H
     # shared objects hold no list
-    assert isinstance(H.pairing, tuple)
-    assert all(isinstance(row, tuple) for row in H.pairing)
-    assert L.gram == H.pairing
+    assert isinstance(L.N, tuple)
+    assert all(isinstance(row, tuple) for row in L.N)
+    # raw entries reach the same form, and the cover is the form's homology
+    assert linking_form([list(r) for r in W.entries], 3) is L
+    for d in (2, 3, 5):
+        assert branched_cover(V, d) is linking_form(V, d).homology
+    # a cover, a linking and a metabolizers request on one knot and degree
+    # build one cover between them
+    cover._cover.cache_clear()
+    knot = str(Path(__file__).parent / "fixtures" / "twisted_double_a2.json")
+    for command in ("cover", "linking", "metabolizers"):
+        assert main([command, "--knot", knot, "--d", "3", "--json"]) == 0
+    capsys.readouterr()
+    info = cover._cover.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_deck_power_returns_to_identity():

@@ -99,6 +99,46 @@ def test_square_loop_guard_catches_planted_loops():
                                   ("<source>", 12, "<module>")]
 
 
+def _module_dicts(source, name="<source>"):
+    """The module-level assignments of an empty `{}` or `dict()` in a
+    module's source, as (name, line, target) triples."""
+    found = []
+    for node in ast.parse(source, filename=name).body:
+        value = node.value if isinstance(node, (ast.Assign,
+                                                ast.AnnAssign)) else None
+        empty = ((isinstance(value, ast.Dict) and not value.keys)
+                 or (isinstance(value, ast.Call)
+                     and isinstance(value.func, ast.Name)
+                     and value.func.id == "dict"
+                     and not value.args and not value.keywords))
+        if empty:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            found += [(name, node.lineno, ast.unparse(t)) for t in targets]
+    return found
+
+
+def test_one_module_level_dict_memo():
+    # a per-process result is a functools.cache on a hashable key; the
+    # metabolizer search stays a dict, as its budget replay keeps the
+    # candidate count beside the result
+    found = []
+    for path in sorted(Path(knotconcord.__file__).parent.glob("*.py")):
+        found += _module_dicts(path.read_text(), path.name)
+    assert [(name, target) for name, _, target in found] == [
+        ("metabolizers.py", "_searches")], found
+
+
+def test_module_dict_guard_catches_planted_memos():
+    src = ("_a = {}\n_b = dict()\n_c: dict = {}\n_d = {1: 2}\n"
+           "_e = dict(x=1)\n_f = _g = {}\n"
+           "def f():\n    memo = {}\n    return memo\n"
+           "class C:\n    table = {}\n")
+    assert _module_dicts(src) == [
+        ("<source>", 1, "_a"), ("<source>", 2, "_b"), ("<source>", 3, "_c"),
+        ("<source>", 6, "_f"), ("<source>", 6, "_g")]
+
+
 def _unreferenced(definitions, references):
     """Names of the functions, classes and methods defined in the
     `definitions` sources that no name, attribute or import alias in the
