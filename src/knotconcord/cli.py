@@ -349,17 +349,18 @@ def _build_parser():
 def _render(obj, indent=0):
     pad = "  " * indent
     lines = []
+    # a tuple is an array in JSON and renders as a list does
     if isinstance(obj, dict):
         for k in obj:
             v = obj[k]
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, (dict, list, tuple)) and v:
                 lines.append(f"{pad}{k}:")
                 lines.extend(_render(v, indent + 1))
             else:
                 lines.append(f"{pad}{k}: {json.dumps(v)}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, (dict, list, tuple)) and v:
                 lines.append(f"{pad}-")
                 lines.extend(_render(v, indent + 1))
             else:
@@ -385,7 +386,9 @@ def main(argv=None):
               "result": payload,
               "notes": notes}
     if args.json:
-        # each handler builds its report afresh, so it holds no cycle
+        # a report holds no cycle: each handler builds its dicts and lists
+        # afresh, and the leaves it shares with the caches, such as a
+        # metabolizer's rows, are tuples of ints, which cannot hold one
         text = json.dumps(report, sort_keys=True, separators=(",", ":"),
                           check_circular=False)
     else:

@@ -41,12 +41,14 @@ The search is exhaustive within a budget on the number of candidates,
 the tails that pass the linear conditions of their node.
 
 Each search runs once per process for each form and effective deck (none
-for the unrestricted search or a scalar deck): the sorted Hermite bases
-it found and its candidate count are kept, and a later call gets a new
-list of Metabolizers on those bases, or the BudgetExceeded a fresh search
-would raise when its budget is below that count.  A search that raises
-is not kept.  Each search interns its Hermite rows, so the kept bases
-share the few distinct rows they hold.
+for the unrestricted search or a scalar deck): the Metabolizers it found,
+sorted by Hermite basis, and its candidate count are kept, and a later
+call gets a new list of those same objects, or the BudgetExceeded a fresh
+search would raise when its budget is below that count.  A search that
+raises is not kept.  Each search interns its Hermite rows and reduces each
+distinct row mod the group once, so the kept metabolizers share the few
+distinct rows and generator rows they hold, and rendering one does no
+arithmetic.
 """
 
 from itertools import product
@@ -60,27 +62,37 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class Metabolizer:
-    """Self-annihilating half-order subgroup, canonical generator rows."""
+    """Self-annihilating half-order subgroup, canonical generator rows.
 
-    __slots__ = ("group", "basis", "order")
+    group, basis, generators and order are tuples and ints fixed at
+    construction; to_json hands out the same tuples."""
 
-    def __init__(self, group, basis):
+    __slots__ = ("group", "basis", "generators", "order")
+
+    def __init__(self, group, basis, reduced=None):
         """group: the invariant factors; basis: the Hermite rows of the
         subgroup lattice, one per factor.  Both hold ints already; the
-        order is read off the Hermite diagonal."""
-        self.group = tuple(group)
-        self.basis = tuple(map(tuple, basis))
+        order is read off the Hermite diagonal, and generators are the
+        basis rows reduced mod the group, zero rows dropped.  reduced maps
+        a Hermite row to its reduction, or None for a zero row; the
+        metabolizers of one search share it, so each distinct row is
+        reduced once and its reduction is one shared tuple."""
+        self.group = group = tuple(group)
+        self.basis = basis = tuple(map(tuple, basis))
+        if reduced is None:
+            reduced = {}
         order = 1
-        for i, row in enumerate(self.basis):
-            order *= self.group[i] // row[i]
+        generators = []
+        for i, row in enumerate(basis):
+            order *= group[i] // row[i]
+            if row not in reduced:
+                r = tuple([x % f for x, f in zip(row, group)])
+                reduced[row] = r if any(r) else None
+            r = reduced[row]
+            if r is not None:
+                generators.append(r)
+        self.generators = tuple(generators)
         self.order = order
-
-    @property
-    def generators(self):
-        """Basis rows that are nonzero in the group."""
-        rows = (tuple(x % f for x, f in zip(row, self.group))
-                for row in self.basis)
-        return tuple(r for r in rows if any(r))
 
     def __eq__(self, other):
         return (isinstance(other, Metabolizer)
@@ -93,8 +105,7 @@ class Metabolizer:
         return "Metabolizer(%r)" % (list(self.generators),)
 
     def to_json(self):
-        return {"group": list(self.group),
-                "generators": [list(g) for g in self.generators],
+        return {"group": self.group, "generators": self.generators,
                 "order": self.order}
 
 
@@ -164,19 +175,21 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
     key = (L.group, L.N, L.den, deck)
     if key not in _searches:
         bases, nodes = _walk(L, root, deck, budget)
-        _searches[key] = (tuple(sorted(bases)), nodes)
-    bases, nodes = _searches[key]
+        reduced = {}
+        _searches[key] = (tuple(Metabolizer(L.group, basis, reduced)
+                                for basis in sorted(bases)), nodes)
+    found, nodes = _searches[key]
     if nodes > budget:
         raise _over_budget(budget)
-    return [Metabolizer(L.group, basis) for basis in bases]
+    return list(found)
 
 
-# enumerate_metabolizers by (group, N, den, effective deck): the sorted
-# Hermite bases of the metabolizers and the candidates the search visited,
-# kept for the life of the process; a search that raises is not stored.
-# The package's one dict memo, not a functools.cache: a search runs with
-# the caller's budget, which is not part of the key, and a hit replays the
-# stored candidate count against the budget of the call at hand
+# enumerate_metabolizers by (group, N, den, effective deck): the
+# Metabolizers, sorted by Hermite basis, and the candidates the search
+# visited, kept for the life of the process; a search that raises is not
+# stored.  The package's one dict memo, not a functools.cache: a search
+# runs with the caller's budget, which is not part of the key, and a hit
+# replays the stored candidate count against the budget of the call at hand
 _searches = {}
 
 

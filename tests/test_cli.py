@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import knotconcord
+from knotconcord import metabolizers
 from knotconcord.cli import _HANDLERS, BUDGET_ENV, main
 from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.errors import SingularAtT
@@ -130,6 +131,26 @@ def test_metabolizers_invariant_only_pair_form(capsys):
                                "--invariant-only"])
     assert report["result"]["count"] == 3
     assert all(m["order"] == 25 for m in report["result"]["metabolizers"])
+
+
+@pytest.mark.parametrize("name, d, extra", [
+    ("sum_double_a2_n2.json", "2", []),
+    ("sum_double_a2_n2.json", "2", ["--invariant-only"]),
+    ("twisted_double_a2.json", "3", []),
+], ids=["double-all", "double-invariant", "triple"])
+def test_metabolizers_report_same_cold_and_on_a_hit(capsys, name, d, extra):
+    # the kept metabolizers render to the bytes of a fresh search; the
+    # invariant request on the double cover is the scalar-deck case
+    argv = ["metabolizers", "--knot", fx(name), "--d", d, "--json"] + extra
+    metabolizers._searches.clear()
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    kept = dict(metabolizers._searches)
+    assert len(kept) == 1
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert metabolizers._searches == kept
+    assert json.loads(cold)["result"]["count"] > 0
 
 
 # ---------------------------------------------------------------------------

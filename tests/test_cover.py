@@ -110,16 +110,15 @@ def test_infinite_homology_raises_on_every_call():
     assert cover._cover.cache_info().currsize == kept
 
 
-def test_cover_and_form_memo_by_entries_and_degree(monkeypatch, capsys):
+def test_cover_and_form_memo_by_entries_and_degree(capsys):
     # equal entries give the same objects, whatever matrix object carries
-    # them; a form hit builds no cover
+    # them; a form hit is one cache hit and builds no cover
     V, W = twisted_double_matrix(2), SeifertMatrix([[-1, 1], [0, 6]])
     H, L = branched_cover(V, 3), linking_form(V, 3)
-    calls = []
-    monkeypatch.setattr(cover, "branched_cover",
-                        lambda *args: calls.append(args))
-    assert linking_form(W, 3) is L and calls == []
-    monkeypatch.undo()
+    before = cover._cover.cache_info()
+    assert linking_form(W, 3) is L
+    after = cover._cover.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert branched_cover([list(r) for r in W.entries], 3) is H
     assert L.homology is H and H.degree == 3
     assert branched_cover(V, 2) is not H

@@ -570,6 +570,69 @@ def test_memo_interns_rows():
         found[0].extra = 1
 
 
+def test_memo_hit_returns_the_kept_metabolizers():
+    # a hit hands out the objects the search built, in a new list
+    L = _workload_form("t27x2_mt27x2")
+    metabolizers._searches.clear()
+    first = enumerate_metabolizers(L)
+    second = enumerate_metabolizers(L)
+    assert first and second is not first and len(second) == len(first)
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_memo_interns_generator_rows():
+    # each search reduces each distinct Hermite row once, so the kept
+    # generator rows share one object per distinct row, and to_json hands
+    # out the stored tuples
+    metabolizers._searches.clear()
+    found = enumerate_metabolizers(_workload_form("t23x4"))
+    gens = [g for m in found for g in m.generators]
+    assert len({id(g) for g in gens}) == len(set(gens)) > 1
+    for m in found:
+        blob = m.to_json()
+        assert blob["generators"] is m.generators
+        assert blob["group"] is m.group and blob["order"] == m.order
+
+
+def _old_report(m):
+    """A metabolizer's JSON as it was rendered from its Hermite basis:
+    lists, each row reduced mod the group, zero rows dropped."""
+    rows = ([x % f for x, f in zip(row, m.group)] for row in m.basis)
+    order = 1
+    for i, row in enumerate(m.basis):
+        order *= m.group[i] // row[i]
+    blob = {"group": list(m.group),
+            "generators": [r for r in rows if any(r)],
+            "order": order}
+    return json.dumps(blob, sort_keys=True, separators=(",", ":"))
+
+
+def _report(m):
+    return json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=2),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       st.sampled_from([2, 3]), st.data())
+def test_report_bytes_match_basis_rendering(pairs, pair, d, data):
+    # plain and invariant searches of a sum and its first summand, and a
+    # projection through the summand: each renders as its basis did
+    L1, L2 = _genus_one_sum(pairs, d), _genus_one_sum([pair], d)
+    L = direct_sum(L1, L2)
+    for invariant_only in (False, True):
+        for form in (L, L1):
+            for m in enumerate_metabolizers(form, invariant_only):
+                assert _report(m) == _old_report(m)
+    mets, firsts = enumerate_metabolizers(L), enumerate_metabolizers(L1)
+    if mets and firsts:
+        A = data.draw(st.sampled_from(mets))
+        A1 = data.draw(st.sampled_from(firsts))
+        A2 = project_metabolizer(L1, L2, A, A1)
+        assert _report(A2) == _old_report(A2)
+
+
 def _span_comprehension(basis, p):
     """span_vectors as it was: every coordinate a sum over the basis."""
     n = len(basis[0]) if basis else 0
