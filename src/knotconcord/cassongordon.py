@@ -17,6 +17,7 @@ cover, the order-two satellite family over Z_5 + Z_5, and mutated-satellite
 sums over the 3-fold cover with its mod-7 eigencharacter calculus.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -54,7 +55,7 @@ _MODELING_NOTE = ("character values on companion lifts are taken nonzero "
 
 
 def satellite_base_matrix():
-    return SeifertMatrix([row[:] for row in _SATELLITE_BASE])
+    return SeifertMatrix(_SATELLITE_BASE)
 
 
 def mutant_family_spec(companion_spec, mutated=True):
@@ -79,12 +80,15 @@ def mutant_family_spec(companion_spec, mutated=True):
 
 class SigGrowth:
     """Growth class of a signature sequence (c * 2^k) modulo bounded
-    sequences; c is the whole invariant."""
+    sequences; c is the whole invariant.  The coefficient must be an int
+    or a Fraction (not a bool); anything else raises PreconditionError."""
 
     __slots__ = ("coefficient",)
 
     def __init__(self, coefficient=0):
-        self.coefficient = Fraction(coefficient)
+        if not isinstance(coefficient, Fraction):
+            coefficient = Fraction(_integer(coefficient, "growth coefficient"))
+        self.coefficient = coefficient
 
     def is_zero(self):
         return self.coefficient == 0
@@ -110,6 +114,8 @@ class DiscExpr:
     self-conjugate, so inverses agree with the class itself modulo norms
     and only multiplicity parity matters to the norm test.
 
+    The constructor and times() share one merge: shifts are reduced mod p,
+    entries of one class add, and a class whose total is zero is dropped.
     p, key coefficients, shifts and multiplicities must be ints (not
     bools); anything else raises PreconditionError instead of being
     coerced.
@@ -122,33 +128,27 @@ class DiscExpr:
         if self.p < 2:
             raise PreconditionError("root-of-unity modulus must be at least 2")
         self.factors = {}
-        for (key, shift), mult in (factors or {}).items():
-            k = self._factor_key(key, shift)
-            if _integer(mult, "factor multiplicity"):
-                self.factors[k] = mult
-        self.tokens = {k: m for k, m in (tokens or {}).items()
-                       if _integer(m, "token multiplicity")}
+        self.tokens = {}
+        self._merge(factors, tokens)
 
-    def _factor_key(self, key, shift):
-        return (tuple(_integer(c, "polynomial coefficient") for c in key),
-                _integer(shift, "factor shift") % self.p)
-
-    def times_factor(self, key, shift, mult=1):
-        k = self._factor_key(key, shift)
-        factors = _bump(self.factors, k, _integer(mult, "factor multiplicity"))
-        return self._extended(factors, dict(self.tokens))
-
-    def times_token(self, token, mult=1):
-        tokens = _bump(self.tokens, token, _integer(mult, "token multiplicity"))
-        return self._extended(dict(self.factors), tokens)
-
-    def _extended(self, factors, tokens):
-        # every entry was validated on its way in, so nothing is checked again
+    def times(self, factors=None, tokens=None):
+        """The product of this expression and the factor classes and
+        tokens given in the constructor's form; this one is unchanged."""
         out = object.__new__(DiscExpr)
         out.p = self.p
-        out.factors = factors
-        out.tokens = tokens
+        out.factors = dict(self.factors)
+        out.tokens = dict(self.tokens)
+        out._merge(factors, tokens)
         return out
+
+    def _merge(self, factors, tokens):
+        for (key, shift), mult in (factors or {}).items():
+            _add(self.factors,
+                 (tuple(_integer(c, "polynomial coefficient") for c in key),
+                  _integer(shift, "factor shift") % self.p),
+                 _integer(mult, "factor multiplicity"))
+        for token, mult in (tokens or {}).items():
+            _add(self.tokens, token, _integer(mult, "token multiplicity"))
 
     def __eq__(self, other):
         return (isinstance(other, DiscExpr) and self.p == other.p
@@ -166,16 +166,13 @@ class DiscExpr:
         return {"p": self.p, "factors": facs, "tokens": toks}
 
 
-def _bump(counts, key, mult):
-    """A copy of counts with mult added at key; a multiplicity that
-    reaches zero is dropped."""
-    out = dict(counts)
-    m = out.get(key, 0) + mult
+def _add(counts, key, mult):
+    """Add mult to counts[key] in place; a total of zero is dropped."""
+    m = counts.get(key, 0) + mult
     if m:
-        out[key] = m
+        counts[key] = m
     else:
-        out.pop(key, None)
-    return out
+        counts.pop(key, None)
 
 
 def _token_json(token):
@@ -407,17 +404,18 @@ class HypothesisRecord:
 def satellite_sigma(base, J, a, p):
     """Signature-growth shift from one infection: the companion's signature
     at (a mod p)/p is added to the growth coefficient.  Value 0 contributes
-    nothing; a singular evaluation point propagates SingularAtT.
+    nothing; a singular evaluation point propagates SingularAtT.  a and p
+    must be ints.
 
     Signatures come from seifert.signature, memoised per process on
     (companion matrix entries, arc point of (a mod p)/p), so the
     obstructions' tables and witness replays compute each arc of the
     companion's signature function once; a singular point raises in
     seifert.arc_point every time."""
-    p = int(p)
+    p = _integer(p, "character order")
     if p < 2:
         raise PreconditionError("character order must be at least 2, got %d" % p)
-    a = int(a) % p
+    a = _integer(a, "character value") % p
     if a == 0:
         return SigGrowth(base.coefficient)
     return SigGrowth(base.coefficient
@@ -428,15 +426,14 @@ def satellite_delta(base, J, lift_values, p=None):
     """Discriminant factors from one infection: one shifted copy of the
     companion's Alexander polynomial per lift of the infection curve.
     Orientation reversal of a lift is absorbed by the symmetry of the
-    polynomial, so the shift is all that is recorded."""
-    if p is not None and int(p) != base.p:
+    polynomial, so the shift is all that is recorded.  Lift values and p
+    must be ints."""
+    if p is not None and _integer(p, "lift modulus") != base.p:
         raise PreconditionError("lift values are modulo %d but the expression "
-                                "is over %d" % (int(p), base.p))
+                                "is over %d" % (p, base.p))
     key = _resolve_poly(J)
-    out = base
-    for v in lift_values:
-        out = out.times_factor(key, int(v) % base.p)
-    return out
+    return base.times(factors=Counter((key, _integer(v, "lift value") % base.p)
+                                      for v in lift_values))
 
 
 def orbit_exponents(a):
@@ -551,18 +548,16 @@ def _case_expression(a_vec, b_vec, model_summands, keys):
     Mirrored summands contribute the inverse discriminant class; every
     class here is self-conjugate, hence equal to its inverse modulo norms,
     so the multiplicities are recorded positively throughout."""
-    expr = DiscExpr(_P)
-    for s, summand in enumerate(model_summands):
-        a, b = a_vec[s] % _P, b_vec[s] % _P
-        if summand.token is not None:
-            expr = expr.times_token(
-                residual_token(summand.token, _canonical_char_token(a, b)))
+    expr = DiscExpr(_P, tokens=Counter(
+        residual_token(summand.token, _canonical_char_token(a, b))
+        for summand, a, b in zip(model_summands, a_vec, b_vec)
+        if summand.token is not None))
+    for key, summand, a, b in zip(keys, model_summands, a_vec, b_vec):
         for inf in summand.infections:
             if inf.pattern != "triple_lift":
                 raise PreconditionError("discriminant assembly expects "
                                         "triple_lift infections")
-            expr = satellite_delta(expr, keys[s],
-                                   _lift_values(a, b, inf.param))
+            expr = satellite_delta(expr, key, _lift_values(a, b, inf.param))
     return expr
 
 

@@ -166,7 +166,7 @@ def _cmd_cg_sigma(args):
 def _cmd_cg_delta(args):
     spec = _load_json(args.knot)
     try:
-        lifts = [int(x) for x in args.lifts.split(",") if x.strip() != ""]
+        lifts = [int(x) for x in args.lifts.split(",")]
     except ValueError:
         raise PreconditionError(
             f"--lifts must be comma separated integers, got {args.lifts!r}")

@@ -41,10 +41,12 @@ def check_size(n, what):
 
 class SeifertMatrix:
     """Square integer matrix V with det(V - V^T) = 1, of size at most
-    MAX_SEIFERT_SIZE."""
+    MAX_SEIFERT_SIZE.  entries is a tuple of row tuples, so a matrix
+    hashes and compares as its entries and equal matrices are one key of
+    every memo."""
 
     def __init__(self, entries):
-        rows = [list(r) for r in entries]
+        rows = tuple(map(tuple, entries))
         n = len(rows)
         for r in rows:
             if len(r) != n:
@@ -69,7 +71,7 @@ class SeifertMatrix:
         a block sum multiplies determinants."""
         check_size(len(rows), "the knot")
         V = cls.__new__(cls)
-        V.entries = rows
+        V.entries = tuple(map(tuple, rows))
         V.size = len(rows)
         return V
 
@@ -82,12 +84,6 @@ class SeifertMatrix:
             [[-x for x in row] for row in linalg.transpose(self.entries)])
 
     @cached_property
-    def key(self):
-        """The entries as a tuple of row tuples.  A matrix hashes as its
-        key, so equal matrices are one key of every memo."""
-        return tuple(map(tuple, self.entries))
-
-    @cached_property
     def blocks(self):
         """Index lists of the diagonal blocks (_blocks)."""
         return _blocks(self.entries)
@@ -95,14 +91,14 @@ class SeifertMatrix:
     def block_sum(self, other):
         n, m = self.size, other.size
         return SeifertMatrix._derived(
-            [r + [0] * m for r in self.entries]
-            + [[0] * n + r for r in other.entries])
+            [r + (0,) * m for r in self.entries]
+            + [(0,) * n + r for r in other.entries])
 
     def __eq__(self, other):
         return isinstance(other, SeifertMatrix) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.key)
+        return hash(self.entries)
 
     def __repr__(self):
         return "SeifertMatrix(%r)" % (self.entries,)
@@ -139,7 +135,7 @@ def alexander(V):
     and positive leading coefficient."""
     if isinstance(V, KnotModel):
         V = V.matrix
-    return _alexander_coeffs(V.key)
+    return _alexander_coeffs(V.entries)
 
 
 @cache

@@ -182,11 +182,11 @@ def test_07_exponent_multisets():
 def test_08_norm_test():
     e = DiscExpr(7)
     for _ in range(6):
-        e = e.times_factor(KEY_A, 0)
+        e = e.times({(KEY_A, 0): 1})
     assert norm_test(e) == NORM
     e = DiscExpr(7)
     for s in range(1, 7):
-        e = e.times_factor(KEY_A, s)
+        e = e.times({(KEY_A, s): 1})
     assert norm_test(e) == NOT_NORM
     # verdict stability: multiplying by g * conj(g) (a square of a single
     # conjugation-fixed class) must never change the answer, 50 rounds
@@ -196,15 +196,15 @@ def test_08_norm_test():
     for _ in range(50):
         e = DiscExpr(7)
         for _ in range(rng.randrange(8)):
-            e = e.times_factor(rng.choice(keys), rng.randrange(7),
-                               rng.randrange(1, 4))
+            e = e.times({(rng.choice(keys), rng.randrange(7)):
+                         rng.randrange(1, 4)})
         if rng.random() < 0.5:
-            e = e.times_token(residual_token("K", (rng.randrange(7), 0)),
-                              rng.randrange(1, 3))
+            e = e.times(tokens={residual_token("K", (rng.randrange(7), 0)):
+                                rng.randrange(1, 3)})
         before = norm_test(e, rec)
-        assert norm_test(e.times_factor(rng.choice(keys), rng.randrange(7), 2),
+        assert norm_test(e.times({(rng.choice(keys), rng.randrange(7)): 2}),
                          rec) == before
-        assert norm_test(e.times_token(residual_token("K", (1, 1)), 2),
+        assert norm_test(e.times(tokens={residual_token("K", (1, 1)): 2}),
                          rec) == before
 
 

@@ -265,7 +265,7 @@ def congruent(V, ops):
     one I + E_(2k, 2k+2) per pair of neighbouring blocks, so P mixes them;
     det P = 1."""
     n = V.size
-    M = [row[:] for row in V.entries]
+    M = [list(row) for row in V.entries]
     steps = [(i % n, j % n, c) for i, j, c in ops if i % n != j % n]
     steps += [(2 * k, 2 * k + 2, 1) for k in range(n // 2 - 1)]
     for i, j, c in steps:

@@ -8,14 +8,17 @@ parities were derived by hand mod 7 before being frozen here.
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import isqrt
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotconcord import cassongordon
 from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       NORM, NOT_NORM, UNKNOWN,
                                       check_poly_hypotheses,
@@ -25,7 +28,8 @@ from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       residual_token,
                                       satellite_delta, satellite_sigma,
                                       twisted_double_obstruction,
-                                      _case_expression, _squarefree_part)
+                                      _canonical_char_token, _case_expression,
+                                      _squarefree_part)
 from knotconcord.cover import branched_cover
 from knotconcord.errors import (BudgetExceeded, HypothesisUnverified,
                                 PreconditionError, SingularAtT,
@@ -63,13 +67,13 @@ def test_sig_growth_zero_and_json():
 def test_disc_expr_multiplication():
     e = DiscExpr(7)
     assert e.factors == {} and e.tokens == {}
-    x = e.times_factor(KEY_A, 3).times_factor(KEY_A, 10)  # shift 10 wraps to 3
+    x = e.times({(KEY_A, 3): 1}).times({(KEY_A, 10): 1})  # shift 10 wraps to 3
     assert x.factors == {(KEY_A, 3): 2}
-    y = DiscExpr(7).times_factor(KEY_B, 0).times_token(("delta", "K", (1, 0)))
+    y = DiscExpr(7).times({(KEY_B, 0): 1}).times(tokens={TOKEN: 1})
     assert y.factors == {(KEY_B, 0): 1}
-    # appends copy their operand and drop a multiplicity that reaches zero
-    assert x.times_factor(KEY_A, 3, -2) == DiscExpr(7)
-    assert y.times_token(TOKEN, -1) == DiscExpr(7).times_factor(KEY_B, 0)
+    # products copy their operand and drop a multiplicity that reaches zero
+    assert x.times({(KEY_A, 3): -2}) == DiscExpr(7)
+    assert y.times(tokens={TOKEN: -1}) == DiscExpr(7).times({(KEY_B, 0): 1})
     assert x.factors == {(KEY_A, 3): 2} and y.tokens == {TOKEN: 1}
     assert e == DiscExpr(7) != DiscExpr(5)
 
@@ -78,17 +82,17 @@ TOKEN = ("delta", "K", (1, 0))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: DiscExpr(7).times_factor(("2", -5, 2.0), "1", 1.0),
-    lambda: DiscExpr(7).times_factor(("2", -5, 2), 1),
-    lambda: DiscExpr(7).times_factor((2.0, -5, 2), 1),
-    lambda: DiscExpr(7).times_factor((True, -3, True), 1),
-    lambda: DiscExpr(7).times_factor(KEY_A, "1"),
-    lambda: DiscExpr(7).times_factor(KEY_A, 1.0),
-    lambda: DiscExpr(7).times_factor(KEY_A, True),
-    lambda: DiscExpr(7).times_factor(KEY_A, 1, 2.0),
-    lambda: DiscExpr(7).times_factor(KEY_A, 1, True),
-    lambda: DiscExpr(7).times_token(TOKEN, 2.0),
-    lambda: DiscExpr(7).times_token(TOKEN, True),
+    lambda: DiscExpr(7).times({(("2", -5, 2.0), "1"): 1.0}),
+    lambda: DiscExpr(7).times({(("2", -5, 2), 1): 1}),
+    lambda: DiscExpr(7).times({((2.0, -5, 2), 1): 1}),
+    lambda: DiscExpr(7).times({((True, -3, True), 1): 1}),
+    lambda: DiscExpr(7).times({(KEY_A, "1"): 1}),
+    lambda: DiscExpr(7).times({(KEY_A, 1.0): 1}),
+    lambda: DiscExpr(7).times({(KEY_A, True): 1}),
+    lambda: DiscExpr(7).times({(KEY_A, 1): 2.0}),
+    lambda: DiscExpr(7).times({(KEY_A, 1): True}),
+    lambda: DiscExpr(7).times(tokens={TOKEN: 2.0}),
+    lambda: DiscExpr(7).times(tokens={TOKEN: True}),
     lambda: DiscExpr(7.0),
     lambda: DiscExpr("7"),
     lambda: DiscExpr(7, factors={((3, -7.0, 3), 1): 1}),
@@ -106,8 +110,8 @@ def test_disc_expr_refuses_non_integers(make):
 
 
 def test_disc_expr_shift_multiset_and_json():
-    e = (DiscExpr(7).times_factor(KEY_A, 1).times_factor(KEY_A, 6)
-         .times_factor(KEY_A, 6).times_factor(KEY_B, 2))
+    e = (DiscExpr(7).times({(KEY_A, 1): 1}).times({(KEY_A, 6): 1})
+         .times({(KEY_A, 6): 1}).times({(KEY_B, 2): 1}))
     assert shift_multiset(e, KEY_A) == (1, 6, 6)
     assert shift_multiset(e, KEY_B) == (2,)
     assert shift_multiset(e, (1, -3, 1)) == ()
@@ -117,6 +121,73 @@ def test_disc_expr_shift_multiset_and_json():
         {"poly": [3, -7, 3], "shift": 1, "multiplicity": 1},
         {"poly": [3, -7, 3], "shift": 6, "multiplicity": 2},
         {"poly": [5, -11, 5], "shift": 2, "multiplicity": 1}]
+
+
+def test_disc_expr_constructor_adds_classes_equal_mod_p():
+    # shifts 1 and 8 are one class mod 7, whichever way the product is built
+    e = DiscExpr(7, factors={(KEY_A, 1): 1, (KEY_A, 8): 1})
+    assert e.factors == {(KEY_A, 1): 2}
+    assert e == DiscExpr(7).times({(KEY_A, 1): 1}).times({(KEY_A, 8): 1})
+    assert norm_test(e) == NORM
+    assert DiscExpr(7, factors={(KEY_A, 1): 1, (KEY_A, -6): -1}) == DiscExpr(7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SigGrowth(0.5),
+    lambda: SigGrowth("3/4"),
+    lambda: SigGrowth(True),
+    lambda: satellite_sigma(SigGrowth(0), torus_matrix(2, 7), 1.9, 5),
+    lambda: satellite_sigma(SigGrowth(0), torus_matrix(2, 7), 1, 5.7),
+    lambda: satellite_sigma(SigGrowth(0), torus_matrix(2, 7), True, 5),
+    lambda: satellite_delta(DiscExpr(7), COMP_A, [1.5]),
+    lambda: satellite_delta(DiscExpr(7), COMP_A, ["2"]),
+    lambda: satellite_delta(DiscExpr(7), COMP_A, [True]),
+    lambda: satellite_delta(DiscExpr(7), COMP_A, [1], p=7.9),
+], ids=["growth-float", "growth-str", "growth-bool", "sigma-float-value",
+        "sigma-float-order", "sigma-bool-value", "delta-float-lift",
+        "delta-str-lift", "delta-bool-lift", "delta-float-modulus"])
+def test_growth_and_satellite_rules_refuse_non_integers(make):
+    with pytest.raises(PreconditionError):
+        make()
+
+
+def disc_keys():
+    return st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+
+
+def split_dict(d, cuts):
+    """d cut into consecutive parts at the positions cuts (mod len + 1);
+    at least one part, possibly empty."""
+    items = list(d.items())
+    ends = sorted({0, len(items)} | {c % (len(items) + 1) for c in cuts})
+    return [dict(items[a:b]) for a, b in zip(ends, ends[1:])] or [{}]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(2, 11),
+       st.dictionaries(st.tuples(disc_keys(), st.integers(-20, 20)),
+                       st.integers(-3, 3), max_size=10),
+       st.dictionaries(st.sampled_from([TOKEN, ("delta", "K", (2, 1)), "T"]),
+                       st.integers(-3, 3)),
+       st.lists(st.integers(0, 10), max_size=4),
+       st.lists(st.integers(0, 3), max_size=2))
+def test_disc_expr_merge_matches_counter_oracle(p, factors, tokens,
+                                                 factor_cuts, token_cuts):
+    oracle = Counter()
+    for (key, shift), mult in factors.items():
+        oracle[(tuple(key), shift % p)] += mult
+    whole = DiscExpr(p, factors=factors, tokens=tokens)
+    assert whole.factors == {k: m for k, m in oracle.items() if m}
+    assert whole.tokens == {t: m for t, m in tokens.items() if m}
+    # the same classes split over a constructor and successive products
+    f_parts = split_dict(factors, factor_cuts)
+    t_parts = split_dict(tokens, token_cuts)
+    split = DiscExpr(p, factors=f_parts[0], tokens=t_parts[0])
+    for part in f_parts[1:]:
+        split = split.times(factors=part)
+    for part in t_parts[1:]:
+        split = split.times(tokens=part)
+    assert split == whole
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +357,33 @@ def test_satellite_delta_shifts():
 def test_norm_test_even_power_is_norm():
     e = DiscExpr(7)
     for _ in range(6):
-        e = e.times_factor(KEY_A, 0)
+        e = e.times({(KEY_A, 0): 1})
     assert norm_test(e) == NORM
 
 
 def test_norm_test_full_orbit_is_not_norm():
     e = DiscExpr(7)
     for s in range(1, 7):
-        e = e.times_factor(KEY_A, s)
+        e = e.times({(KEY_A, s): 1})
     assert norm_test(e) == NOT_NORM
 
 
 def test_norm_test_token_parities():
     tok = residual_token("K", (1, 0))
     rec = HypothesisRecord()
-    assert norm_test(DiscExpr(7).times_token(tok), rec) == UNKNOWN
-    assert norm_test(DiscExpr(7).times_token(tok, 2), rec) == NORM
+    assert norm_test(DiscExpr(7).times(tokens={tok: 1}), rec) == UNKNOWN
+    assert norm_test(DiscExpr(7).times(tokens={tok: 2}), rec) == NORM
     # an odd factor decides regardless of tokens
-    e = DiscExpr(7).times_token(tok).times_factor(KEY_A, 2)
+    e = DiscExpr(7).times(tokens={tok: 1}).times({(KEY_A, 2): 1})
     rec2 = HypothesisRecord.for_polys([KEY_A])
     assert norm_test(e, rec2) == NOT_NORM
 
 
 def test_norm_test_requires_verifiable_factors():
-    bad = DiscExpr(7).times_factor((2, -5, 2), 1, 2)
+    bad = DiscExpr(7).times({((2, -5, 2), 1): 2})
     with pytest.raises(HypothesisUnverified):
         norm_test(bad)
-    cubic = DiscExpr(7).times_factor((1, 0, 0, 1), 1, 2)
+    cubic = DiscExpr(7).times({((1, 0, 0, 1), 1): 2})
     with pytest.raises(HypothesisUnverified):
         norm_test(cubic)
 
@@ -326,15 +397,15 @@ def test_norm_test_stable_under_conjugate_squares():
     for _ in range(50):
         e = DiscExpr(7)
         for _ in range(rng.randrange(8)):
-            e = e.times_factor(rng.choice(keys), rng.randrange(7),
-                               rng.randrange(1, 4))
+            e = e.times({(rng.choice(keys), rng.randrange(7)):
+                         rng.randrange(1, 4)})
         if rng.random() < 0.5:
-            e = e.times_token(residual_token("K", (rng.randrange(7), 0)),
-                              rng.randrange(1, 3))
+            e = e.times(tokens={residual_token("K", (rng.randrange(7), 0)):
+                                rng.randrange(1, 3)})
         before = norm_test(e, rec)
-        squared = e.times_factor(rng.choice(keys), rng.randrange(7), 2)
+        squared = e.times({(rng.choice(keys), rng.randrange(7)): 2})
         assert norm_test(squared, rec) == before
-        tokened = e.times_token(residual_token("K", (1, 1)), 2)
+        tokened = e.times(tokens={residual_token("K", (1, 1)): 2})
         assert norm_test(tokened, rec) == before
 
 
@@ -637,6 +708,55 @@ def test_mutation_shadow_unmutated_expression_stays_open():
     assert norm_test(em, rec) == NOT_NORM
     assert norm_test(ep, rec) == UNKNOWN
     assert shift_multiset(ep, KEY_A) == (1, 1, 2, 2, 4, 4)
+
+
+CARRIER_SUMMANDS = {
+    (key, mutated): build(mutant_family_spec(
+        {"kind": "matrix", "entries": comp}, mutated=mutated)).summands[0]
+    for key, comp in ((KEY_A, COMP_A), (KEY_B, COMP_B))
+    for mutated in (True, False)}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from([KEY_A, KEY_B]), st.booleans(),
+                          st.integers(-20, 20), st.integers(-20, 20)),
+                min_size=1, max_size=3))
+def test_case_expression_matches_counter_oracle(summands):
+    # band 1 meets the companion at a+b, 2a+4b, 4a+2b mod 7; the mutated
+    # band 2 at their negatives, the plain one at the same shifts again
+    factors, tokens = Counter(), Counter()
+    for key, mutated, a, b in summands:
+        shifts = [a + b, 2 * a + 4 * b, 4 * a + 2 * b]
+        for sign in (1, -1 if mutated else 1):
+            for v in shifts:
+                factors[(key, sign * v % 7)] += 1
+        tokens[residual_token("K", _canonical_char_token(a, b))] += 1
+    e = _case_expression([a for _, _, a, _ in summands],
+                         [b for _, _, _, b in summands],
+                         [CARRIER_SUMMANDS[(key, mutated)]
+                          for key, mutated, _, _ in summands],
+                         [key for key, _, _, _ in summands])
+    assert e.p == 7
+    assert e.factors == dict(factors)
+    assert e.tokens == dict(tokens)
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "abstract"])
+def test_one_satellite_delta_call_per_infection_per_case(monkeypatch, mode):
+    calls = []
+    rule = cassongordon.satellite_delta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(cassongordon, "satellite_delta", counted)
+    spec = Path(__file__).parent / "fixtures" / "mutant_equal_pair.json"
+    companions = json.loads(spec.read_text())["companions"]
+    rep = mutant_sum_obstruction(companions, mode=mode)
+    assert rep["cases"]
+    # two summands, each with both bands infected
+    assert len(calls) == 2 * 2 * len(rep["cases"])
 
 
 def test_mutant_family_shares_abelian_invariants():

@@ -427,6 +427,19 @@ def test_bad_arguments_exit_2(capsys, monkeypatch, argv, env):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lifts", ["1,,2", "1,2,", ",1", ""],
+                         ids=["empty-item", "trailing-comma", "leading-comma",
+                              "empty"])
+def test_cg_delta_lifts_need_an_integer_in_every_item(capsys, lifts):
+    code = main(["cg-delta", "--knot", fx("torus_2_3.json"), "--lifts", lifts,
+                 "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: --lifts must be comma "
+                            "separated integers, got %r\n" % lifts)
+
+
 MALFORMED_INPUTS = [
     ("cg-delta", '["2", -5, "2"]'),
     ("cg-delta", "[2.0, -5, 2]"),
