@@ -142,10 +142,16 @@ class DiscExpr:
         return out
 
     def _merge(self, factors, tokens):
+        # a key object shared by several classes, as satellite_delta's is,
+        # is checked once; by identity, since (2.0,) == (2,)
+        keys = {}
         for (key, shift), mult in (factors or {}).items():
+            checked = keys.get(id(key))
+            if checked is None:
+                checked = keys[id(key)] = tuple(
+                    _integer(c, "polynomial coefficient") for c in key)
             _add(self.factors,
-                 (tuple(_integer(c, "polynomial coefficient") for c in key),
-                  _integer(shift, "factor shift") % self.p),
+                 (checked, _integer(shift, "factor shift") % self.p),
                  _integer(mult, "factor multiplicity"))
         for token, mult in (tokens or {}).items():
             _add(self.tokens, token, _integer(mult, "token multiplicity"))

@@ -7,17 +7,19 @@ human-readable rendering of the same object, and --json switches to the
 canonical compact form, which is byte-identical across reruns.  Timing
 goes to stderr so it never perturbs the report bytes.
 
-Exit codes: 0 success, 1 stdout closed before the report was written,
-2 precondition violated, 3 enumeration budget exceeded.
+The command line is read against one table, _COMMANDS; -h or --help
+prints usage built from it.  Exit codes: 0 success, 1 stdout closed
+before the report was written, 2 precondition violated (a malformed
+command line included), 3 enumeration budget exceeded.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
-from functools import cache
+from types import SimpleNamespace
 
 from . import su2
 from .cassongordon import (DiscExpr, SigGrowth, mutant_sum_obstruction,
@@ -34,6 +36,40 @@ from .metabolizers import DEFAULT_BUDGET, enumerate_metabolizers
 from .seifert import _only, alexander, build, lt_signature, signature  # noqa: F401
 
 BUDGET_ENV = "KNOTCONCORD_BUDGET"
+
+# Every number from outside is read by one ASCII rule: digits 0-9 with an
+# optional sign, and for a rational an optional /denominator or an exact
+# decimal (0.2 reads as 1/5).  int() and Fraction() alone also take
+# non-ASCII digits, underscores, exponents and surrounding whitespace.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?([0-9]+(/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+)")
+
+
+def _int(text):
+    """The integer that text spells under the ASCII rule; ValueError, naming
+    what was expected, for any other text."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError("an integer")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ValueError("an integer within Python's digit limit")
+
+
+def _rational(text):
+    """The Fraction that text spells under the ASCII rule, like _int."""
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError("a rational number such as 2/5 or 0.2")
+    return Fraction(text)
+
+
+def _choice(*names):
+    """A reader that accepts exactly one of names."""
+    def read(text):
+        if text not in names:
+            raise ValueError("one of " + ", ".join(names))
+        return text
+    return read
 
 
 def _load_json(path):
@@ -60,7 +96,7 @@ def _budget(args):
     elif BUDGET_ENV in os.environ:
         env, source = os.environ[BUDGET_ENV], BUDGET_ENV
         try:
-            budget = int(env)
+            budget = _int(env)
         except ValueError:
             raise PreconditionError(
                 f"{BUDGET_ENV} must be an integer, got {env!r}")
@@ -69,13 +105,6 @@ def _budget(args):
     if budget < 1:
         raise PreconditionError(f"{source} must be at least 1, got {budget}")
     return budget
-
-
-def _fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"expected a rational number, got {text!r}")
 
 
 def _poly_str(coeffs):
@@ -116,8 +145,7 @@ def _cmd_alexander(args):
 
 
 def _cmd_signature(args):
-    spec = _load_json(args.knot)
-    t = _fraction(args.t)
+    spec, t = _load_json(args.knot), args.t
     value = signature(build(spec), t)
     return ({"knot": spec, "t": str(t)},
             {"t": str(t), "signature": value},
@@ -166,7 +194,7 @@ def _cmd_cg_sigma(args):
 def _cmd_cg_delta(args):
     spec = _load_json(args.knot)
     try:
-        lifts = [int(x) for x in args.lifts.split(",")]
+        lifts = [_int(x) for x in args.lifts.split(",")]
     except ValueError:
         raise PreconditionError(
             f"--lifts must be comma separated integers, got {args.lifts!r}")
@@ -208,7 +236,7 @@ def _cmd_mutant_sum(args):
 
 def _cmd_su2(args):
     if args.t is not None:
-        t = _fraction(args.t)
+        t = args.t
         count = su2.count_signature(args.a, t)
         return ({"a": args.a, "t": str(t)},
                 {"t": str(t), "count": int(count)},
@@ -261,89 +289,134 @@ _HANDLERS = {
 }
 
 
-@cache
-def _build_parser():
-    """The argument parser, built once per process."""
-    top = argparse.ArgumentParser(
-        prog="knotconcord",
-        description="Exact concordance obstructions from Seifert data, "
-                    "branched covers, and satellite constructions.")
-    sub = top.add_subparsers(dest="command", required=True)
+# command -> (help blurb, {option: (reader, default, required, help)}).  A
+# reader turns an option's text into its value or raises ValueError naming
+# what it expected; the reader bool marks a flag, which takes no value and
+# reads True.  Every command also takes --json.
+_KNOT = (str, None, True, "knot spec JSON file")
+_COMPANION = (str, None, True, "companion spec JSON file")
+_DEGREE = (_int, 2, False, "cover degree")
+_BUDGET = (_int, None, False, f"candidate budget (else ${BUDGET_ENV}, "
+                              f"else {DEFAULT_BUDGET})")
+_JSON = (bool, False, False, "emit the canonical compact JSON report")
 
-    def add(name, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--json", action="store_true",
-                       help="emit the canonical compact JSON report")
-        return p
+_COMMANDS = {
+    "alexander": ("Alexander polynomial of a knot spec", {"--knot": _KNOT}),
+    "signature": ("Levine-Tristram signature at a rational t", {
+        "--knot": _KNOT,
+        "--t": (_rational, None, True, "rational in (0,1), e.g. 2/5")}),
+    "cover": ("branched cover homology",
+              {"--knot": _KNOT, "--d": _DEGREE}),
+    "linking": ("linking form of the branched cover",
+                {"--knot": _KNOT, "--d": _DEGREE}),
+    "metabolizers": ("enumerate metabolizers of the linking form", {
+        "--knot": _KNOT, "--d": _DEGREE,
+        "--invariant-only": (bool, False, False,
+                             "keep only deck-invariant metabolizers"),
+        "--budget": _BUDGET}),
+    "cg-sigma": ("signature growth from one infection", {
+        "--knot": _COMPANION,
+        "--a": (_int, None, True, "character value on the infection curve"),
+        "--p": (_int, None, True, "character order")}),
+    "cg-delta": ("discriminant factors from one infection", {
+        "--knot": _COMPANION,
+        "--lifts": (str, None, True, "comma separated lift values, e.g. 1,2,4"),
+        "--p": (_int, 7, False, "residue field order")}),
+    "obstruct-twisted-double": (
+        "slice obstruction for the doubled unknot family", {
+            "--a": (_int, None, True, "clasp parameter"),
+            "--n": (_int, 1, False, "number of summands"),
+            "--budget": _BUDGET}),
+    "obstruct-order2": (
+        "slice obstruction for the order-two satellite pair", {
+            "--i": (_int, None, True, "first companion index"),
+            "--j": (_int, None, True, "second companion index"),
+            "--budget": _BUDGET}),
+    "obstruct-mutant-sum": (
+        "norm obstruction for sums of mutant satellites", {
+            "--knot": (str, None, True, "JSON file with companions/signs/mode"),
+            "--mode": (_choice("enumerate", "abstract"), None, False,
+                       "overrides the file's mode"),
+            "--budget": _BUDGET}),
+    "su2": ("representation arc count for (-a, a+1) torus knots", {
+        "--a": (_int, None, True, "torus parameter"),
+        "--t": (_rational, None, False, "rational sample point in (0,1)"),
+        "--grid": (_int, 100, False, "window sample count when --t is absent")}),
+    "labelings": ("metacyclic labelings of a planar diagram", {
+        "--pd": (str, None, True, "PD text file"),
+        "--p": (_int, None, False, "dihedral: labels mod this prime"),
+        "--d": (_int, None, False, "metacyclic exponent (default 2)"),
+        "--n": (_int, None, False, "metacyclic modulus"),
+        "--q": (_int, None, False, "metacyclic twist"),
+        "--classify": (bool, False, False,
+                       "also report labelings modulo translation")}),
+}
 
-    p = add("alexander", help="Alexander polynomial of a knot spec")
-    p.add_argument("--knot", required=True, help="knot spec JSON file")
 
-    p = add("signature", help="Levine-Tristram signature at a rational t")
-    p.add_argument("--knot", required=True)
-    p.add_argument("--t", required=True, help="rational in (0,1), e.g. 2/5")
+def _parse(argv):
+    """argv read against _COMMANDS: a namespace with `command` and one
+    attribute per option of that command, named without the leading
+    dashes and with - as _.  An option is `--opt value` or `--opt=value`,
+    spelled out in full, and the last of repeats wins.  Any other command
+    line raises PreconditionError."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise PreconditionError(
+            (f"unknown command {argv[0]!r}" if argv else "no command given")
+            + "; expected one of " + ", ".join(_COMMANDS))
+    command = argv[0]
+    options = {**_COMMANDS[command][1], "--json": _JSON}
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, text = word.partition("=")
+        if name not in options:
+            raise PreconditionError(f"unknown option {word!r} for {command}")
+        reader = options[name][0]
+        if reader is bool:
+            if eq:
+                raise PreconditionError(f"{name} takes no value")
+            given[name] = True
+            continue
+        if not eq:
+            text = next(words, None)
+            if text is None:
+                raise PreconditionError(f"{name} needs a value")
+        try:
+            given[name] = reader(text)
+        except ValueError as e:
+            raise PreconditionError(f"{name} must be {e}, got {text!r}")
+    args = SimpleNamespace(command=command)
+    for name, (_, default, required, _) in options.items():
+        if required and name not in given:
+            raise PreconditionError(f"{command} needs {name}")
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return args
 
-    for name, blurb in [("cover", "branched cover homology"),
-                        ("linking", "linking form of the branched cover")]:
-        p = add(name, help=blurb)
-        p.add_argument("--knot", required=True)
-        p.add_argument("--d", type=int, default=2, help="cover degree")
 
-    p = add("metabolizers", help="enumerate metabolizers of the linking form")
-    p.add_argument("--knot", required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--invariant-only", action="store_true",
-                   help="keep only deck-invariant metabolizers")
-    p.add_argument("--budget", type=int)
-
-    p = add("cg-sigma", help="signature growth from one infection")
-    p.add_argument("--knot", required=True, help="companion spec JSON file")
-    p.add_argument("--a", type=int, required=True,
-                   help="character value on the infection curve")
-    p.add_argument("--p", type=int, required=True, help="character order")
-
-    p = add("cg-delta", help="discriminant factors from one infection")
-    p.add_argument("--knot", required=True, help="companion spec JSON file")
-    p.add_argument("--lifts", required=True,
-                   help="comma separated lift values, e.g. 1,2,4")
-    p.add_argument("--p", type=int, default=7, help="residue field order")
-
-    p = add("obstruct-twisted-double",
-            help="slice obstruction for the doubled unknot family")
-    p.add_argument("--a", type=int, required=True, help="clasp parameter")
-    p.add_argument("--n", type=int, default=1, help="number of summands")
-    p.add_argument("--budget", type=int)
-
-    p = add("obstruct-order2",
-            help="slice obstruction for the order-two satellite pair")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--budget", type=int)
-
-    p = add("obstruct-mutant-sum",
-            help="norm obstruction for sums of mutant satellites")
-    p.add_argument("--knot", required=True,
-                   help="JSON file with companions/signs/mode")
-    p.add_argument("--mode", choices=["enumerate", "abstract"])
-    p.add_argument("--budget", type=int)
-
-    p = add("su2", help="representation arc count for (-a, a+1) torus knots")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--t", help="rational sample point in (0,1)")
-    p.add_argument("--grid", type=int, default=100,
-                   help="window sample count when --t is absent")
-
-    p = add("labelings", help="metacyclic labelings of a planar diagram")
-    p.add_argument("--pd", required=True, help="PD text file")
-    p.add_argument("--p", type=int, help="dihedral: labels mod this prime")
-    p.add_argument("--d", type=int,
-                   help="metacyclic exponent (default 2)")
-    p.add_argument("--n", type=int, help="metacyclic modulus")
-    p.add_argument("--q", type=int, help="metacyclic twist")
-    p.add_argument("--classify", action="store_true",
-                   help="also report labelings modulo translation")
-
-    return top
+def _usage(command=None):
+    """Help text built from _COMMANDS: the commands, or one command's
+    options."""
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        return "\n".join(
+            ["usage: knotconcord COMMAND [--OPTION VALUE | --OPTION=VALUE] ...",
+             "", "Exact concordance obstructions from Seifert data, branched "
+             "covers, and satellite constructions.", "", "commands:"]
+            + [f"  {name:<{width}}  {blurb}"
+               for name, (blurb, _) in _COMMANDS.items()]
+            + ["", "knotconcord COMMAND --help lists the options of COMMAND."])
+    blurb, options = _COMMANDS[command]
+    options = {**options, "--json": _JSON}
+    heads = {name: name if reader is bool else name + " VALUE"
+             for name, (reader, *_) in options.items()}
+    width = max(map(len, heads.values()))
+    lines = [f"usage: knotconcord {command} [OPTION] ...", "", blurb, "",
+             "options:"]
+    for name, (_, default, required, text) in options.items():
+        note = (" (required)" if required else
+                "" if default in (None, False) else f" (default {default})")
+        lines.append(f"  {heads[name]:<{width}}  {text}{note}")
+    return "\n".join(lines)
 
 
 def _render(obj, indent=0):
@@ -371,9 +444,14 @@ def _render(obj, indent=0):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_usage(argv[0] if argv[0] in _COMMANDS else None)
+                         + "\n")
+        return 0
     started = time.monotonic()
     try:
+        args = _parse(argv)
         echo, payload, notes = _HANDLERS[args.command](args)
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

@@ -90,7 +90,9 @@ class Diagram:
         return sum(c[3] for c in self.crossings)
 
 
-_ENTRY = re.compile(r"[Xx]([+-]?)\[(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]\Z")
+# edge labels are ASCII digits: \d would also match non-ASCII decimal digits
+_ENTRY = re.compile(
+    r"[Xx]([+-]?)\[(-?[0-9]+),(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)\]\Z")
 
 
 def parse_pd(text):

@@ -1,13 +1,10 @@
-"""Exact matrix utilities over Z and Q.
+"""Exact matrix utilities over Z and Z/m.
 
 Matrices are lists of lists (rows) of ints; no floating point anywhere.
 Integer row reduction lives in hermite_normal_form alone: the inverse of
 a unimodular matrix (invert_integer) and the inverse mod m (modm_inverse)
-are read off Hermite forms.  invert_rational, over Fraction, is kept as
-the reference the tests compare the integer routines with.
+are read off Hermite forms.
 """
-
-from fractions import Fraction
 
 from .errors import PreconditionError
 
@@ -119,29 +116,6 @@ def det_bareiss(M):
                 at[i] = pk
         prev = pk
     return sign * A[n - 1][n - 1] * prev // at[n - 1]
-
-
-def invert_rational(M):
-    """Inverse of a nonsingular matrix, returned over Fraction."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if A[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        A[k], A[piv] = A[piv], A[k]
-        p = A[k][k]
-        A[k] = [x / p for x in A[k]]
-        for i in range(n):
-            if i != k and A[i][k] != 0:
-                c = A[i][k]
-                A[i] = [x - c * y for x, y in zip(A[i], A[k])]
-    return [row[n:] for row in A]
 
 
 def invert_integer(M):

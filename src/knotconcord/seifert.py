@@ -182,37 +182,6 @@ def _alexander_coeffs(entries):
     return tuple(c if coeffs[-1] > 0 else -c for c in coeffs)
 
 
-def _interpolate_integer_poly(values):
-    """Integer coefficients, lowest degree first, of the polynomial f of
-    degree < len(values) with f(k) = values[k].
-
-    Newton form over the falling factorials: f = sum_k c_k x(x-1)...(x-k+1)
-    with c_k = (forward difference)^k f(0) / k!, which is an integer for
-    every k exactly when f has integer coefficients.  The tests hold
-    _alexander_coeffs to it on the n + 1 samples D(0) .. D(n)."""
-    n = len(values)
-    diffs = list(values)
-    newton = []
-    fact = 1
-    for k in range(n):
-        if k:
-            fact *= k
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        c, r = divmod(diffs[0], fact)
-        if r:
-            raise InternalInvariantViolation(
-                "a determinant polynomial must be integral")
-        newton.append(c)
-    # Horner in the Newton basis: out <- out * (x - k) + c_k
-    out = newton[-1:]
-    for k in range(n - 2, -1, -1):
-        out = [a - k * b for a, b in zip([0] + out, out + [0])]
-        out[0] += newton[k]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 # Largest field degree phi(d) that lt_signature works over.  The CLI and the
 # drivers evaluate at arc points (arc_point), where the benchmark workloads
 # reach phi <= 6; only a direct lt_signature call at t = k/d works over

@@ -37,27 +37,8 @@ class RepArc:
         self.lo = lo
         self.hi = hi
 
-    def contains(self, t):
-        return self.lo < t < self.hi
-
-    def hits_endpoint(self, t):
-        return t == self.lo or t == self.hi
-
     def __repr__(self):
         return "RepArc(m=%d, n=%d, (%s, %s))" % (self.m, self.n, self.lo, self.hi)
-
-
-def rep_arcs(a):
-    """Complete arc list for the (-a, a+1) torus knot group, ordered by
-    (m, n).  Empty for a = 1: no interior m exists."""
-    if not isinstance(a, int) or a < 1:
-        raise PreconditionError("torus parameter must be a positive integer")
-    arcs = []
-    for m in range(1, a):
-        for n in range(1, a + 1):
-            if (m - n) % 2 == 0:
-                arcs.append(RepArc(a, m, n))
-    return arcs
 
 
 def _check_budget(a, samples):
@@ -71,17 +52,6 @@ def _check_budget(a, samples):
             raise BudgetExceeded(
                 "%d sample(s) over up to %d arcs exceed the budget of %d"
                 % (samples, bound, DEFAULT_BUDGET), DEFAULT_BUDGET)
-
-
-def _count_arcs(arcs, t):
-    """Twice the number of arcs of an explicit list that contain t: the
-    reference the tests hold _count to."""
-    for arc in arcs:
-        if arc.hits_endpoint(t):
-            raise EndpointCollision(
-                "t = %s is an endpoint of the (m, n) = (%d, %d) arc"
-                % (t, arc.m, arc.n))
-    return 2 * sum(1 for arc in arcs if arc.contains(t))
 
 
 def count_signature(a, t):

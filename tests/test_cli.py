@@ -8,20 +8,27 @@ comparison is a genuine dual route (arc counting vs matrix signature).
 """
 
 import ast
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import unicodedata
 
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knotconcord
 from knotconcord import metabolizers
-from knotconcord.cli import _HANDLERS, BUDGET_ENV, main
+from knotconcord.cli import _COMMANDS, _HANDLERS, BUDGET_ENV, main
 from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.errors import SingularAtT
 from knotconcord.seifert import build, lt_signature
@@ -595,10 +602,192 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 2
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as e:
-        main(["frobnicate"])
-    assert e.value.code == 2
+# ---------------------------------------------------------------------------
+# the command line: one table, one reader, one rule for numbers
+
+
+def _assert_one_precondition_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violated: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unknown_subcommand_exits_2(capsys):
+    assert main(["frobnicate"]) == 2
+    captured = capsys.readouterr()
+    _assert_one_precondition_line(captured)
+    assert "unknown command 'frobnicate'" in captured.err
+
+
+MALFORMED_COMMAND_LINES = [
+    [],
+    ["cover", "--knot", fx("torus_2_3.json"), "--degree", "2"],
+    ["cover", "--knot"],
+    ["cover", "--d", "2"],
+    ["cover", "--knot", fx("torus_2_3.json"), "--d", "x"],
+    ["obstruct-mutant-sum", "--knot", fx("mutant_single.json"),
+     "--mode", "bogus"],
+    ["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--inv"],
+    ["cover", "--knot", fx("torus_2_3.json"), "--json=yes"],
+    ["cover", fx("torus_2_3.json")],
+    ["signature", "--knot", fx("torus_2_3.json"), "--t", "1/0"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_COMMAND_LINES, ids=[
+    "empty", "unknown-option", "missing-value", "missing-required",
+    "bad-integer", "bad-mode", "abbreviated-option", "flag-with-value",
+    "stray-word", "zero-denominator"])
+def test_malformed_command_line_exits_2(capsys, argv):
+    assert main(argv) == 2
+    _assert_one_precondition_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["signature", "--knot", fx("torus_2_7.json"), "--t", "2/5"],
+    ["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--d", "2",
+     "--budget", "100"],
+    ["obstruct-mutant-sum", "--knot", fx("mutant_single.json"),
+     "--mode", "abstract"],
+    ["labelings", "--pd", fx("trefoil.pd"), "--p", "3"],
+], ids=["signature", "metabolizers", "mutant-sum", "labelings"])
+def test_equals_form_gives_the_same_bytes(capsys, argv):
+    joined = argv[:1] + ["%s=%s" % pair for pair in zip(argv[1::2],
+                                                         argv[2::2])]
+    assert main(argv + ["--json"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(joined + ["--json"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
+def test_repeated_option_keeps_the_last(capsys):
+    assert main(["su2", "--a", "3", "--t", "1/7", "--json"]) == 0
+    once = capsys.readouterr().out
+    assert main(["su2", "--a", "2", "--t=1/5", "--a=3", "--t", "1/7",
+                 "--json"]) == 0
+    assert capsys.readouterr().out == once
+
+
+def test_help_is_built_from_the_command_table(capsys):
+    assert list(_COMMANDS) == list(_HANDLERS)
+    for argv in (["--help"], ["-h"], ["frobnicate", "--help"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(name in captured.out for name in _HANDLERS)
+    for name, (blurb, options) in _COMMANDS.items():
+        assert main([name, "--knot", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert blurb in out
+        assert all(option in out for option in list(options) + ["--json"])
+
+
+# one ASCII rule reads every number from outside: each site maps to (the
+# plain ASCII spellings of one number, a function from a spelling to argv
+# and environment); None marks a site whose report echoes its text, so
+# only its non-ASCII spellings are tried
+NUMBER_SITES = {
+    "su2-a": (["3"], lambda x, _: (["su2", "--a", x, "--t", "1/7"], {})),
+    "su2-t": (["1/7", "2/14"],
+              lambda x, _: (["su2", "--a", "3", "--t", x], {})),
+    "signature-t": (["2/5", "0.4", ".40", "4/10"], lambda x, _: (
+        ["signature", "--knot", fx("torus_2_7.json"), "--t", x], {})),
+    "cg-sigma-p": (["5"], lambda x, _: (
+        ["cg-sigma", "--knot", fx("torus_2_7.json"), "--a", "1", "--p", x],
+        {})),
+    "metabolizers-budget": (["60"], lambda x, _: (
+        ["metabolizers", "--knot", fx("sum_double_a2_n2.json"),
+         "--budget", x], {})),
+    "cg-delta-lifts": (["2"], lambda x, _: (
+        ["cg-delta", "--knot", fx("twisted_double_a1.json"),
+         "--lifts", "1,%s,4" % x], {})),
+    "budget-env": (["60"], lambda x, _: (
+        ["metabolizers", "--knot", fx("sum_double_a2_n2.json")],
+        {BUDGET_ENV: x})),
+    "pd-entry": (None, lambda x, pd: (["labelings", "--pd", _write(
+        pd, "X[1,4,2,5] X[3,6,4,1] X[%s,2,6,3]" % x), "--p", "3"], {})),
+}
+_PADDING = [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000"]
+_NON_ASCII_DIGITS = st.characters(categories=["Nd"]).filter(
+    lambda c: not c.isascii())
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _request(argv, env):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pd_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pd") / "entry.pd"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(sorted(NUMBER_SITES)), st.data())
+def test_numbers_from_outside_follow_one_ascii_rule(pd_path, site, data):
+    spellings, make = NUMBER_SITES[site]
+    plain = data.draw(st.sampled_from(spellings or ["5"]))
+    # a plus sign and leading zeros (not after a decimal point) keep a
+    # spelling plain
+    if spellings is not None:
+        plain = "+" * data.draw(st.integers(0, 1)) + re.sub(
+            r"(?<![.0-9])[0-9]+", lambda m: "0" * data.draw(st.integers(0, 2)) + m[0],
+            plain)
+    form = data.draw(st.sampled_from(
+        ["digit"] if spellings is None
+        else ["plain", "digit", "underscore", "padding"]))
+    text = plain
+    if form == "digit":
+        # the same value in another script's decimal digits
+        i = data.draw(st.sampled_from(
+            [k for k, c in enumerate(plain) if c.isdigit()]))
+        zero = data.draw(_NON_ASCII_DIGITS)
+        zero = chr(ord(zero) - unicodedata.decimal(zero))
+        text = plain[:i] + chr(ord(zero) + int(plain[i])) + plain[i + 1:]
+    elif form == "underscore":
+        run = data.draw(st.sampled_from(re.findall("[0-9]+", plain)))
+        cut = data.draw(st.integers(1, len(run)))
+        text = plain.replace(run, "0" + run[:cut] + "_" + run[cut:], 1)
+    elif form == "padding":
+        text = (data.draw(st.text(st.sampled_from(_PADDING), max_size=2))
+                + text + data.draw(st.text(st.sampled_from(_PADDING),
+                                           min_size=1, max_size=2)))
+    code, out, err = _request(*make(text, pd_path))
+    if form != "plain":
+        assert (code, out, err.count("\n")) == (2, "", 1), text
+        assert err.startswith("precondition violated: ")
+        return
+    expected = _request(*make(spellings[0], pd_path))
+    assert expected[0] == 0
+    assert (code, out) == expected[:2], text
+
+
+def test_a_request_imports_no_argparse_or_locale():
+    # building argument parsers and their help formatters cost milliseconds
+    # per process; a request must not bring either module back
+    child = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_CHILD, "signature", "--knot",
+         fx("torus_2_3.json"), "--t", "1/5", "--json"],
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "0 []\n"
+
+
+_IMPORTS_CHILD = """
+import contextlib, io, sys
+from knotconcord.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, [m for m in ("argparse", "locale") if m in sys.modules])
+"""
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from knotconcord.seifert import (
     MAX_SEIFERT_SIZE,
     SeifertMatrix,
     _alexander_coeffs,
-    _interpolate_integer_poly,
     alexander,
     build,
     lt_signature,
@@ -65,6 +64,37 @@ def test_alexander_determinant_at_one_is_unit():
         assert abs(sum(d)) == 1
         # Alexander polynomials are symmetric: t^n d(1/t) = d(t)
         assert d == d[::-1]
+
+
+def _interpolate_integer_poly(values):
+    """Integer coefficients, lowest degree first, of the polynomial f of
+    degree < len(values) with f(k) = values[k]: the reference
+    _alexander_coeffs is held to on the n + 1 samples D(0) .. D(n).
+
+    Newton form over the falling factorials: f = sum_k c_k x(x-1)...(x-k+1)
+    with c_k = (forward difference)^k f(0) / k!, which is an integer for
+    every k exactly when f has integer coefficients."""
+    n = len(values)
+    diffs = list(values)
+    newton = []
+    fact = 1
+    for k in range(n):
+        if k:
+            fact *= k
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        c, r = divmod(diffs[0], fact)
+        if r:
+            raise InternalInvariantViolation(
+                "a determinant polynomial must be integral")
+        newton.append(c)
+    # Horner in the Newton basis: out <- out * (x - k) + c_k
+    out = newton[-1:]
+    for k in range(n - 2, -1, -1):
+        out = [a - k * b for a, b in zip([0] + out, out + [0])]
+        out[0] += newton[k]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)

@@ -193,14 +193,10 @@ def test_reference_guard_catches_planted_definitions():
 
 
 # the package definitions that only the tests reach, each with the reason it
-# stays: "oracle", a reference implementation a faster path is held to;
-# "paper", a statement of the paper that a test checks.  A reader or
-# constructor that only tests use lives in the tests that use it
+# stays: "paper", a statement of the paper that a test checks.  A reader, a
+# constructor or a reference implementation (an oracle) that only tests use
+# lives in the tests that use it
 _TEST_ONLY = {
-    "linalg.invert_rational": "oracle",
-    "seifert._interpolate_integer_poly": "oracle",
-    "su2.rep_arcs": "oracle",
-    "su2._count_arcs": "oracle",
     "metabolizers.check_diagonal_lemma": "paper",
     "metabolizers.project_metabolizer": "paper",
     "cassongordon.orbit_exponents": "paper",
@@ -228,7 +224,7 @@ def test_test_only_definitions_are_listed():
     package = {path.name: path.read_text() for path in
                sorted(Path(knotconcord.__file__).parent.glob("*.py"))}
     assert _unlisted(package, _TEST_ONLY) == []
-    assert set(_TEST_ONLY.values()) <= {"oracle", "paper"}
+    assert set(_TEST_ONLY.values()) <= {"paper"}
 
 
 def test_test_only_guard_catches_planted_definitions():

@@ -13,8 +13,27 @@ import pytest
 
 from knotconcord.errors import EndpointCollision, PreconditionError, SingularAtT
 from knotconcord.seifert import lt_signature, torus_matrix
-from knotconcord.su2 import (_count_arcs, count_signature, rep_arcs,
-                             verify_herald)
+from knotconcord.su2 import RepArc, count_signature, verify_herald
+
+
+def rep_arcs(a):
+    """Complete arc list for the (-a, a+1) torus knot group, ordered by
+    (m, n): the oracle count_signature is held to.  Empty for a = 1: no
+    interior m exists."""
+    if not isinstance(a, int) or a < 1:
+        raise PreconditionError("torus parameter must be a positive integer")
+    return [RepArc(a, m, n) for m in range(1, a) for n in range(1, a + 1)
+            if (m - n) % 2 == 0]
+
+
+def _count_arcs(arcs, t):
+    """Twice the number of arcs of an explicit list that contain t."""
+    for arc in arcs:
+        if t in (arc.lo, arc.hi):
+            raise EndpointCollision(
+                "t = %s is an endpoint of the (m, n) = (%d, %d) arc"
+                % (t, arc.m, arc.n))
+    return 2 * sum(1 for arc in arcs if arc.lo < t < arc.hi)
 
 
 def test_rep_arcs_smallest_cases():
