@@ -599,14 +599,14 @@ def _paired_character(rows2, rows4, n, signs):
     return a, b
 
 
-def _charspace_case(rows2, rows4, n, signs):
+def _charspace_case(rows2, rows4, n, signs, budget):
     """Decision tree on an eigen-split character space: take an odd-weight
     vector in either eigenspace if one exists, else the paired even-case
     character.  Returns (branch, a_vec, b_vec)."""
-    v = find_odd_char(rows2, n, _P)
+    v = find_odd_char(rows2, n, _P, budget)
     if v is not None:
         return "odd_left", [x % _P for x in v], [0] * n
-    v = find_odd_char(rows4, n, _P)
+    v = find_odd_char(rows4, n, _P, budget)
     if v is not None:
         return "odd_right", [0] * n, [x % _P for x in v]
     a, b = _paired_character(rows2, rows4, n, signs)
@@ -857,7 +857,7 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     all_not_norm = True
 
     def run_case(rows2, rows4, where):
-        branch, a_vec, b_vec = _charspace_case(rows2, rows4, n, signs)
+        branch, a_vec, b_vec = _charspace_case(rows2, rows4, n, signs, budget)
         if not admissible_pair(a_vec, b_vec, signs):
             raise InternalInvariantViolation(
                 "emitted character violates the metabolizer pairing constraint")
@@ -916,7 +916,8 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
         if n % 2 == 0:
             half = n // 2
             no_odd = [shape for shape in subspaces(n, half, _P, budget)
-                      if find_odd_char([list(r) for r in shape], n, _P) is None]
+                      if find_odd_char([list(r) for r in shape], n, _P,
+                                       budget) is None]
             for s2 in no_odd:
                 for s4 in no_odd:
                     if not _cross_admissible(s2, s4, signs):

@@ -273,26 +273,10 @@ def _cmd_labelings(args):
     return ({"pd": text.split(), "group": G.to_json()}, payload, notes)
 
 
-_HANDLERS = {
-    "alexander": _cmd_alexander,
-    "signature": _cmd_signature,
-    "cover": _cmd_cover,
-    "linking": _cmd_linking,
-    "metabolizers": _cmd_metabolizers,
-    "cg-sigma": _cmd_cg_sigma,
-    "cg-delta": _cmd_cg_delta,
-    "obstruct-twisted-double": _cmd_twisted_double,
-    "obstruct-order2": _cmd_order2,
-    "obstruct-mutant-sum": _cmd_mutant_sum,
-    "su2": _cmd_su2,
-    "labelings": _cmd_labelings,
-}
-
-
-# command -> (help blurb, {option: (reader, default, required, help)}).  A
-# reader turns an option's text into its value or raises ValueError naming
-# what it expected; the reader bool marks a flag, which takes no value and
-# reads True.  Every command also takes --json.
+# command -> (handler, help blurb, {option: (reader, default, required,
+# help)}).  A reader turns an option's text into its value or raises
+# ValueError naming what it expected; the reader bool marks a flag, which
+# takes no value and reads True.  Every command also takes --json.
 _KNOT = (str, None, True, "knot spec JSON file")
 _COMPANION = (str, None, True, "companion spec JSON file")
 _DEGREE = (_int, 2, False, "cover degree")
@@ -301,48 +285,52 @@ _BUDGET = (_int, None, False, f"candidate budget (else ${BUDGET_ENV}, "
 _JSON = (bool, False, False, "emit the canonical compact JSON report")
 
 _COMMANDS = {
-    "alexander": ("Alexander polynomial of a knot spec", {"--knot": _KNOT}),
-    "signature": ("Levine-Tristram signature at a rational t", {
+    "alexander": (_cmd_alexander, "Alexander polynomial of a knot spec",
+                  {"--knot": _KNOT}),
+    "signature": (_cmd_signature,
+                  "Levine-Tristram signature at a rational t", {
         "--knot": _KNOT,
         "--t": (_rational, None, True, "rational in (0,1), e.g. 2/5")}),
-    "cover": ("branched cover homology",
+    "cover": (_cmd_cover, "branched cover homology",
               {"--knot": _KNOT, "--d": _DEGREE}),
-    "linking": ("linking form of the branched cover",
+    "linking": (_cmd_linking, "linking form of the branched cover",
                 {"--knot": _KNOT, "--d": _DEGREE}),
-    "metabolizers": ("enumerate metabolizers of the linking form", {
+    "metabolizers": (_cmd_metabolizers,
+                     "enumerate metabolizers of the linking form", {
         "--knot": _KNOT, "--d": _DEGREE,
         "--invariant-only": (bool, False, False,
                              "keep only deck-invariant metabolizers"),
         "--budget": _BUDGET}),
-    "cg-sigma": ("signature growth from one infection", {
+    "cg-sigma": (_cmd_cg_sigma, "signature growth from one infection", {
         "--knot": _COMPANION,
         "--a": (_int, None, True, "character value on the infection curve"),
         "--p": (_int, None, True, "character order")}),
-    "cg-delta": ("discriminant factors from one infection", {
+    "cg-delta": (_cmd_cg_delta, "discriminant factors from one infection", {
         "--knot": _COMPANION,
         "--lifts": (str, None, True, "comma separated lift values, e.g. 1,2,4"),
         "--p": (_int, 7, False, "residue field order")}),
     "obstruct-twisted-double": (
+        _cmd_twisted_double,
         "slice obstruction for the doubled unknot family", {
             "--a": (_int, None, True, "clasp parameter"),
             "--n": (_int, 1, False, "number of summands"),
             "--budget": _BUDGET}),
     "obstruct-order2": (
-        "slice obstruction for the order-two satellite pair", {
+        _cmd_order2, "slice obstruction for the order-two satellite pair", {
             "--i": (_int, None, True, "first companion index"),
             "--j": (_int, None, True, "second companion index"),
             "--budget": _BUDGET}),
     "obstruct-mutant-sum": (
-        "norm obstruction for sums of mutant satellites", {
+        _cmd_mutant_sum, "norm obstruction for sums of mutant satellites", {
             "--knot": (str, None, True, "JSON file with companions/signs/mode"),
             "--mode": (_choice("enumerate", "abstract"), None, False,
                        "overrides the file's mode"),
             "--budget": _BUDGET}),
-    "su2": ("representation arc count for (-a, a+1) torus knots", {
+    "su2": (_cmd_su2, "representation arc count for (-a, a+1) torus knots", {
         "--a": (_int, None, True, "torus parameter"),
         "--t": (_rational, None, False, "rational sample point in (0,1)"),
         "--grid": (_int, 100, False, "window sample count when --t is absent")}),
-    "labelings": ("metacyclic labelings of a planar diagram", {
+    "labelings": (_cmd_labelings, "metacyclic labelings of a planar diagram", {
         "--pd": (str, None, True, "PD text file"),
         "--p": (_int, None, False, "dihedral: labels mod this prime"),
         "--d": (_int, None, False, "metacyclic exponent (default 2)"),
@@ -364,7 +352,7 @@ def _parse(argv):
             (f"unknown command {argv[0]!r}" if argv else "no command given")
             + "; expected one of " + ", ".join(_COMMANDS))
     command = argv[0]
-    options = {**_COMMANDS[command][1], "--json": _JSON}
+    options = {**_COMMANDS[command][2], "--json": _JSON}
     given = {}
     words = iter(argv[1:])
     for word in words:
@@ -403,9 +391,9 @@ def _usage(command=None):
              "", "Exact concordance obstructions from Seifert data, branched "
              "covers, and satellite constructions.", "", "commands:"]
             + [f"  {name:<{width}}  {blurb}"
-               for name, (blurb, _) in _COMMANDS.items()]
+               for name, (_, blurb, _) in _COMMANDS.items()]
             + ["", "knotconcord COMMAND --help lists the options of COMMAND."])
-    blurb, options = _COMMANDS[command]
+    _, blurb, options = _COMMANDS[command]
     options = {**options, "--json": _JSON}
     heads = {name: name if reader is bool else name + " VALUE"
              for name, (reader, *_) in options.items()}
@@ -452,7 +440,7 @@ def main(argv=None):
     started = time.monotonic()
     try:
         args = _parse(argv)
-        echo, payload, notes = _HANDLERS[args.command](args)
+        echo, payload, notes = _COMMANDS[args.command][0](args)
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3

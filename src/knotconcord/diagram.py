@@ -28,7 +28,7 @@ place of q.  Dihedral q = -1 recovers Fox colorings, b_k = 2 b_i - b_j.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import linalg
@@ -37,25 +37,22 @@ from .errors import (IncidenceError, InternalInvariantViolation, ParseError,
                      PreconditionError)
 
 
-@dataclass(frozen=True)
-class MetacyclicGroup:
+class MetacyclicGroup(namedtuple("MetacyclicGroup", "d n q")):
     """Semidirect product Z_d acting on Z_n, the generator twisting by q."""
 
-    d: int
-    n: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1 or self.n < 2:
+    def __new__(cls, d, n, q):
+        if d < 1 or n < 2:
             raise PreconditionError("metacyclic group needs d >= 1, n >= 2")
-        object.__setattr__(self, "q", self.q % self.n)
-        if gcd(self.q, self.n) != 1:
+        q %= n
+        if gcd(q, n) != 1:
+            raise PreconditionError(f"twist q = {q} is not a unit mod {n}")
+        if pow(q, d, n) != 1:
             raise PreconditionError(
-                f"twist q = {self.q} is not a unit mod {self.n}")
-        if pow(self.q, self.d, self.n) != 1:
-            raise PreconditionError(
-                f"twist must satisfy q^d = 1 mod n; got q = {self.q}, "
-                f"d = {self.d}, n = {self.n}")
+                f"twist must satisfy q^d = 1 mod n; got q = {q}, "
+                f"d = {d}, n = {n}")
+        return super().__new__(cls, d, n, q)
 
     @classmethod
     def dihedral(cls, p):
@@ -69,8 +66,7 @@ class MetacyclicGroup:
         return {"d": self.d, "n": self.n, "q": self.q}
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(namedtuple("Diagram", "crossings arcs")):
     """Validated crossing data.
 
     crossings holds (over arc, incoming under arc, outgoing under arc, sign)
@@ -78,8 +74,7 @@ class Diagram:
     arc.  A zero-crossing diagram is the round unknot with a single arc.
     """
 
-    crossings: tuple
-    arcs: tuple
+    __slots__ = ()
 
     @property
     def arc_count(self):
@@ -208,18 +203,13 @@ def _cyclic_orders(rows, cols, n):
     return gs
 
 
-@dataclass(frozen=True)
-class LabelingSpace:
+class LabelingSpace(namedtuple(
+        "LabelingSpace", "group arc_count relation_count size "
+        "invariant_factors translation_order classes_mod_translation "
+        "scaling_units")):
     """Solution module of the crossing relations over Z_n."""
 
-    group: MetacyclicGroup
-    arc_count: int
-    relation_count: int
-    size: int
-    invariant_factors: tuple
-    translation_order: int
-    classes_mod_translation: int
-    scaling_units: int
+    __slots__ = ()
 
     def to_json(self):
         return {"group": self.group.to_json(),
@@ -263,13 +253,11 @@ def labeling_space(D, G):
                          scaling_units=euler_phi(n))
 
 
-@dataclass(frozen=True)
-class CharacterModule:
+class CharacterModule(namedtuple("CharacterModule",
+                                 "group order invariant_factors")):
     """Labelings modulo translation, as a Z_n-module."""
 
-    group: MetacyclicGroup
-    order: int
-    invariant_factors: tuple
+    __slots__ = ()
 
     def to_json(self):
         return {"group": self.group.to_json(),

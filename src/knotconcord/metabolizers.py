@@ -40,22 +40,22 @@ skips the orbit work and runs as the unrestricted one.
 The search is exhaustive within a budget on the number of candidates,
 the tails that pass the linear conditions of their node.
 
-Each search runs once per process for each form and effective deck (none
-for the unrestricted search or a scalar deck): the Metabolizers it found,
-sorted by Hermite basis, and its candidate count are kept, and a later
-call gets a new list of those same objects, or the BudgetExceeded a fresh
-search would raise when its budget is below that count.  A search that
-raises is not kept.  Each search interns its Hermite rows and reduces each
-distinct row mod the group once, so the kept metabolizers share the few
-distinct rows and generator rows they hold, and rendering one does no
-arithmetic.
+Each search runs once per process for each form, effective deck (none
+for the unrestricted search or a scalar deck) and budget, which together
+decide its outcome: a functools.cache keeps the Metabolizers it found,
+sorted by Hermite basis, and a later call gets a new list of those same
+objects.  A search that raises is not kept.  Each search interns its
+Hermite rows and reduces each distinct row mod the group once, so the
+kept metabolizers share the few distinct rows and generator rows they
+hold, and rendering one does no arithmetic.
 """
 
+from functools import cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import linalg
-from .cover import CharSpace, LinkingForm, deck_eigenspaces
+from .cover import CharSpace, deck_eigenspaces
 from .errors import BudgetExceeded, InternalInvariantViolation
 
 DEFAULT_BUDGET = 10 ** 6
@@ -158,49 +158,38 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
     their deck orbits) rather than searched; the module docstring has the
     details.  The budget counts candidate rows, those that pass these
     linear conditions; a search that needs more raises BudgetExceeded.
-    Each search runs once per process; the module docstring says how a
-    later call replays it.
+    Each search runs once per process; the module docstring says what is
+    kept.
     """
-    k = len(L.group)
-    if k == 0:
-        return [Metabolizer((), ())]
-    root = isqrt(L.order)
-    if root * root != L.order:
-        return []
     # a scalar deck, as on every double branched cover, leaves every
     # subgroup invariant, and its orbit forms are unit multiples of a
     # row's own form, so the plain search finds the same candidates
     deck = (L.deck if invariant_only and not _is_scalar(L.deck, L.group)
             else None)
-    key = (L.group, L.N, L.den, deck)
-    if key not in _searches:
-        bases, nodes = _walk(L, root, deck, budget)
-        reduced = {}
-        _searches[key] = (tuple(Metabolizer(L.group, basis, reduced)
-                                for basis in sorted(bases)), nodes)
-    found, nodes = _searches[key]
-    if nodes > budget:
-        raise _over_budget(budget)
-    return list(found)
+    return list(_search(L.group, L.N, L.den, deck, budget))
 
 
-# enumerate_metabolizers by (group, N, den, effective deck): the
-# Metabolizers, sorted by Hermite basis, and the candidates the search
-# visited, kept for the life of the process; a search that raises is not
-# stored.  The package's one dict memo, not a functools.cache: a search
-# runs with the caller's budget, which is not part of the key, and a hit
-# replays the stored candidate count against the budget of the call at hand
-_searches = {}
+@cache
+def _search(group, N, den, deck, budget):
+    """The Metabolizers of the form N / den on group, invariant under deck
+    unless it is None, sorted by Hermite basis; kept for the life of the
+    process, and an exception is not stored."""
+    root = isqrt(prod(group))
+    if root * root != prod(group):
+        return ()
+    reduced = {}
+    return tuple(Metabolizer(group, basis, reduced)
+                 for basis in sorted(_walk(group, N, den, root, deck, budget)))
 
 
-def _walk(L, index, deck, budget):
-    """The subgroups of the given index that are isotropic for L and, when
-    deck is not None, invariant under it: their Hermite bases in the order
-    the walk finds them, and the number of candidates it visited."""
-    search = _Search(L, deck, budget)
-    for diag in _diag_choices(L.group, index, 0, 1):
-        search.fill(diag, len(L.group) - 1)
-    return search.found, search.nodes
+def _walk(group, N, den, index, deck, budget):
+    """The subgroups of the given index that are isotropic for the form
+    N / den on group and, when deck is not None, invariant under it: their
+    Hermite bases in the order the walk finds them."""
+    search = _Search(group, N, den, deck, budget)
+    for diag in _diag_choices(group, index, 0, 1):
+        search.fill(diag, len(group) - 1)
+    return search.found
 
 
 def subspaces(n, m, p, budget=DEFAULT_BUDGET):
@@ -213,8 +202,7 @@ def subspaces(n, m, p, budget=DEFAULT_BUDGET):
     echelon rows, and the others are p e_i.  The budget bounds the walk's
     candidates, as in enumerate_metabolizers.
     """
-    zero = LinkingForm((p,) * n, [[0] * n for _ in range(n)])
-    bases, _ = _walk(zero, p ** (n - m), None, budget)
+    bases = _walk((p,) * n, ((0,) * n,) * n, 1, p ** (n - m), None, budget)
     bases.sort(key=lambda b: ([row[i] for i, row in enumerate(b)], b))
     return [tuple(row for i, row in enumerate(b) if row[i] == 1)
             for b in bases]
@@ -228,11 +216,6 @@ def subspace_count(n, m, p):
         num *= p ** (n - i) - 1
         den *= p ** (i + 1) - 1
     return num // den
-
-
-def _over_budget(budget):
-    return BudgetExceeded(
-        "metabolizer search visited more than %d candidates" % budget, budget)
 
 
 def _diag_choices(group, root, i, prod):
@@ -261,16 +244,17 @@ class _Search:
     would not see happen.
     """
 
-    def __init__(self, L, deck, budget):
-        """deck: the deck of L for an invariant search, else None."""
-        self.group = L.group
-        self.N, self.den = L.N, L.den
+    def __init__(self, group, N, den, deck, budget):
+        """The form N / den on group; deck: its deck for an invariant
+        search, else None."""
+        self.group = group
+        self.N, self.den = N, den
         self.deck = deck
         self.budget = budget
         self.nodes = 0
         self.found = []
-        self.rows = [None] * len(L.group)
-        self.forms = [None] * len(L.group)
+        self.rows = [None] * len(group)
+        self.forms = [None] * len(group)
         self.interned = {}
 
     def fill(self, diag, i):
@@ -293,7 +277,9 @@ class _Search:
         for tail in _tail_walk(by_col, diag[i + 1:], den):
             self.nodes += 1
             if self.nodes > self.budget:
-                raise _over_budget(self.budget)
+                raise BudgetExceeded(
+                    "metabolizer search visited more than %d candidates"
+                    % self.budget, self.budget)
             row = [0] * i + [diag[i]] + tail
             if not _pairs_to_zero(N, den, row, row):
                 continue

@@ -632,6 +632,27 @@ def test_mutant_sum_abstract_budget():
     assert exc.value.budget == 115
 
 
+@pytest.mark.parametrize("mode", ["enumerate", "abstract"])
+def test_mutant_sum_budget_reaches_find_odd_char(monkeypatch, capsys, mode):
+    # the decision tree's odd-vector searches and, for an even number of
+    # summands in abstract mode, the no-odd filter all take --budget
+    from knotconcord.cli import main
+
+    budgets = []
+    find = cassongordon.find_odd_char
+
+    def recorded(basis, n, p=7, budget=None):
+        budgets.append(budget)
+        return find(basis, n, p, budget)
+
+    monkeypatch.setattr(cassongordon, "find_odd_char", recorded)
+    spec = Path(__file__).parent / "fixtures" / "mutant_equal_pair.json"
+    assert main(["obstruct-mutant-sum", "--knot", str(spec), "--mode", mode,
+                 "--budget", "9999", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["obstructed"]
+    assert budgets and set(budgets) == {9999}
+
+
 def test_mutant_sum_every_character_is_admissible():
     reports = [mutant_sum_obstruction([COMP_A]),
                mutant_sum_obstruction([COMP_A, COMP_A]),

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import knotconcord
 from knotconcord import metabolizers
-from knotconcord.cli import _COMMANDS, _HANDLERS, BUDGET_ENV, main
+from knotconcord.cli import _COMMANDS, BUDGET_ENV, main
 from knotconcord.cyclo import cyclotomic_polynomial
 from knotconcord.errors import SingularAtT
 from knotconcord.seifert import build, lt_signature
@@ -149,14 +149,14 @@ def test_metabolizers_report_same_cold_and_on_a_hit(capsys, name, d, extra):
     # the kept metabolizers render to the bytes of a fresh search; the
     # invariant request on the double cover is the scalar-deck case
     argv = ["metabolizers", "--knot", fx(name), "--d", d, "--json"] + extra
-    metabolizers._searches.clear()
+    metabolizers._search.cache_clear()
     assert main(argv) == 0
     cold = capsys.readouterr().out
-    kept = dict(metabolizers._searches)
-    assert len(kept) == 1
+    assert metabolizers._search.cache_info().currsize == 1
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
-    assert metabolizers._searches == kept
+    info = metabolizers._search.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert json.loads(cold)["result"]["count"] > 0
 
 
@@ -669,13 +669,12 @@ def test_repeated_option_keeps_the_last(capsys):
 
 
 def test_help_is_built_from_the_command_table(capsys):
-    assert list(_COMMANDS) == list(_HANDLERS)
     for argv in (["--help"], ["-h"], ["frobnicate", "--help"]):
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert all(name in captured.out for name in _HANDLERS)
-    for name, (blurb, options) in _COMMANDS.items():
+        assert all(name in captured.out for name in _COMMANDS)
+    for name, (_, blurb, options) in _COMMANDS.items():
         assert main([name, "--knot", "--help"]) == 0
         out = capsys.readouterr().out
         assert blurb in out
@@ -781,12 +780,24 @@ def test_a_request_imports_no_argparse_or_locale():
     assert child.stdout == "0 []\n"
 
 
+def test_a_labelings_request_imports_no_dataclasses():
+    # dataclasses brings inspect, ast, dis and tokenize with it; the
+    # diagram records are named tuples, so no request imports them
+    child = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_CHILD, "labelings", "--pd",
+         fx("trefoil.pd"), "--p", "3", "--classify", "--json"],
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "0 []\n"
+
+
 _IMPORTS_CHILD = """
 import contextlib, io, sys
 from knotconcord.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, [m for m in ("argparse", "locale") if m in sys.modules])
+print(code, [m for m in ("argparse", "locale", "dataclasses", "inspect")
+             if m in sys.modules])
 """
 
 
@@ -988,7 +999,7 @@ print(json.dumps(runs))
 def test_signature_and_obstruction_paths_import_no_sympy(capsys):
     # with sympy unimportable, one request per subcommand gives the same
     # exit code and stdout bytes as here; all run in one child process
-    assert [argv[0] for argv in NO_SYMPY_REQUESTS] == list(_HANDLERS)
+    assert [argv[0] for argv in NO_SYMPY_REQUESTS] == list(_COMMANDS)
     plain = []
     for argv in NO_SYMPY_REQUESTS:
         code = main(argv + ["--json"])

@@ -450,11 +450,11 @@ class _OldSystemSearch(_Search):
 
 
 def _fresh_search(cls, L, invariant_only, budget=DEFAULT_BUDGET):
-    """One search of L run directly, past the memo of
+    """One search of L run directly, past the cache of
     enumerate_metabolizers; its found list stays in discovery order."""
     deck = (L.deck if invariant_only and not _is_scalar(L.deck, L.group)
             else None)
-    search = cls(L, deck, budget)
+    search = cls(L.group, L.N, L.den, deck, budget)
     search.mismatches = search.checked = 0
     for diag in _diag_choices(L.group, isqrt(L.order), 0, 1):
         search.fill(diag, len(L.group) - 1)
@@ -502,7 +502,7 @@ def test_memo_runs_scalar_deck_search_once(monkeypatch):
     path = Path(__file__).parent / "fixtures" / "sum_double_a2_n2.json"
     L = linking_form(build(json.loads(path.read_text())).matrix, 2)
     assert _is_scalar(L.deck, L.group)
-    metabolizers._searches.clear()
+    metabolizers._search.cache_clear()
     calls = _top_fills(monkeypatch)
     plain = enumerate_metabolizers(L)
     invariant = enumerate_metabolizers(L, invariant_only=True)
@@ -516,7 +516,7 @@ def test_memo_shares_search_between_equal_forms(monkeypatch):
     A, B = _workload_form("t23x4"), _workload_form("t23x2_mt23x2")
     assert A is not B
     assert (A.group, A.N, A.den, A.deck) == (B.group, B.N, B.den, B.deck)
-    metabolizers._searches.clear()
+    metabolizers._search.cache_clear()
     calls = _top_fills(monkeypatch)
     diagonals = list(_diag_choices(A.group, isqrt(A.order), 0, 1))
     for invariant_only, total in ((False, 2295), (True, 27)):
@@ -530,22 +530,56 @@ def test_memo_shares_search_between_equal_forms(monkeypatch):
 @pytest.mark.parametrize("invariant_only", [False, True],
                          ids=["all", "invariant"])
 def test_memo_replays_budget(invariant_only):
-    # a hit finishes within the candidate count c and raises the fresh
-    # search's BudgetExceeded below it, whichever request came first
+    # the budget is part of the key: a repeat within the candidate count c
+    # is a hit, and below it the search runs again and raises as a fresh
+    # one does, whichever request came first
     L = _workload_form("mutant_pm")
     count = CANDIDATES["mutant_pm"][invariant_only]
-    metabolizers._searches.clear()
+    cached = metabolizers._search
+    cached.cache_clear()
     with pytest.raises(BudgetExceeded) as fresh:
         enumerate_metabolizers(L, invariant_only, budget=count - 1)
-    assert not metabolizers._searches
+    assert cached.cache_info().currsize == 0
     found = enumerate_metabolizers(L, invariant_only, budget=count)
-    assert len(metabolizers._searches) == 1
     assert enumerate_metabolizers(L, invariant_only, budget=count) == found
-    with pytest.raises(BudgetExceeded) as hit:
+    with pytest.raises(BudgetExceeded) as again:
         enumerate_metabolizers(L, invariant_only, budget=count - 1)
-    assert str(hit.value) == str(fresh.value) == (
+    info = cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+    assert str(again.value) == str(fresh.value) == (
         "metabolizer search visited more than %d candidates" % (count - 1))
-    assert hit.value.budget == fresh.value.budget == count - 1
+    assert again.value.budget == fresh.value.budget == count - 1
+
+
+def _outcome(L, invariant_only, budget):
+    """The list a call returns, or its BudgetExceeded message and budget."""
+    try:
+        return enumerate_metabolizers(L, invariant_only, budget)
+    except BudgetExceeded as e:
+        return str(e), e.budget
+
+
+@pytest.mark.parametrize("invariant_only", [False, True],
+                         ids=["all", "invariant"])
+@pytest.mark.parametrize("name", WORKLOAD_FORMS)
+def test_memo_outcome_does_not_depend_on_call_order(name, invariant_only):
+    # budgets below, at and above the candidate count, in every order from
+    # an empty cache: a budget gives the same outcome at every place in the
+    # order, the first call after cache_clear included
+    L = _workload_form(name)
+    count = CANDIDATES[name][invariant_only]
+    budgets = (count - 1, count, DEFAULT_BUDGET)
+    seen = {budget: [] for budget in budgets}
+    for order in itertools.permutations(budgets):
+        metabolizers._search.cache_clear()
+        for budget in order:
+            seen[budget].append(_outcome(L, invariant_only, budget))
+    for outcomes in seen.values():
+        assert all(o == outcomes[0] for o in outcomes)
+    assert seen[count - 1][0] == (
+        "metabolizer search visited more than %d candidates" % (count - 1),
+        count - 1)
+    assert seen[count][0] == seen[DEFAULT_BUDGET][0]
 
 
 def test_memo_returns_a_copy():
@@ -561,7 +595,7 @@ def test_memo_returns_a_copy():
 
 def test_memo_interns_rows():
     # the kept lists share one object per distinct Hermite row
-    metabolizers._searches.clear()
+    metabolizers._search.cache_clear()
     found = enumerate_metabolizers(_workload_form("t23x4"))
     rows = [r for m in found for r in m.basis]
     assert len(rows) == 18360
@@ -573,7 +607,7 @@ def test_memo_interns_rows():
 def test_memo_hit_returns_the_kept_metabolizers():
     # a hit hands out the objects the search built, in a new list
     L = _workload_form("t27x2_mt27x2")
-    metabolizers._searches.clear()
+    metabolizers._search.cache_clear()
     first = enumerate_metabolizers(L)
     second = enumerate_metabolizers(L)
     assert first and second is not first and len(second) == len(first)
@@ -584,7 +618,7 @@ def test_memo_interns_generator_rows():
     # each search reduces each distinct Hermite row once, so the kept
     # generator rows share one object per distinct row, and to_json hands
     # out the stored tuples
-    metabolizers._searches.clear()
+    metabolizers._search.cache_clear()
     found = enumerate_metabolizers(_workload_form("t23x4"))
     gens = [g for m in found for g in m.generators]
     assert len({id(g) for g in gens}) == len(set(gens)) > 1

@@ -119,14 +119,12 @@ def _module_dicts(source, name="<source>"):
 
 
 def test_one_module_level_dict_memo():
-    # a per-process result is a functools.cache on a hashable key; the
-    # metabolizer search stays a dict, as its budget replay keeps the
-    # candidate count beside the result
+    # a per-process result is a functools.cache on a hashable key, so no
+    # module keeps a dict memo
     found = []
     for path in sorted(Path(knotconcord.__file__).parent.glob("*.py")):
         found += _module_dicts(path.read_text(), path.name)
-    assert [(name, target) for name, _, target in found] == [
-        ("metabolizers.py", "_searches")], found
+    assert found == []
 
 
 def test_module_dict_guard_catches_planted_memos():
