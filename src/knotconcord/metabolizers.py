@@ -6,14 +6,18 @@ subgroup whose order squares to the group order.  Subgroups are handled
 as integer lattices between diag(group) and Z^k, written in Hermite
 normal form so equality is syntactic.
 
-One walk enumerates subgroups, those of a given index that are isotropic
+One walk enumerates subgroups, those of given indices that are isotropic
 for a form: the metabolizers are those of index the square root of the
 group order, and under the zero form every subgroup is isotropic, so the
 walk on it lists the subspaces of (Z/p)^n (subspaces, counted in closed
-form by subspace_count).  The walk fills Hermite bases row by row from
-the bottom, for each diagonal whose product is the index.  Row i is
-diag[i] e_i plus a tail t in the box
-[0, diag[i+1]) x ... x [0, diag[k-1]).  Once rows i+1..k-1 are fixed,
+form by subspace_count) and the subgroups of (Z/p^e)^r.  The walk fills
+Hermite bases row by row from the bottom, for each diagonal whose
+product is the index.  Row i is diag[i] e_i plus a tail t in the box
+[0, diag[i+1]) x ... x [0, diag[k-1]).  A row whose diagonal entry is its
+invariant factor f_i is forced: the relation f_i e_i is the row minus its
+tail, so the tail lies in the span of the rows below, where the only
+tail in the box is 0.  The row is f_i e_i, zero in the group, and adds
+no congruence.  Otherwise, once rows i+1..k-1 are fixed,
 the conditions <row i, row j> = 0 (mod den), den the common denominator
 of the Gram matrix, are linear congruences in t, and each fixed row
 keeps its linear form N row.  A tail coordinate whose diagonal entry is
@@ -26,7 +30,9 @@ starts no congruence is free, and one that starts g t = s (mod den) has
 no value unless h = gcd(g, den) divides s, and otherwise the values
 t_0 + (den / h) Z in the box.  Each solution is a candidate; it is kept
 if it pairs to zero with itself and the rows so far contain the relation
-f_i e_i.
+f_i e_i = g row - g t, g = f_i / diag[i].  The rows below span every
+f_m e_m, so the relation holds at once when g t_m = 0 (mod f_m) for
+every m, and is otherwise reduced against the rows.
 
 For deck-invariant metabolizers each fixed row contributes the linear
 forms of its whole deck orbit, and a candidate must also pair to zero
@@ -37,8 +43,23 @@ A deck that acts as multiplication by one integer, as -1 does on every
 double branched cover, leaves every subgroup invariant; the search then
 skips the orbit work and runs as the unrestricted one.
 
-The search is exhaustive within a budget on the number of candidates,
-the tails that pass the linear conditions of their node.
+Some decks make the invariant metabolizers known without that walk.  On
+group = (Z/p^e)^k, a deck that splits mod p^e (cover.deck_eigenspaces)
+into exactly two nonzero eigenspaces E_lam and E_mu, lam mu = 1 and
+lam^2 != 1 (mod p), has both isotropic when it is an isometry.  When
+they are isotropic and paired perfectly, the invariant metabolizers are
+exactly A + ann(A) for the subgroups A of E_lam = (Z/p^e)^r, ann(A)
+taken in E_mu.  The mutant sums at d = 3 are of this kind.  The search
+then walks the subgroups of E_lam on the zero form, one walk over every
+index p^j, and maps each through the eigenbases.  Every other invariant
+search walks with the deck: a self-paired eigenvalue, a deck that does
+not split or whose roots of x^d = 1 agree mod p, or a group that is not
+homogeneous.
+
+The search is exhaustive within a budget on the number of candidates:
+the tails that pass the linear conditions of their node, one for a
+forced row.  The eigenspace route counts the candidates of its walk on
+E_lam.
 
 Each search runs once per process for each form, effective deck (none
 for the unrestricted search or a scalar deck) and budget, which together
@@ -56,7 +77,9 @@ from math import gcd, isqrt, prod
 
 from . import linalg
 from .cover import CharSpace, deck_eigenspaces
-from .errors import BudgetExceeded, InternalInvariantViolation
+from .cyclo import factor
+from .errors import (BudgetExceeded, InternalInvariantViolation,
+                     UnsupportedShape)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -156,8 +179,9 @@ def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
     Each row's tail is solved from the echelon form of its pairing
     congruences with the rows below it (and, with invariant_only, with
     their deck orbits) rather than searched; the module docstring has the
-    details.  The budget counts candidate rows, those that pass these
-    linear conditions; a search that needs more raises BudgetExceeded.
+    details, and of the eigenspace route some invariant searches take.
+    The budget counts candidate rows, those that pass these linear
+    conditions; a search that needs more raises BudgetExceeded.
     Each search runs once per process; the module docstring says what is
     kept.
     """
@@ -177,19 +201,104 @@ def _search(group, N, den, deck, budget):
     root = isqrt(prod(group))
     if root * root != prod(group):
         return ()
+    pair = None if deck is None else _eigenspace_pair(group, N, den, deck)
+    if pair is None:
+        bases = _walk(group, N, den, (root,), deck, budget)
+    else:
+        bases = _paired_metabolizers(group, *pair, budget)
     reduced = {}
     return tuple(Metabolizer(group, basis, reduced)
-                 for basis in sorted(_walk(group, N, den, root, deck, budget)))
+                 for basis in sorted(bases))
 
 
-def _walk(group, N, den, index, deck, budget):
-    """The subgroups of the given index that are isotropic for the form
+def _walk(group, N, den, indices, deck, budget):
+    """The subgroups of each given index that are isotropic for the form
     N / den on group and, when deck is not None, invariant under it: their
-    Hermite bases in the order the walk finds them."""
+    Hermite bases in the order the walk finds them, one budget for all."""
     search = _Search(group, N, den, deck, budget)
-    for diag in _diag_choices(group, index, 0, 1):
-        search.fill(diag, len(group) - 1)
+    for index in indices:
+        for diag in _diag_choices(group, index, 0, 1):
+            search.fill(diag, len(group) - 1)
     return search.found
+
+
+def _eigenspace_pair(group, N, den, deck):
+    """(p, e, U, D) when the deck splits group = (Z/q)^k, q = p^e, into
+    just two nonzero eigenspaces E_lam and E_mu, lam mu = 1 and lam^2 != 1
+    (mod p), each isotropic and paired perfectly with the other: U is a
+    basis of E_lam and D the basis of E_mu dual to it, <U_j, D_l> = 1/q
+    when j = l and 0 otherwise.  Otherwise None.
+
+    For a deck that is an isometry the eigenvalue condition makes E_lam
+    and E_mu isotropic, since <x, y> = lam mu <x, y> on E_lam x E_mu; the
+    Gram blocks are still checked, so any deck gets an exact answer.
+    """
+    q = group[0] if group else 1
+    if any(f != q for f in group):
+        return None
+    try:
+        primes = factor(q)
+        if len(primes) != 1:
+            return None
+        (p, e), = primes
+        eigen, split = deck_eigenspaces(deck, p, e, None)
+    except (BudgetExceeded, UnsupportedShape):
+        # a prime power q too large to factor, or a deck whose roots
+        # agree mod p or whose order passes the cap: the walk decides
+        return None
+    live = [(lam, vecs) for lam, vecs in eigen.items() if vecs]
+    if not split or len(live) != 2:
+        return None
+    (lam, U), (mu, W) = live
+    if (lam * mu - 1) % p or (lam * lam - 1) % p == 0 or len(U) != len(W):
+        return None
+
+    def gram(X, Y):
+        forms = [_linear_form(N, den, x) for x in X]
+        return [[sum(a * b for a, b in zip(form, y)) * (q // den) % q
+                 for y in Y] for form in forms]
+
+    if any(map(any, gram(U, U) + gram(W, W))):
+        return None
+    try:
+        inv = linalg.modm_inverse(gram(U, W), q)
+    except ZeroDivisionError:
+        return None
+    return p, e, U, linalg.modm_mat_mul(linalg.transpose(inv), W, q)
+
+
+def _paired_metabolizers(group, p, e, U, D, budget):
+    """The Hermite bases of the A + ann(A) for A <= E_lam, the route of
+    _search when _eigenspace_pair gives (p, e, U, D).
+
+    A subgroup of E_lam + E_mu is deck-invariant exactly when it is the sum
+    of its parts in the two eigenspaces, and with both isotropic and of
+    rank r it is a metabolizer exactly when its E_mu part is ann(A) in
+    E_mu for its E_lam part A.  The A are the subgroups of (Z/q)^r in the
+    coordinates of U, one walk on the zero form over every index p^j; the
+    budget counts its candidates.  With H the Hermite basis of A, the
+    coordinates c in D of ann(A) are those with H c = 0 (mod q): the
+    columns of q H^-1, integral since the rows of H span q Z^r.
+    """
+    q, r = group[0], len(U)
+    indices = [p ** j for j in range(r * e + 1)]
+    found = []
+    interned = {}
+    for H in _walk((q,) * r, ((0,) * r,) * r, 1, indices, None, budget):
+        cols = []
+        for c in range(r):
+            # H col = q e_c by back substitution; col[i] = 0 for i > c
+            col = [0] * r
+            for i in range(c, -1, -1):
+                s = q if i == c else 0
+                s -= sum(H[i][j] * col[j] for j in range(i + 1, c + 1))
+                col[i] = s // H[i][i]
+            cols.append(col)
+        rows = (linalg.modm_mat_mul(H, U, q)
+                + linalg.modm_mat_mul(cols, D, q))
+        found.append(tuple(interned.setdefault(row, row) for row in
+                           map(tuple, _canonical_basis(rows, group))))
+    return found
 
 
 def subspaces(n, m, p, budget=DEFAULT_BUDGET):
@@ -202,7 +311,8 @@ def subspaces(n, m, p, budget=DEFAULT_BUDGET):
     echelon rows, and the others are p e_i.  The budget bounds the walk's
     candidates, as in enumerate_metabolizers.
     """
-    bases = _walk((p,) * n, ((0,) * n,) * n, 1, p ** (n - m), None, budget)
+    bases = _walk((p,) * n, ((0,) * n,) * n, 1, (p ** (n - m),), None,
+                  budget)
     bases.sort(key=lambda b: ([row[i] for i, row in enumerate(b)], b))
     return [tuple(row for i, row in enumerate(b) if row[i] == 1)
             for b in bases]
@@ -269,17 +379,25 @@ class _Search:
             self.found.append(tuple(self.interned.setdefault(r, r)
                                     for r in map(tuple, rows)))
             return
+        if diag[i] == group[i]:
+            # the relation f_i e_i is row i minus its tail, so the tail lies
+            # in the span of the rows below, where a Hermite tail is 0: the
+            # one candidate is f_i e_i, zero in the group, with no form
+            self.charge()
+            rows[i] = [0] * i + [diag[i]] + [0] * (k - i - 1)
+            self.forms[i] = ()
+            self.fill(diag, i - 1)
+            rows[i] = None
+            return
         by_col = _echelon(self.system(diag, i), k - i - 1, den)
         if by_col is None:
             return
         rel = [0] * k
         rel[i] = group[i]
+        g = group[i] // diag[i]
+        below = group[i + 1:]
         for tail in _tail_walk(by_col, diag[i + 1:], den):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceeded(
-                    "metabolizer search visited more than %d candidates"
-                    % self.budget, self.budget)
+            self.charge()
             row = [0] * i + [diag[i]] + tail
             if not _pairs_to_zero(N, den, row, row):
                 continue
@@ -289,11 +407,22 @@ class _Search:
                 if not all(_pairs_to_zero(N, den, row, v) for v in orbit[1:]):
                     continue
             rows[i] = row
-            # the relation f_i e_i must lie in the span of rows i..k-1
-            if _suffix_member(rows, diag, rel, i):
+            # the relation f_i e_i = g row - g tail must lie in the span of
+            # rows i..k-1; the rows below span every f_m e_m, so it does when
+            # g t_m = 0 (mod f_m) for each m, and otherwise it is reduced
+            if (all(g * t % f == 0 for t, f in zip(tail, below))
+                    or _suffix_member(rows, diag, rel, i)):
                 self.forms[i] = [_linear_form(N, den, v) for v in orbit]
                 self.fill(diag, i - 1)
             rows[i] = None
+
+    def charge(self):
+        """Count one candidate against the budget."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded(
+                "metabolizer search visited more than %d candidates"
+                % self.budget, self.budget)
 
     def system(self, diag, i):
         """The congruences on the tail of row i, one per linear form of

@@ -620,6 +620,24 @@ def test_mutant_sum_three_summands_abstract():
         assert case["verdict"] == NOT_NORM
 
 
+# the mutant_triple and mutant_triple_mixed requests of the benchmark: the
+# 9,009 invariant metabolizers of (Z/49)^6 are within the default budget
+@pytest.mark.parametrize("companions, signs", [
+    ([COMP_A, COMP_A, COMP_B], [1, 1, 1]),
+    ([COMP_A, COMP_B, COMP_B], [1, -1, -1]),
+], ids=["triple", "triple-mixed"])
+def test_mutant_sum_three_summands_enumerate_agrees_with_abstract(
+        companions, signs):
+    rep = mutant_sum_obstruction(companions, signs=signs, mode="enumerate")
+    assert rep["mode"] == "enumerate"
+    assert rep["metabolizer_count"] == len(rep["cases"]) == 9009
+    abstract = mutant_sum_obstruction(companions, signs=signs,
+                                      mode="abstract")
+    assert ((rep["obstructed"], rep["all_not_norm"])
+            == (abstract["obstructed"], abstract["all_not_norm"])
+            == (True, True))
+
+
 def test_mutant_sum_abstract_budget():
     # the 116 shapes of three summands are counted before any is visited
     companions, signs = [COMP_A, COMP_A, COMP_B], [1, 1, -1]

@@ -893,7 +893,7 @@ def test_signature_memo_bytes_match_a_fresh_process(capsys):
 
 # T(2,3) # T(2,3) and T(2,3) # -T(2,3) at d = 3 have one linking form, so
 # the second one's metabolizer requests are memo hits; budgets below the
-# candidate count (59 on mutant_single, more on the sums) must still exit 3
+# candidate count (3 on mutant_single, more on the sums) must still exit 3
 COVER_MEMO_REQUESTS = [
     ["metabolizers", "--knot", fx("sum_double_a2_n2.json"), "--d", "2"],
     ["cover", "--knot", fx("sum_double_a2_n2.json"), "--d", "2"],
@@ -906,7 +906,7 @@ COVER_MEMO_REQUESTS = [
     ["obstruct-mutant-sum", "--knot", fx("mutant_equal_pair.json"),
      "--mode", "enumerate"],
     ["obstruct-mutant-sum", "--knot", fx("mutant_single.json"),
-     "--budget", "58"],
+     "--budget", "2"],
     ["metabolizers", "--knot", fx("sum_double_a2_n3.json"), "--d", "2",
      "--budget", "2"],
     ["cover", "--knot", fx("torus_2_3.json"), "--d", "6"],

@@ -22,10 +22,12 @@ from knotconcord.cover import LinkingForm, direct_sum, linking_form
 from knotconcord import linalg, metabolizers
 from knotconcord.errors import BudgetExceeded
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
-                                      _canonical_basis,
-                                      _diag_choices, _echelon, _is_scalar,
-                                      _pairs_to_zero, _suffix_member,
-                                      _tail_walk, admissible_pair,
+                                      _canonical_basis, _deck_orbit,
+                                      _diag_choices, _echelon,
+                                      _eigenspace_pair, _is_scalar,
+                                      _linear_form, _pairs_to_zero,
+                                      _suffix_member, _tail_walk, _walk,
+                                      admissible_pair,
                                       check_diagonal_lemma,
                                       enumerate_metabolizers, find_odd_char,
                                       is_metabolizer, project_metabolizer,
@@ -390,9 +392,25 @@ def test_walk_matches_oracle_on_workload_forms(name, invariant_only):
 
 
 # Candidates each search visits (all, invariant only): the smallest budget
-# it finishes within.  The budget counts candidates, so a change to how the
-# walk finds them must leave these numbers as they are.
+# it finishes within.  A forced row, one whose Hermite diagonal entry is its
+# invariant factor, counts one candidate; the invariant mutant searches take
+# the eigenspace route, whose candidates are those of the walk over the
+# subgroups of one eigenspace, (Z/49)^2 for the pairs and Z/49 alone.
 CANDIDATES = {
+    "t23x4": (5112, 468), "t23x2_mt23x2": (5112, 468),
+    "t25x3_mt25x3": (2037, 2037), "fig8x6": (2037, 2037),
+    "t23x3_mt23x3": (417, 417), "td2x4": (2618, 2618),
+    "t27x2_mt27x2": (130, 130), "mutant_pp": (10790, 126),
+    "mutant_pm": (10774, 126), "mutant_single": (59, 3)}
+
+# Candidates of the walk itself, _Search.fill from the top with the deck,
+# where the eigenspace route does not run; elsewhere as in CANDIDATES.
+WALK_CANDIDATES = dict(CANDIDATES, mutant_pp=(10790, 4040),
+                       mutant_pm=(10774, 4022), mutant_single=(59, 59))
+
+# Candidates of the per-tail walk, which solves and tries every tail of a
+# forced row too: the counts of the search before forced rows were skipped.
+PER_TAIL_CANDIDATES = {
     "t23x4": (5335, 517), "t23x2_mt23x2": (5335, 517),
     "t25x3_mt25x3": (2101, 2101), "fig8x6": (2101, 2101),
     "t23x3_mt23x3": (441, 441), "td2x4": (2642, 2642),
@@ -473,12 +491,78 @@ def test_zeroed_columns_walk_matches_old_system(name, invariant_only):
     new = _fresh_search(_Search, L, invariant_only)
     assert old.checked and old.mismatches == 0
     assert new.found == old.found
-    count = CANDIDATES[name][invariant_only]
+    count = WALK_CANDIDATES[name][invariant_only]
     assert new.nodes == old.nodes == count
     for cls in (_Search, _OldSystemSearch):
         _fresh_search(cls, L, invariant_only, budget=count)
         with pytest.raises(BudgetExceeded):
             _fresh_search(cls, L, invariant_only, budget=count - 1)
+
+
+class _PerTailSearch(_Search):
+    """The walk as it was before forced rows and the relation shortcut: a
+    row whose diagonal entry is its invariant factor solves and tries
+    every tail, and every kept row's relation is reduced by
+    _suffix_member."""
+
+    def fill(self, diag, i):
+        group, rows, N, den = self.group, self.rows, self.N, self.den
+        k = len(group)
+        if i < 0:
+            if self.deck is not None:
+                for r in rows:
+                    image = linalg.mat_vec(self.deck, r)
+                    if not _suffix_member(rows, diag, image, 0):
+                        return
+            self.found.append(tuple(map(tuple, rows)))
+            return
+        by_col = _echelon(self.system(diag, i), k - i - 1, den)
+        if by_col is None:
+            return
+        rel = [0] * k
+        rel[i] = group[i]
+        for tail in _tail_walk(by_col, diag[i + 1:], den):
+            self.charge()
+            row = [0] * i + [diag[i]] + tail
+            if not _pairs_to_zero(N, den, row, row):
+                continue
+            orbit = [row]
+            if self.deck is not None:
+                orbit = _deck_orbit(self.deck, group, row)
+                if not all(_pairs_to_zero(N, den, row, v) for v in orbit[1:]):
+                    continue
+            rows[i] = row
+            if _suffix_member(rows, diag, rel, i):
+                self.forms[i] = [_linear_form(N, den, v) for v in orbit]
+                self.fill(diag, i - 1)
+            rows[i] = None
+
+
+@pytest.mark.parametrize("invariant_only", [False, True],
+                         ids=["all", "invariant"])
+@pytest.mark.parametrize("name", WORKLOAD_FORMS)
+def test_forced_rows_walk_matches_per_tail_walk(name, invariant_only):
+    # the same bases in the same discovery order; a forced row is one
+    # candidate where the per-tail walk counted every tail it solved
+    L = _workload_form(name)
+    old = _fresh_search(_PerTailSearch, L, invariant_only)
+    new = _fresh_search(_Search, L, invariant_only)
+    assert new.found == old.found
+    assert old.nodes == PER_TAIL_CANDIDATES[name][invariant_only]
+    assert new.nodes == WALK_CANDIDATES[name][invariant_only]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=3),
+       st.sampled_from([2, 3]))
+def test_forced_rows_walk_matches_per_tail_walk_on_genus_one_sums(pairs, d):
+    L = _genus_one_sum(pairs, d)
+    for invariant_only in (False, True):
+        old = _fresh_search(_PerTailSearch, L, invariant_only, 10 ** 9)
+        new = _fresh_search(_Search, L, invariant_only, 10 ** 9)
+        assert new.found == old.found
+        assert new.nodes <= old.nodes
 
 
 def _top_fills(monkeypatch):
@@ -494,6 +578,129 @@ def _top_fills(monkeypatch):
 
     monkeypatch.setattr(_Search, "fill", counted)
     return calls
+
+
+def _birkhoff_count(p, e, r):
+    """The number of subgroups of (Z/p^e)^r, all indices, by Birkhoff's
+    formula: a subgroup whose type has conjugate partition
+    a_1 >= ... >= a_e (a_{e+1} = 0) occurs
+    prod_i p^(a_{i+1} (r - a_i)) [r - a_{i+1} choose a_i - a_{i+1}]_p
+    times."""
+    total = 0
+    for a in itertools.combinations_with_replacement(range(r + 1), e):
+        a = sorted(a, reverse=True) + [0]
+        term = 1
+        for i in range(e):
+            term *= (p ** (a[i + 1] * (r - a[i]))
+                     * subspace_count(r - a[i + 1], a[i] - a[i + 1], p))
+        total += term
+    return total
+
+
+def _all_subgroups(p, e, r, budget=DEFAULT_BUDGET):
+    """The Hermite bases of every subgroup of (Z/p^e)^r: the walk on the
+    zero form over every index p^j."""
+    q = p ** e
+    return _walk((q,) * r, ((0,) * r,) * r, 1,
+                 [p ** j for j in range(r * e + 1)], None, budget)
+
+
+@pytest.mark.parametrize("p, e, r", [
+    (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 2, 2),
+    (3, 2, 3), (3, 3, 1), (5, 2, 2), (7, 2, 1), (7, 2, 2)])
+def test_subgroup_walk_matches_birkhoff_count(p, e, r):
+    bases = _all_subgroups(p, e, r)
+    assert len(set(bases)) == len(bases) == _birkhoff_count(p, e, r)
+    if e == 1:
+        assert len(bases) == sum(subspace_count(r, m, p)
+                                 for m in range(r + 1))
+
+
+def _mutant_form(signs):
+    base = satellite_base_matrix()
+    return direct_sum(*[linking_form(base if s == 1 else base.mirror(), 3)
+                        for s in signs])
+
+
+# each invariant metabolizer of the r-summand form is A + ann(A) for one
+# subgroup A of a deck eigenspace (Z/49)^r, and (Z/49)^r has 3, 75 and
+# 9,009 subgroups for r = 1, 2, 3
+@pytest.mark.parametrize("signs, count", [
+    ((1,), 3), ((1, -1), 75), ((1, 1, -1), 9009)],
+    ids=["one", "two", "three"])
+def test_mutant_invariant_counts_match_birkhoff(signs, count):
+    assert _birkhoff_count(7, 2, len(signs)) == count
+    L = _mutant_form(signs)
+    assert _eigenspace_pair(L.group, L.N, L.den, L.deck) is not None
+    found = enumerate_metabolizers(L, invariant_only=True)
+    assert len(found) == count
+    assert all(m.order ** 2 == L.order for m in found)
+
+
+def _change_basis(L, S):
+    """L in the coordinates x -> S x, S invertible mod the exponent q of a
+    homogeneous group: Gram matrix S^t N S and deck S^-1 T S."""
+    q = L.group[0]
+    Sinv = linalg.modm_inverse(S, q)
+    gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(S), L.N), S)
+    deck = linalg.modm_mat_mul(linalg.modm_mat_mul(Sinv, L.deck, q), S, q)
+    return LinkingForm(L.group, [[F(x, L.den) for x in row] for row in gram],
+                       deck)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=2), st.data())
+def test_eigenspace_route_matches_walk_with_deck(signs, data):
+    # random signed sums of one or two mutant summands, in random
+    # coordinates: the invariant list is the sorted walk run with the deck
+    L = _mutant_form(signs)
+    k = len(L.group)
+    S = data.draw(st.lists(st.lists(st.integers(0, 48), min_size=k,
+                                    max_size=k), min_size=k, max_size=k)
+                  .filter(lambda S: linalg.det_bareiss(S) % 7))
+    M = _change_basis(L, S)
+    assert _eigenspace_pair(M.group, M.N, M.den, M.deck) is not None
+    walked = _walk(M.group, M.N, M.den, (isqrt(M.order),), M.deck, 10 ** 9)
+    assert ([m.basis for m in enumerate_metabolizers(M, invariant_only=True)]
+            == sorted(walked))
+
+
+def test_eigenspace_route_walks_one_eigenspace(monkeypatch):
+    # the only fills from the top are those of the walk over the subgroups
+    # of E_lam = (Z/49)^2, every index 7^j
+    L = _workload_form("mutant_pp")
+    metabolizers._search.cache_clear()
+    calls = _top_fills(monkeypatch)
+    assert len(enumerate_metabolizers(L, invariant_only=True)) == 75
+    assert calls == [diag for j in range(5)
+                     for diag in _diag_choices((49, 49), 7 ** j, 0, 1)]
+
+
+# An A2 form on (Z/9)^2 and its rotation of order 3, whose roots 1, 4, 7 of
+# x^3 = 1 agree mod 3; and diag(1, -1) on (Z/5)^2 with the unit form, whose
+# eigenvalues are each their own inverse's partner only.
+def _order_three_on_z9():
+    return LinkingForm((9, 9), ((F(2, 9), F(-1, 9)), (F(-1, 9), F(2, 9))),
+                       ((0, -1), (1, -1)))
+
+
+def _self_paired_on_z5():
+    return LinkingForm((5, 5), ((F(1, 5), F(0)), (F(0), F(1, 5))),
+                       ((1, 0), (0, -1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _workload_form("t23x4"), _order_three_on_z9, _self_paired_on_z5,
+], ids=["z2^8-d3-no-split", "z9^2-p-divides-order", "z5^2-self-paired"])
+def test_fallback_decks_fill_from_the_top(monkeypatch, make):
+    L = make()
+    assert not _is_scalar(L.deck, L.group)
+    assert _eigenspace_pair(L.group, L.N, L.den, L.deck) is None
+    metabolizers._search.cache_clear()
+    calls = _top_fills(monkeypatch)
+    found = enumerate_metabolizers(L, invariant_only=True)
+    assert calls == list(_diag_choices(L.group, isqrt(L.order), 0, 1))
+    assert found == _walk_oracle(L, invariant_only=True)
 
 
 def test_memo_runs_scalar_deck_search_once(monkeypatch):
