@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import isqrt, prod
 
 from . import linalg
-from .cover import direct_sum, dual_linking, linking_form
+from .cover import deck_eigenspaces, direct_sum, linking_form
 from .cyclo import factor, is_prime, poly_gcd
 from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
                      BudgetExceeded, InternalInvariantViolation)
@@ -442,28 +442,6 @@ def satellite_delta(base, J, lift_values, p=None):
                                       for v in lift_values))
 
 
-def orbit_exponents(a):
-    """Exponent multiset contributed by a pure eigencharacter value a mod 7:
-    the doubling orbit {a, 2a, 4a} and its negatives, sorted."""
-    a = int(a) % 7
-    vals = [a, 2 * a, 4 * a]
-    return tuple(sorted([v % 7 for v in vals] + [(-v) % 7 for v in vals]))
-
-
-def mixed_exponents(c, eps):
-    """Exponent multiset for the paired even-case character at coupling
-    unit c with sign eps: {c - e/c, 2c - 4e/c, 4c - 2e/c} and negatives
-    mod 7, sorted.  For eps = +1 this is {0,0,2,2,5,5} for every unit c."""
-    c = int(c) % 7
-    if c == 0:
-        raise PreconditionError("coupling value must be a unit mod 7")
-    if eps not in (1, -1):
-        raise PreconditionError("sign must be +1 or -1")
-    cbar = pow(c, -1, 7)
-    vals = [c - eps * cbar, 2 * c - 4 * eps * cbar, 4 * c - 2 * eps * cbar]
-    return tuple(sorted([v % 7 for v in vals] + [(-v) % 7 for v in vals]))
-
-
 def _lift_values(a, b, sign):
     # values of the character on the three lifts of a band curve, at
     # eigencoordinates (a, b); the mutated band carries the negatives
@@ -510,33 +488,46 @@ def norm_test(e, hypotheses=None):
 # character plumbing shared by the drivers
 
 def _dual_eigenpair(form, sign=1):
-    """For a 2-generator block of height two whose deck acts with
-    eigenvalues 2 and 4 on the mod-7 character space: the matrix taking
-    ambient character coordinates to eigencoordinates, the inverse mod 7
-    of the column matrix (w2 | w4) of the dual eigenvectors.
+    """For a (Z_49)^2 block whose deck acts with eigenvalues 2 and 4 on the
+    mod-7 character space: the matrix taking ambient character coordinates
+    to eigencoordinates, the inverse mod 7 of the column matrix (w2 | w4)
+    of the dual eigenvectors.
 
-    The eigenvectors and their pairing come from dual_linking, reduced
-    mod 7.  The right eigenvector is rescaled so that the transported
+    The frame is computed mod 7: w2 and w4 come from the mod-7 split of
+    the transposed deck, and characters pair through the inverse mod 7 of
+    the Gram numerators.  The right eigenvector is rescaled so that the
     pairing between the two eigenvectors equals sign/7; with that
     normalization the vanishing constraint on a character with
     eigencoordinates (a_s, b_s) per summand is exactly
     sum(sign_s * a_s * b_s) = 0 mod 7."""
-    dual = dual_linking(form, _P)
-    if dual.modulus != _P * _P or len(form.group) != 2:
+    if form.group != (_P * _P, _P * _P) or form.den != _P * _P:
         raise InternalInvariantViolation("block must be homogeneous of height two")
-    labels = [lam % _P for lam in dual.eigenvalues]
-    if sorted(labels) != [2, 4]:
+    action = [[x % _P for x in col] for col in zip(*form.deck)]
+    # a direct sum carries no homology; the order of the action is then
+    # its degree
+    degree = form.homology.degree if form.homology is not None else None
+    eigen, split = deck_eigenspaces(action, _P, 1, degree)
+    if not split or [len(eigen.get(lam, ())) for lam in (1, 2, 4)] != [0, 1, 1]:
         raise InternalInvariantViolation(
             "block does not carry the split 2/4 eigencharacter calculus")
-    i2, i4 = labels.index(2), labels.index(4)
-    w2 = tuple(x % _P for x in dual.basis[i2])
-    unit = dual.matrix[i2][i4] % _P
+    (w2,), (w4,) = eigen[2], eigen[4]
+    Ninv = linalg.modm_inverse(form.N, _P)
+
+    def pairing(u, v):
+        return sum(x * y for x, y in zip(u, linalg.mat_vec(Ninv, v))) % _P
+
+    # invariance forces (lam * mu - 1) * pairing = 0, and 2 * 2 and 4 * 4
+    # are not 1 mod 7
+    if pairing(w2, w2) or pairing(w4, w4):
+        raise InternalInvariantViolation(
+            "character pairing breaks deck invariance")
+    unit = pairing(w2, w4)
     if unit == 0:
         raise InternalInvariantViolation(
             "dual eigenvectors pair degenerately")
-    scale = (sign % _P) * pow(unit, -1, _P) % _P
-    w4 = tuple(scale * x % _P for x in dual.basis[i4])
-    if scale * unit % _P != sign % _P:
+    scale = sign * pow(unit, -1, _P) % _P
+    w4 = tuple(scale * x % _P for x in w4)
+    if pairing(w2, w4) != sign % _P:
         raise InternalInvariantViolation("pairing normalization failed")
     try:
         return linalg.modm_inverse(linalg.transpose([w2, w4]), _P)
@@ -785,13 +776,6 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
 # driver: mutated satellite sums over the 3-fold cover
 
 
-def _cross_admissible(rows2, rows4, signs):
-    # bilinearity: the constraint on sums of left and right characters
-    # reduces to all basis cross pairs
-    return all(admissible_pair(a, b, signs, _P)
-               for a in rows2 for b in rows4)
-
-
 def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
                            mode=None):
     """Slice obstruction for a signed sum of mutated genus-2 satellites.
@@ -838,16 +822,6 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     models = [build(ms) for ms in member_specs]
     summands = [m.summands[0] for m in models]
 
-    base = satellite_base_matrix()
-    forms = [linking_form(base if signs[s] == 1 else base.mirror(), 3)
-             for s in range(n)]
-    # eigencoordinates (a_0, b_0, a_1, b_1, ...) of a character: the block
-    # sum of the summands' 2 x 2 matrices
-    to_eigen = []
-    for s, f in enumerate(forms):
-        for row in _dual_eigenpair(f, signs[s]):
-            to_eigen.append([0] * (2 * s) + row + [0] * (2 * (n - s - 1)))
-
     if mode is None:
         mode = "enumerate" if n <= 2 else "abstract"
     if mode not in ("enumerate", "abstract"):
@@ -873,6 +847,15 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
         return verdict
 
     if mode == "enumerate":
+        base = satellite_base_matrix()
+        forms = [linking_form(base if signs[s] == 1 else base.mirror(), 3)
+                 for s in range(n)]
+        # eigencoordinates (a_0, b_0, a_1, b_1, ...) of a character: the
+        # block sum of the summands' 2 x 2 matrices
+        to_eigen = []
+        for s, f in enumerate(forms):
+            for row in _dual_eigenpair(f, signs[s]):
+                to_eigen.append([0] * (2 * s) + row + [0] * (2 * (n - s - 1)))
         form = direct_sum(*forms) if n > 1 else forms[0]
         mets = enumerate_metabolizers(form, invariant_only=True, budget=budget)
         for A in mets:
@@ -920,7 +903,10 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
                                        budget) is None]
             for s2 in no_odd:
                 for s4 in no_odd:
-                    if not _cross_admissible(s2, s4, signs):
+                    # bilinearity: the constraint on sums of left and
+                    # right characters reduces to all basis cross pairs
+                    if not all(admissible_pair(a, b, signs, _P)
+                               for a in s2 for b in s4):
                         continue
                     verdict = run_case([list(r) for r in s2],
                                        [list(r) for r in s4],

@@ -20,8 +20,7 @@ from functools import cache
 from math import gcd, lcm, prod
 
 from . import linalg
-from .cyclo import factor
-from .errors import (BudgetExceeded, InfiniteHomology, InhomogeneousGroup,
+from .errors import (BudgetExceeded, InfiniteHomology,
                      InternalInvariantViolation, PreconditionError,
                      UnsupportedShape)
 from .seifert import SeifertMatrix, alexander
@@ -331,10 +330,10 @@ class CharSpace:
     """A space of Z_p characters with its deck eigenspaces.
 
     Coordinates are dual to the homology generators whose invariant
-    factor p divides.  basis spans the subspace at hand (the whole dual
-    space, or the characters vanishing on a metabolizer); eigen maps each
-    root of x^degree = 1 mod p to a basis of its eigenspace inside that
-    subspace, and split says the eigenspaces span it.
+    factor p divides.  basis spans the characters vanishing on a
+    metabolizer; eigen maps each root of x^degree = 1 mod p to a basis of
+    its eigenspace inside that subspace, and split says the eigenspaces
+    span it.
     """
 
     def __init__(self, p, basis, eigen):
@@ -411,28 +410,6 @@ def _deck_split(T, p, e, degree):
     return parts, split
 
 
-def char_space(H, p):
-    """Mod-p character space of a cover with its deck eigenspaces."""
-    if gcd(p, H.degree) != 1:
-        raise ValueError("character modulus must be coprime to the degree")
-    idx = [i for i, f in enumerate(H.factors) if f % p == 0]
-    action = [[H.deck[i][j] % p for i in idx] for j in idx]
-    eigen, _ = deck_eigenspaces(action, p, 1, H.degree)
-    return CharSpace(p, linalg.identity(len(idx)), eigen)
-
-
-class DualLinking:
-    """Linking pairing transported to mod-p^e characters, in an
-    eigencharacter basis; matrix entries live in Z_{p^e}."""
-
-    def __init__(self, modulus, eigenvalues, basis, matrix):
-        self.modulus = modulus
-        self.eigenvalues = tuple(eigenvalues)
-        self.basis = tuple(tuple(v) for v in basis)
-        self.matrix = tuple(tuple(int(x) % modulus for x in row)
-                            for row in matrix)
-
-
 def _matrix_order_mod(T, m, cap=512):
     k = len(T)
     ident = linalg.identity(k)
@@ -442,65 +419,3 @@ def _matrix_order_mod(T, m, cap=512):
         if out == ident:
             return e
     raise UnsupportedShape("automorphism order exceeds %d" % cap)
-
-
-def _p_primary_exponent(factors, p):
-    """The exponent e of a homogeneous p-primary part (Z_{p^e})^k of the
-    group with these invariant factors; 0 when it is trivial."""
-    exps = {e for f in factors for q, e in factor(f) if q == p}
-    if not exps:
-        return 0
-    if len(exps) > 1:
-        raise InhomogeneousGroup(
-            "p-primary part has mixed exponents %s" % sorted(exps))
-    return exps.pop()
-
-
-def dual_linking(L, p):
-    """Gram matrix of the character pairing on the p-primary part.
-
-    The p-part must be homogeneous, (Z_{p^e})^k.  Characters are paired
-    through the inverse of the integral Gram matrix of the p-part; the
-    basis is reorganised into deck eigencharacters, and eigenvalue pairs
-    whose product is not 1 mod p^e must pair to zero.
-    """
-    e = _p_primary_exponent(L.group, p)
-    if e == 0:
-        return DualLinking(1, (), (), ())
-    q = p ** e
-    idx = [i for i, f in enumerate(L.group) if f % p == 0]
-    cof = [L.group[i] // q for i in idx]
-    k = len(idx)
-    # h_i = cof_i * g_i generate the p-part; N is q times their Gram matrix
-    N = [[L.N[idx[a]][idx[b]] * cof[a] * cof[b] * q // L.den % q
-          for b in range(k)] for a in range(k)]
-    Ninv = linalg.modm_inverse(N, q)
-    # deck restricted to the p-part in the h basis
-    T = [[L.deck[idx[a]][idx[b]] * cof[b] * pow(cof[a], -1, q) % q
-          for b in range(k)] for a in range(k)]
-    # a direct sum carries no homology; the order of T is then its degree
-    degree = L.homology.degree if L.homology is not None else None
-    eigen, split = deck_eigenspaces(linalg.transpose(T), p, e, degree)
-    if not split:
-        raise UnsupportedShape("deck eigenvalues do not split mod %d" % q)
-    labels = [lam for lam, vecs in eigen.items() for _ in vecs]
-    basis = [v for vecs in eigen.values() for v in vecs]
-    out = []
-    for u in basis:
-        row = []
-        for v in basis:
-            acc = 0
-            for a in range(k):
-                if u[a]:
-                    for b in range(k):
-                        if v[b]:
-                            acc += u[a] * Ninv[a][b] * v[b]
-            row.append(acc % q)
-        out.append(row)
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            # invariance forces (lam*mu - 1) * pairing = 0 mod q
-            if (labels[a] * labels[b] - 1) * out[a][b] % q:
-                raise InternalInvariantViolation(
-                    "character pairing breaks deck invariance")
-    return DualLinking(q, labels, basis, out)

@@ -28,10 +28,6 @@ class InfiniteHomology(PreconditionError):
     """The branched cover has infinite first homology."""
 
 
-class InhomogeneousGroup(PreconditionError):
-    """The p-primary part is not homogeneous (mixed invariant factors)."""
-
-
 class UnsupportedShape(PreconditionError):
     """Polynomial outside the family handled by the hypothesis checker."""
 

@@ -244,23 +244,6 @@ def smith_diagonal(M):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
-def integer_kernel(M):
-    """Basis (list of vectors) of the integer kernel of M."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if rows == 0:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    D, _, V, _ = smith_normal_form(M)
-    r = 0
-    for i in range(min(rows, cols)):
-        if D[i][i] != 0:
-            r += 1
-    ker = []
-    for j in range(r, cols):
-        ker.append([V[i][j] for i in range(cols)])
-    return ker
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (row style) for integer lattices.
 #

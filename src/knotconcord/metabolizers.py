@@ -72,7 +72,6 @@ hold, and rendering one does no arithmetic.
 """
 
 from functools import cache
-from itertools import product
 from math import gcd, isqrt, prod
 
 from . import linalg
@@ -152,24 +151,6 @@ def _pairs_to_zero(N, den, r, s):
                 if y:
                     acc += x * row[b] * y
     return acc % den == 0
-
-
-def is_metabolizer(L, generators):
-    """Order and self-annihilation test against the defining conditions."""
-    group = L.group
-    k = len(group)
-    rows = [list(g) for g in generators]
-    basis = _canonical_basis(rows, group)
-    order = 1
-    for i in range(k):
-        order *= group[i] // basis[i][i]
-    if order * order != L.order:
-        return False
-    for i in range(k):
-        for j in range(i, k):
-            if not _pairs_to_zero(L.N, L.den, basis[i], basis[j]):
-                return False
-    return True
 
 
 def enumerate_metabolizers(L, invariant_only=False, budget=DEFAULT_BUDGET):
@@ -577,49 +558,6 @@ def _suffix_member(rows, diag, vec, start):
     return not any(v)
 
 
-def project_metabolizer(L1, L2, A, A1):
-    """Push a metabolizer of the sum form through one of the first factor.
-
-    Returns {g in G2 : (g1, g) in A for some g1 in A1}, which is again a
-    metabolizer of L2; a failed check is an internal error, not an input
-    condition.
-    """
-    k1 = len(L1.group)
-    k2 = len(L2.group)
-    if len(A.group) != k1 + k2 or A.group != L1.group + L2.group:
-        raise ValueError("A does not live on the direct sum of L1 and L2")
-    if A1.group != L1.group:
-        raise ValueError("A1 does not live on L1")
-    from .cover import direct_sum
-    if not is_metabolizer(direct_sum(L1, L2), A.basis):
-        raise ValueError("A is not a metabolizer of the sum form")
-    if not is_metabolizer(L1, A1.basis):
-        raise ValueError("A1 is not a metabolizer of L1")
-
-    # lattice of pairs (g1, g) with g1 in A1: intersect the lattice of A
-    # with (lattice of A1) + Z^{k2}
-    other = [list(r) + [0] * k2 for r in A1.basis]
-    other += [[0] * (k1 + j) + [1] + [0] * (k2 - j - 1) for j in range(k2)]
-    mine = [list(r) for r in A.basis]
-    stacked = [[mine[a][i] for a in range(len(mine))]
-               + [-other[b][i] for b in range(len(other))]
-               for i in range(k1 + k2)]
-    ker = linalg.integer_kernel(stacked)
-    meet = []
-    for w in ker:
-        u = w[:len(mine)]
-        vec = [sum(u[a] * mine[a][i] for a in range(len(mine)))
-               for i in range(k1 + k2)]
-        meet.append(vec)
-    projected = [v[k1:] for v in meet]
-    basis = _canonical_basis(projected, L2.group)
-    out = Metabolizer(L2.group, basis)
-    if not is_metabolizer(L2, out.basis):
-        raise InternalInvariantViolation(
-            "projection failed the metabolizer conditions")
-    return out
-
-
 def vanishing_chars(L, A, p):
     """Z_p characters vanishing on A, with the deck eigenspace split."""
     idx = [i for i, f in enumerate(L.group) if f % p == 0]
@@ -710,40 +648,6 @@ def find_odd_char(basis, n, p=7, budget=DEFAULT_BUDGET):
     # square nonsingular reduced block: certify by exhausting the span
     return next((v for v in span_vectors(red, p, budget) if _weight(v) % 2),
                 None)
-
-
-def check_diagonal_lemma(p, k, budget=DEFAULT_BUDGET):
-    """Exhaustive check that no-odd-vector row spans (I E) force E to be
-    a column-permuted diagonal matrix; returns the tally."""
-    if p ** (k * k) > budget:
-        raise BudgetExceeded("p^(k*k) = %d matrices" % p ** (k * k), budget)
-    nonsingular = 0
-    without_odd = 0
-    permuted_diagonal = 0
-    mismatches = []
-    for flat in product(range(p), repeat=k * k):
-        E = [list(flat[i * k:(i + 1) * k]) for i in range(k)]
-        red, piv = linalg.modp_rref(E, p)
-        if len(piv) != k:
-            continue
-        nonsingular += 1
-        rows = [[1 if j == i else 0 for j in range(k)] + E[i]
-                for i in range(k)]
-        if any(_weight(v) % 2 for v in span_vectors(rows, p, budget)):
-            continue
-        without_odd += 1
-        ok = all(_weight(row) == 1 for row in E)
-        ok = ok and all(_weight(col) == 1 for col in zip(*E))
-        if ok:
-            permuted_diagonal += 1
-        else:
-            mismatches.append(E)
-    return {"p": p, "k": k,
-            "nonsingular": nonsingular,
-            "without_odd": without_odd,
-            "permuted_diagonal": permuted_diagonal,
-            "confirmed": without_odd == permuted_diagonal,
-            "mismatches": mismatches}
 
 
 def admissible_pair(a, b, signs, p=7):

@@ -565,11 +565,6 @@ def _signature(V, point):
     return lt_signature(V, point)
 
 
-def signature_profile(V, points):
-    """lt_signature at each point of an iterable of rationals."""
-    return [(Fraction(pt), lt_signature(V, pt)) for pt in points]
-
-
 # ---------------------------------------------------------------------------
 # Braid fence surfaces for torus knots.
 #

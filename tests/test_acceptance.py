@@ -26,24 +26,23 @@ from fractions import Fraction as F
 
 from knotconcord import linalg
 from knotconcord.cassongordon import (DiscExpr, HypothesisRecord,
-                                      NORM, NOT_NORM,
-                                      mixed_exponents, mutant_sum_obstruction,
+                                      NORM, NOT_NORM, _lift_values,
+                                      mutant_sum_obstruction,
                                       mutant_family_spec, norm_test,
-                                      orbit_exponents, order2_obstruction,
+                                      order2_obstruction,
                                       residual_token, satellite_base_matrix,
                                       twisted_double_obstruction)
-from knotconcord.cover import (LinkingForm, branched_cover, char_space,
+from knotconcord.cover import (LinkingForm, branched_cover, deck_eigenspaces,
                                direct_sum, linking_form, unit_roots_mod)
 from knotconcord.diagram import MetacyclicGroup, classify_characters, \
     labeling_space, parse_pd
 from knotconcord.errors import EndpointCollision, SingularAtT
-from knotconcord.metabolizers import (admissible_pair, check_diagonal_lemma,
-                                      enumerate_metabolizers, is_metabolizer,
-                                      project_metabolizer)
+from knotconcord.metabolizers import admissible_pair, enumerate_metabolizers
 from knotconcord.seifert import (SeifertMatrix, alexander, build,
-                                 lt_signature, signature_profile,
-                                 torus_matrix, twisted_double_matrix)
+                                 lt_signature, torus_matrix,
+                                 twisted_double_matrix)
 from knotconcord.su2 import count_signature, verify_herald
+from test_metab import check_diagonal_lemma, is_metabolizer, project_metabolizer
 
 SEED = 20260815
 
@@ -110,12 +109,14 @@ def test_03_branched_cover_orders():
 
 
 def test_04_character_eigenspaces():
+    # the deck acts on the mod-7 characters through its transpose
     H = branched_cover(satellite_base_matrix(), 3)
-    S = char_space(H, 7)
-    assert S.dim == 2
-    assert S.split
-    assert sorted(lam for lam, vecs in S.eigen.items() if vecs) == [2, 4]
-    assert all(len(S.eigen[lam]) == 1 for lam in (2, 4))
+    assert all(f % 7 == 0 for f in H.factors) and H.rank == 2
+    action = [[x % 7 for x in col] for col in zip(*H.deck)]
+    eigen, split = deck_eigenspaces(action, 7, 1, H.degree)
+    assert split
+    assert sorted(lam for lam, vecs in eigen.items() if vecs) == [2, 4]
+    assert all(len(eigen[lam]) == 1 for lam in (2, 4))
     assert unit_roots_mod(3, 49) == [1, 18, 30]
 
 
@@ -172,11 +173,17 @@ def test_06_diagonal_lemma_exhaustive():
 
 
 def test_07_exponent_multisets():
+    # the shifts a summand at eigencoordinates (a, b) meets: the lifts of
+    # its plain band and their negatives on the mutated band
+    def exponents(a, b):
+        return tuple(sorted(_lift_values(a, b, 1) + _lift_values(a, b, -1)))
+
     for a in range(1, 7):
-        assert orbit_exponents(a) == (1, 2, 3, 4, 5, 6)
-    assert orbit_exponents(0) == (0,) * 6
+        assert exponents(a, 0) == (1, 2, 3, 4, 5, 6)
+    assert exponents(0, 0) == (0,) * 6
+    # the paired even-case character at a coupling unit c, b = -1/c
     for c in range(1, 7):
-        assert mixed_exponents(c, 1) == (0, 0, 2, 2, 5, 5)
+        assert exponents(c, -pow(c, -1, 7)) == (0, 0, 2, 2, 5, 5)
 
 
 def test_08_norm_test():
@@ -298,7 +305,8 @@ def test_13_mutation_shadow():
         plain = build(mutant_family_spec(spec, mutated=False))
         mutant = build(mutant_family_spec(spec, mutated=True))
         assert alexander(plain) == alexander(mutant)
-        assert signature_profile(plain, pts) == signature_profile(mutant, pts)
+        assert ([lt_signature(plain, pt) for pt in pts]
+                == [lt_signature(mutant, pt) for pt in pts])
         Hp = branched_cover(plain.matrix, 3)
         Hm = branched_cover(mutant.matrix, 3)
         assert Hp.factors == Hm.factors

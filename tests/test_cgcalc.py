@@ -22,14 +22,14 @@ from knotconcord import cassongordon
 from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       NORM, NOT_NORM, UNKNOWN,
                                       check_poly_hypotheses,
-                                      mixed_exponents, mutant_family_spec,
+                                      mutant_family_spec,
                                       mutant_sum_obstruction, norm_test,
-                                      orbit_exponents, order2_obstruction,
+                                      order2_obstruction,
                                       residual_token,
                                       satellite_delta, satellite_sigma,
                                       twisted_double_obstruction,
                                       _canonical_char_token, _case_expression,
-                                      _squarefree_part)
+                                      _lift_values, _squarefree_part)
 from knotconcord.cover import branched_cover
 from knotconcord.errors import (BudgetExceeded, HypothesisUnverified,
                                 PreconditionError, SingularAtT,
@@ -191,33 +191,43 @@ def test_disc_expr_merge_matches_counter_oracle(p, factors, tokens,
 
 
 # ---------------------------------------------------------------------------
-# exponent multisets
+# exponent multisets: the shifts a summand at eigencoordinates (a, b) meets,
+# the lifts of its plain band and their negatives on the mutated band
+
+
+def _exponents(a, b):
+    return tuple(sorted(_lift_values(a, b, 1) + _lift_values(a, b, -1)))
+
+
+def _mixed(c, eps):
+    # the paired even-case character at coupling unit c with sign eps
+    return _exponents(c, -eps * pow(c, -1, 7))
 
 
 def test_orbit_exponents():
     for a in range(1, 7):
-        assert orbit_exponents(a) == (1, 2, 3, 4, 5, 6)
-    assert orbit_exponents(0) == (0, 0, 0, 0, 0, 0)
-    assert orbit_exponents(9) == (1, 2, 3, 4, 5, 6)
+        assert _exponents(a, 0) == (1, 2, 3, 4, 5, 6)
+    assert _exponents(0, 0) == (0, 0, 0, 0, 0, 0)
+    assert _exponents(9, 0) == (1, 2, 3, 4, 5, 6)
 
 
 def test_mixed_exponents_plus_one_is_constant():
     for c in range(1, 7):
-        assert mixed_exponents(c, 1) == (0, 0, 2, 2, 5, 5)
+        assert _mixed(c, 1) == (0, 0, 2, 2, 5, 5)
 
 
 def test_mixed_exponents_minus_one():
     for c in range(1, 7):
-        assert mixed_exponents(c, -1) == (1, 1, 2, 5, 6, 6)
+        assert _mixed(c, -1) == (1, 1, 2, 5, 6, 6)
 
 
 def test_mixed_exponents_rejects_bad_arguments():
+    # the driver takes the signs +1 and -1 only, and its lift values are
+    # residues mod 7 alone
     with pytest.raises(PreconditionError):
-        mixed_exponents(0, 1)
+        mutant_sum_obstruction([COMP_A, COMP_B], signs=[1, 2])
     with pytest.raises(PreconditionError):
-        mixed_exponents(7, 1)
-    with pytest.raises(PreconditionError):
-        mixed_exponents(3, 2)
+        satellite_delta(DiscExpr(7), COMP_A, _lift_values(3, 2, 1), p=5)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +581,7 @@ def test_mutant_sum_single_summand():
         v = a[0] or b[0]
         mult = tuple(sorted(f["shift"] for f in case["expression"]["factors"]
                             for _ in range(f["multiplicity"])))
-        assert mult == orbit_exponents(v) == (1, 2, 3, 4, 5, 6)
+        assert mult == _exponents(v, 0) == (1, 2, 3, 4, 5, 6)
         toks = case["expression"]["tokens"]
         assert len(toks) == 1 and toks[0]["multiplicity"] == 1
 

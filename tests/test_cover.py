@@ -17,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotconcord import cover, linalg
+from knotconcord.cassongordon import _dual_eigenpair
 from knotconcord.cli import main
 from knotconcord.cover import (LinkingForm, _congruence_kernel_count,
-                               _matrix_order_mod, _p_primary_exponent,
-                               branched_cover, char_space,
-                               deck_eigenspaces, dual_linking, linking_form,
+                               _matrix_order_mod, branched_cover,
+                               deck_eigenspaces, linking_form,
                                unit_roots_mod)
 from knotconcord.errors import (BudgetExceeded, InfiniteHomology,
-                                InhomogeneousGroup, UnsupportedShape)
+                                InternalInvariantViolation, UnsupportedShape)
 from knotconcord.seifert import (SeifertMatrix, alexander, torus_matrix,
                                  twisted_double_matrix)
 
@@ -267,21 +267,34 @@ def test_genus2_model_triple_cover():
     assert H.order == 2401
 
 
+def _char_action(H, p):
+    """The deck acting on the mod-p characters: its transpose on the
+    generators whose invariant factor p divides, reduced mod p."""
+    idx = [i for i, f in enumerate(H.factors) if f % p == 0]
+    return [[H.deck[i][j] % p for i in idx] for j in idx]
+
+
 def test_genus2_model_char_space():
     H = branched_cover(GENUS2_MODEL, 3)
-    C = char_space(H, 7)
-    assert C.dim == 2
-    assert sorted(lam for lam, vecs in C.eigen.items() if vecs) == [2, 4]
-    assert len(C.eigen[2]) == 1
-    assert len(C.eigen[4]) == 1
-    assert len(C.eigen[1]) == 0
-    assert C.split
+    action = _char_action(H, 7)
+    assert len(action) == 2
+    eigen, split = deck_eigenspaces(action, 7, 1, H.degree)
+    assert sorted(lam for lam, vecs in eigen.items() if vecs) == [2, 4]
+    assert len(eigen[2]) == 1
+    assert len(eigen[4]) == 1
+    assert len(eigen[1]) == 0
+    assert split
 
 
 def test_char_space_needs_coprime_modulus():
+    # the 3-fold cover has no mod-3 characters, and a modulus dividing the
+    # degree leaves no eigen-split: the cube roots of unity 1, 4 and 7
+    # mod 9 all agree mod 3
     H = branched_cover(GENUS2_MODEL, 3)
-    with pytest.raises(ValueError):
-        char_space(H, 3)
+    assert _char_action(H, 3) == []
+    assert unit_roots_mod(3, 9) == [1, 4, 7]
+    with pytest.raises(UnsupportedShape):
+        deck_eigenspaces(linalg.identity(2), 3, 2, H.degree)
 
 
 def test_genus2_model_linking_form():
@@ -293,15 +306,92 @@ def test_genus2_model_linking_form():
     assert L.deck_is_isometry()
 
 
+def _dual_pairing(L, p, e):
+    """The linking pairing carried to the mod-p^e characters of a form on
+    (Z_{p^e})^k whose values have denominator p^e: the deck eigencharacter
+    labels and basis, from the split of the transposed deck mod p^e, and
+    the Gram matrix of the pairing through the inverse of N mod p^e."""
+    q = p ** e
+    assert set(L.group) == {q} and L.den == q
+    degree = L.homology.degree if L.homology is not None else None
+    eigen, split = deck_eigenspaces(linalg.transpose(L.deck), p, e, degree)
+    assert split
+    labels = [lam for lam, vecs in eigen.items() for _ in vecs]
+    basis = [v for vecs in eigen.values() for v in vecs]
+    Ninv = linalg.modm_inverse(L.N, q)
+    gram = [[sum(x * y for x, y in zip(u, linalg.mat_vec(Ninv, v))) % q
+             for v in basis] for u in basis]
+    return labels, basis, gram
+
+
+def _frame_from_dual_pairing(L, sign):
+    """The eigencoordinate frame of a (Z_49)^2 block read off its mod-49
+    character pairing: the eigencharacters for 30 = 2 and 18 = 4 mod 7
+    reduced mod 7, the right one scaled to pair to sign with the left."""
+    labels, basis, gram = _dual_pairing(L, 7, 2)
+    i2, i4 = labels.index(30), labels.index(18)
+    scale = sign * pow(gram[i2][i4], -1, 7) % 7
+    w2 = [x % 7 for x in basis[i2]]
+    w4 = [scale * x % 7 for x in basis[i4]]
+    return linalg.modm_inverse(linalg.transpose([w2, w4]), 7)
+
+
 def test_genus2_model_dual_linking_is_hyperbolic():
     L = linking_form(GENUS2_MODEL, 3)
-    D = dual_linking(L, 7)
-    assert D.modulus == 49
-    assert sorted(D.eigenvalues) == [18, 30]
-    assert D.matrix[0][0] == 0 and D.matrix[1][1] == 0
-    u = D.matrix[0][1]
-    assert u == D.matrix[1][0]
+    labels, _, gram = _dual_pairing(L, 7, 2)
+    assert sorted(labels) == [18, 30]
+    assert gram[0][0] == 0 and gram[1][1] == 0
+    u = gram[0][1]
+    assert u == gram[1][0]
     assert u % 7 != 0
+
+
+def test_dual_eigenpair_frames():
+    # the mod-7 frame of the carrier and of its mirror at both signs,
+    # pinned and read off the mod-49 character pairing
+    pinned = {(False, 1): [[1, 5], [0, 4]], (False, -1): [[1, 5], [0, 3]],
+              (True, 1): [[5, 4], [2, 4]], (True, -1): [[5, 4], [5, 3]]}
+    for (mirror, sign), frame in pinned.items():
+        L = linking_form(GENUS2_MODEL.mirror() if mirror else GENUS2_MODEL, 3)
+        assert _dual_eigenpair(L, sign) == frame
+        assert _frame_from_dual_pairing(L, sign) == frame
+
+
+def test_dual_eigenpair_on_a_form_without_homology():
+    # the same Gram matrix and deck built by hand: the degree is then the
+    # order of the deck mod 7
+    L = linking_form(GENUS2_MODEL, 3)
+    bare = LinkingForm(L.group, L.gram, L.deck)
+    assert bare.homology is None
+    for sign in (1, -1):
+        assert _dual_eigenpair(bare, sign) == _dual_eigenpair(L, sign)
+
+
+def test_dual_eigenpair_refuses_broken_blocks():
+    def form(group, den, N, deck):
+        return LinkingForm(group, [[Fraction(x, den) for x in row]
+                                   for row in N], deck)
+
+    hyperbolic = [[0, 1], [1, 0]]
+    # the hyperbolic (Z_49)^2 block with deck diag(2, 4) passes; each block
+    # below breaks its group, its values, its deck or its pairing
+    assert _dual_eigenpair(form((49, 49), 49, hyperbolic, ((2, 0), (0, 4))))
+    broken = [
+        # a group other than (Z_49)^2, or values of denominator 7
+        linking_form(PLUS_CLASP, 2),
+        form((7, 7), 7, hyperbolic, ((2, 0), (0, 4))),
+        form((7, 49), 49, [[0, 7], [7, 1]], ((2, 0), (0, 4))),
+        form((49, 49), 7, hyperbolic, ((2, 0), (0, 4))),
+        # a deck with no eigenvalue mod 7, and one without a 4-eigenspace
+        form((49, 49), 49, hyperbolic, ((0, 1), (1, 1))),
+        form((49, 49), 49, hyperbolic, ((2, 0), (0, 2))),
+        # eigenvectors e_1 and e_2 that pair to 2 and 1 with themselves
+        # and to -1 with each other
+        form((49, 49), 49, [[1, 1], [1, 2]], ((2, 0), (0, 4))),
+    ]
+    for L in broken:
+        with pytest.raises(InternalInvariantViolation):
+            _dual_eigenpair(L)
 
 
 def test_plus_clasp_double_cover():
@@ -310,18 +400,6 @@ def test_plus_clasp_double_cover():
     assert H.deck == ((4,),)
     L = linking_form(PLUS_CLASP, 2)
     assert L.gram == ((Fraction(2, 5),),)
-
-
-def test_plus_clasp_sum_dual_linking():
-    V = PLUS_CLASP.block_sum(PLUS_CLASP)
-    L = linking_form(V, 2)
-    assert L.group == (5, 5)
-    assert L.gram == ((Fraction(2, 5), Fraction(0)),
-                      (Fraction(0), Fraction(2, 5)))
-    D = dual_linking(L, 5)
-    assert D.modulus == 5
-    assert D.eigenvalues == (4, 4)
-    assert D.matrix == ((3, 0), (0, 3))
 
 
 def test_linking_form_values_descend():
@@ -419,36 +497,6 @@ def test_abstract_form_rejects_bad_gram():
     with pytest.raises(ValueError):
         LinkingForm((5, 5), ((Fraction(0), Fraction(1, 5)),
                              (Fraction(2, 5), Fraction(0))))
-
-
-def test_dual_linking_needs_homogeneous_part():
-    V = torus_matrix(2, 3).block_sum(twisted_double_matrix(1))
-    L = linking_form(V, 2)
-    assert sorted(L.group) == [3, 9]
-    with pytest.raises(InhomogeneousGroup):
-        dual_linking(L, 3)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]),
-       st.lists(st.tuples(st.integers(0, 4), st.integers(1, 60)),
-                min_size=1, max_size=5))
-def test_p_primary_exponent_needs_one_exponent(p, parts):
-    factors = [p ** e * c for e, c in parts]
-    exps = sorted({sp.multiplicity(p, f) for f in factors} - {0})
-    if len(exps) > 1:
-        with pytest.raises(InhomogeneousGroup) as e:
-            _p_primary_exponent(factors, p)
-        assert str(e.value) == "p-primary part has mixed exponents %s" % exps
-    else:
-        assert _p_primary_exponent(factors, p) == (exps[0] if exps else 0)
-
-
-def test_dual_linking_trivial_part():
-    L = linking_form(PLUS_CLASP, 2)
-    D = dual_linking(L, 7)
-    assert D.modulus == 1
-    assert D.eigenvalues == ()
 
 
 @st.composite
@@ -564,22 +612,29 @@ def _outcome(f, *args):
 def test_dual_linking_refuses_non_split_deck():
     # the deck ((0,1),(1,1)) of the trefoil's 3-fold cover fixes no nonzero
     # vector mod 2, so x^3 = 1 has no root mod 2 that carries it
-    L = linking_form(torus_matrix(2, 3), 3)
-    assert L.group == (2, 2)
-    with pytest.raises(UnsupportedShape):
-        dual_linking(L, 2)
-    C = char_space(branched_cover(torus_matrix(2, 3), 3), 2)
-    assert not C.split
-    assert C.dim == 2 and C.eigen[1] == ()
+    H = branched_cover(torus_matrix(2, 3), 3)
+    assert H.factors == (2, 2)
+    eigen, split = deck_eigenspaces(_char_action(H, 2), 2, 1, H.degree)
+    assert not split
+    assert eigen[1] == []
+    # the same deck on (Z_49)^2 has no eigenvalue mod 7 either, and the
+    # mutant-sum frame refuses it
+    gram = ((Fraction(0), Fraction(1, 49)), (Fraction(1, 49), Fraction(0)))
+    with pytest.raises(InternalInvariantViolation):
+        _dual_eigenpair(LinkingForm((49, 49), gram, H.deck))
 
 
-def test_dual_linking_refuses_roots_equal_mod_p():
+def test_deck_eigenspaces_refuses_roots_equal_mod_p():
     # the 6-fold cover of the figure eight has 2-part Z_8 + Z_8, and the
     # roots 1 and 7 of x^6 = 1 mod 8 agree mod 2
     L = linking_form(SeifertMatrix([[-1, 1], [0, 1]]), 6)
     assert L.group == (8, 40)
+    # the deck on the 2-part, generated by g_1 and 5 g_2
+    cof = [f // 8 for f in L.group]
+    T = [[L.deck[a][b] * cof[b] * pow(cof[a], -1, 8) % 8 for b in range(2)]
+         for a in range(2)]
     with pytest.raises(UnsupportedShape):
-        dual_linking(L, 2)
+        deck_eigenspaces(linalg.transpose(T), 2, 3, L.homology.degree)
 
 
 def test_homology_json_round_trip():

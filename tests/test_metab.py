@@ -20,25 +20,124 @@ from hypothesis import strategies as st
 from knotconcord.cassongordon import satellite_base_matrix
 from knotconcord.cover import LinkingForm, direct_sum, linking_form
 from knotconcord import linalg, metabolizers
-from knotconcord.errors import BudgetExceeded
+from knotconcord.errors import BudgetExceeded, InternalInvariantViolation
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
                                       _canonical_basis, _deck_orbit,
                                       _diag_choices, _echelon,
                                       _eigenspace_pair, _is_scalar,
                                       _linear_form, _pairs_to_zero,
                                       _suffix_member, _tail_walk, _walk,
-                                      admissible_pair,
-                                      check_diagonal_lemma,
+                                      _weight, admissible_pair,
                                       enumerate_metabolizers, find_odd_char,
-                                      is_metabolizer, project_metabolizer,
                                       span_vectors, subspace_count,
                                       subspaces, vanishing_chars)
 from knotconcord.seifert import SeifertMatrix, build
+from test_linalg import integer_kernel
 
 GENUS2_MODEL = SeifertMatrix([[-1, 1, 1, 1],
                               [0, 2, 0, 0],
                               [1, 0, -1, 1],
                               [1, 0, 0, 2]])
+
+
+# ---------------------------------------------------------------------------
+# statements of the paper that the tests check: the defining conditions of
+# a metabolizer, the projection of a split metabolizer of a sum, and the
+# diagonal lemma for character spaces without odd vectors
+
+
+def is_metabolizer(L, generators):
+    """Order and self-annihilation test against the defining conditions."""
+    group = L.group
+    k = len(group)
+    rows = [list(g) for g in generators]
+    basis = _canonical_basis(rows, group)
+    order = 1
+    for i in range(k):
+        order *= group[i] // basis[i][i]
+    if order * order != L.order:
+        return False
+    for i in range(k):
+        for j in range(i, k):
+            if not _pairs_to_zero(L.N, L.den, basis[i], basis[j]):
+                return False
+    return True
+
+
+def project_metabolizer(L1, L2, A, A1):
+    """Push a metabolizer of the sum form through one of the first factor.
+
+    Returns {g in G2 : (g1, g) in A for some g1 in A1}, which is again a
+    metabolizer of L2; a failed check is an internal error, not an input
+    condition.
+    """
+    k1 = len(L1.group)
+    k2 = len(L2.group)
+    if len(A.group) != k1 + k2 or A.group != L1.group + L2.group:
+        raise ValueError("A does not live on the direct sum of L1 and L2")
+    if A1.group != L1.group:
+        raise ValueError("A1 does not live on L1")
+    if not is_metabolizer(direct_sum(L1, L2), A.basis):
+        raise ValueError("A is not a metabolizer of the sum form")
+    if not is_metabolizer(L1, A1.basis):
+        raise ValueError("A1 is not a metabolizer of L1")
+
+    # lattice of pairs (g1, g) with g1 in A1: intersect the lattice of A
+    # with (lattice of A1) + Z^{k2}
+    other = [list(r) + [0] * k2 for r in A1.basis]
+    other += [[0] * (k1 + j) + [1] + [0] * (k2 - j - 1) for j in range(k2)]
+    mine = [list(r) for r in A.basis]
+    stacked = [[mine[a][i] for a in range(len(mine))]
+               + [-other[b][i] for b in range(len(other))]
+               for i in range(k1 + k2)]
+    ker = integer_kernel(stacked)
+    meet = []
+    for w in ker:
+        u = w[:len(mine)]
+        vec = [sum(u[a] * mine[a][i] for a in range(len(mine)))
+               for i in range(k1 + k2)]
+        meet.append(vec)
+    projected = [v[k1:] for v in meet]
+    basis = _canonical_basis(projected, L2.group)
+    out = Metabolizer(L2.group, basis)
+    if not is_metabolizer(L2, out.basis):
+        raise InternalInvariantViolation(
+            "projection failed the metabolizer conditions")
+    return out
+
+
+def check_diagonal_lemma(p, k, budget=DEFAULT_BUDGET):
+    """Exhaustive check that no-odd-vector row spans (I E) force E to be
+    a column-permuted diagonal matrix; returns the tally."""
+    if p ** (k * k) > budget:
+        raise BudgetExceeded("p^(k*k) = %d matrices" % p ** (k * k), budget)
+    nonsingular = 0
+    without_odd = 0
+    permuted_diagonal = 0
+    mismatches = []
+    for flat in itertools.product(range(p), repeat=k * k):
+        E = [list(flat[i * k:(i + 1) * k]) for i in range(k)]
+        red, piv = linalg.modp_rref(E, p)
+        if len(piv) != k:
+            continue
+        nonsingular += 1
+        rows = [[1 if j == i else 0 for j in range(k)] + E[i]
+                for i in range(k)]
+        if any(_weight(v) % 2 for v in span_vectors(rows, p, budget)):
+            continue
+        without_odd += 1
+        ok = all(_weight(row) == 1 for row in E)
+        ok = ok and all(_weight(col) == 1 for col in zip(*E))
+        if ok:
+            permuted_diagonal += 1
+        else:
+            mismatches.append(E)
+    return {"p": p, "k": k,
+            "nonsingular": nonsingular,
+            "without_odd": without_odd,
+            "permuted_diagonal": permuted_diagonal,
+            "confirmed": without_odd == permuted_diagonal,
+            "mismatches": mismatches}
 
 
 def _span_elements(group, generators):

@@ -191,17 +191,10 @@ def test_reference_guard_catches_planted_definitions():
 
 
 # the package definitions that only the tests reach, each with the reason it
-# stays: "paper", a statement of the paper that a test checks.  A reader, a
-# constructor or a reference implementation (an oracle) that only tests use
-# lives in the tests that use it
-_TEST_ONLY = {
-    "metabolizers.check_diagonal_lemma": "paper",
-    "metabolizers.project_metabolizer": "paper",
-    "cassongordon.orbit_exponents": "paper",
-    "cassongordon.mixed_exponents": "paper",
-    "cover.char_space": "paper",
-    "seifert.signature_profile": "paper",
-}
+# stays.  There are none: a reader, a constructor, a reference
+# implementation (an oracle) or a statement of the paper that only tests
+# use lives in the tests that use it
+_TEST_ONLY = {}
 
 
 def _unlisted(package, table):
