@@ -465,8 +465,14 @@ def norm_test(e, hypotheses=None):
     odd token, else NORM.
 
     When no hypothesis record is supplied one is built from the factors
-    themselves; an unverifiable factor raises HypothesisUnverified.
+    themselves; an unverifiable factor raises HypothesisUnverified.  The
+    hypotheses are checked over Q(zeta_7) only, so an expression over any
+    other p raises HypothesisUnverified too.
     """
+    if e.p != _P:
+        raise HypothesisUnverified(
+            "genericity is checked over Q(zeta_7) only, not over Q(zeta_%d)"
+            % e.p)
     keys = sorted({key for (key, _shift) in e.factors})
     if hypotheses is None:
         hypotheses = HypothesisRecord()
@@ -511,7 +517,11 @@ def _dual_eigenpair(form, sign=1):
         raise InternalInvariantViolation(
             "block does not carry the split 2/4 eigencharacter calculus")
     (w2,), (w4,) = eigen[2], eigen[4]
-    Ninv = linalg.modm_inverse(form.N, _P)
+    try:
+        Ninv = linalg.modm_inverse(form.N, _P)
+    except ZeroDivisionError:
+        raise InternalInvariantViolation(
+            "linking form is singular mod 7") from None
 
     def pairing(u, v):
         return sum(x * y for x, y in zip(u, linalg.mat_vec(Ninv, v))) % _P

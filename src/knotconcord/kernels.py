@@ -1,7 +1,8 @@
 """The exact Hermitian inertia entry point.
 
 `_inertia_py.hermitian_pivots` reduces the matrix over the cyclotomic
-field; this module checks the shape and counts the certified pivot signs.
+field with one pivot rule on its upper triangle; this module checks the
+shape and counts the certified signs of the pivots.
 """
 
 from . import _inertia_py
@@ -15,8 +16,7 @@ def hermitian_inertia(field, packed_matrix):
     size = len(packed_matrix)
     if any(len(row) != size for row in packed_matrix):
         raise PreconditionError("Hermitian matrix must be square")
-    pivots, two_blocks, zero_dim = _inertia_py.hermitian_pivots(
-        field, packed_matrix)
+    pivots, zero_dim = _inertia_py.hermitian_pivots(field, packed_matrix)
     plus = minus = 0
     for p in pivots:
         s = field.sign_real(p)
@@ -27,6 +27,4 @@ def hermitian_inertia(field, packed_matrix):
         else:
             raise InternalInvariantViolation(
                 "a nonzero pivot has certified sign 0")
-    plus += two_blocks
-    minus += two_blocks
     return (plus, minus, zero_dim)

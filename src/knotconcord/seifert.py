@@ -17,8 +17,8 @@ from functools import cache, cached_property
 from math import comb, gcd
 
 from . import linalg
-from .cyclo import (CyclotomicField, _trim, cyclotomic_polynomial, euler_phi,
-                    fixed_cos, is_prime, poly_gcd)
+from .cyclo import (CyclotomicField, _eliminate, cyclotomic_polynomial,
+                    euler_phi, fixed_cos, is_prime, poly_gcd)
 from .errors import (BudgetExceeded, InternalInvariantViolation,
                      PreconditionError, SingularAtT)
 from .kernels import hermitian_inertia
@@ -315,11 +315,8 @@ def _sturm_chain(f):
         r, g = list(chain[-2]), chain[-1]
         lead = g[-1]
         while r and len(r) >= len(g):
-            a, off = (r[-1] if lead > 0 else -r[-1]), len(r) - len(g)
-            r = [abs(lead) * x for x in r]
-            for j, y in enumerate(g):
-                r[off + j] -= a * y
-            _trim(r)
+            r = _eliminate(abs(lead), r, r[-1] if lead > 0 else -r[-1], g,
+                           len(r) - len(g))
         if not r:
             raise InternalInvariantViolation(
                 "a Sturm sequence needs a squarefree polynomial")
@@ -673,9 +670,8 @@ class Summand:
 class KnotModel:
     """A knot built from summands; see the module docstring."""
 
-    def __init__(self, summands, spec=None):
+    def __init__(self, summands):
         self.summands = list(summands)
-        self.spec = spec
 
     @cached_property
     def matrix(self):
@@ -761,16 +757,16 @@ def build(spec):
         if (not isinstance(rows, (list, tuple))
                 or not all(isinstance(r, (list, tuple)) for r in rows)):
             raise PreconditionError("'entries' must be a list of rows")
-        return KnotModel([Summand(SeifertMatrix(rows))], spec)
+        return KnotModel([Summand(SeifertMatrix(rows))])
     if kind == "torus":
         p = _integer(_get(spec, "p", where), "'p'")
         q = _integer(_get(spec, "q", where), "'q'")
-        return KnotModel([Summand(torus_matrix(p, q))], spec)
+        return KnotModel([Summand(torus_matrix(p, q))])
     if kind == "twisted_double":
         a = _integer(_get(spec, "a", where), "'a'")
-        return KnotModel([Summand(twisted_double_matrix(a))], spec)
+        return KnotModel([Summand(twisted_double_matrix(a))])
     if kind == "mirror":
-        return KnotModel(build(_get(spec, "knot", where)).mirror().summands, spec)
+        return KnotModel(build(_get(spec, "knot", where)).mirror().summands)
     if kind == "sum":
         summands = []
         for item in _dicts(_get(spec, "summands", where), "'summands'"):
@@ -782,7 +778,7 @@ def build(spec):
             if sign == -1:
                 part = part.mirror()
             summands.extend(part.summands)
-        return KnotModel(summands, spec)
+        return KnotModel(summands)
     if kind == "order_two":
         companion = build(_get(spec, "companion", where))
         if not companion.matrix_only:
@@ -790,7 +786,7 @@ def build(spec):
         base = SeifertMatrix(_GENUS1_BASE)
         inf = [Infection("B1", companion, "double_lift", 1),
                Infection("B2", companion.mirror(), "double_lift", 2)]
-        return KnotModel([Summand(base, None, inf)], spec)
+        return KnotModel([Summand(base, None, inf)])
     # kind == "satellite"
     base = build(_get(spec, "base", where))
     if not base.matrix_only:
@@ -804,4 +800,4 @@ def build(spec):
             build(_get(i, "companion", "an infection")),
             _get(i, "pattern", "an infection"),
             _integer(_get(i, "param", "an infection"), "infection 'param'")))
-    return KnotModel([Summand(base.matrix, token, infections)], spec)
+    return KnotModel([Summand(base.matrix, token, infections)])

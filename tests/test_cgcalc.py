@@ -398,6 +398,19 @@ def test_norm_test_requires_verifiable_factors():
         norm_test(cubic)
 
 
+def test_norm_test_refuses_other_moduli():
+    # t^2 - 3t + 1 splits over Q(sqrt 5), inside Q(zeta_5), into real roots
+    # a and 1/a, so f(zeta t) is a unit times (zeta t - a) conj(zeta t - a),
+    # a norm; the hypotheses behind a NOT_NORM verdict hold over Q(zeta_7)
+    e = satellite_delta(DiscExpr(5), {"kind": "matrix",
+                                      "entries": [[1, 1], [0, -1]]}, [1])
+    assert e.factors == {((1, -3, 1), 1): 1}
+    with pytest.raises(HypothesisUnverified, match="zeta_7"):
+        norm_test(e)
+    with pytest.raises(HypothesisUnverified, match="zeta_7"):
+        norm_test(e, HypothesisRecord.for_polys([(1, -3, 1)]))
+
+
 def test_norm_test_stable_under_conjugate_squares():
     # every class here is fixed by conjugation, so g * conj(g) is the square
     # of a single class; multiplying by one must never change the verdict

@@ -388,6 +388,8 @@ def test_dual_eigenpair_refuses_broken_blocks():
         # eigenvectors e_1 and e_2 that pair to 2 and 1 with themselves
         # and to -1 with each other
         form((49, 49), 49, [[1, 1], [1, 2]], ((2, 0), (0, 4))),
+        # a block that is singular mod 7
+        form((49, 49), 49, [[0, 0], [0, 1]], ((2, 0), (0, 4))),
     ]
     for L in broken:
         with pytest.raises(InternalInvariantViolation):
