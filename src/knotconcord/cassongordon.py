@@ -889,14 +889,21 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
             all_not_norm = all_not_norm and verdict == NOT_NORM
         scope = {"mode": "enumerate", "metabolizer_count": len(mets)}
     else:
-        shape_count = 0
-        for m in range(n // 2 + 1, n + 1):
-            shape_count += 2 * subspace_count(n, m, _P)
-        if n % 2 == 0:
-            shape_count += subspace_count(n, n // 2, _P) ** 2
-        if shape_count > budget:
-            raise BudgetExceeded("abstract character-space enumeration needs "
-                                 "%d shapes" % shape_count, budget)
+        # the one-sided shapes and the half shapes are counted before any
+        # walk; of the half shapes only those with no odd-weight vector are
+        # paired, so the pairs are counted after the half shapes are walked
+        # and filtered
+        needs = "abstract character-space enumeration needs %d shapes"
+        one_sided = sum(2 * subspace_count(n, m, _P)
+                        for m in range(n // 2 + 1, n + 1))
+        walked = one_sided + (0 if n % 2 else subspace_count(n, n // 2, _P))
+        if walked > budget:
+            raise BudgetExceeded(needs % walked, budget)
+        no_odd = [] if n % 2 else [
+            shape for shape in subspaces(n, n // 2, _P, budget)
+            if find_odd_char([list(r) for r in shape], n, _P, budget) is None]
+        if one_sided + len(no_odd) ** 2 > budget:
+            raise BudgetExceeded(needs % (one_sided + len(no_odd) ** 2), budget)
         for m in range(n // 2 + 1, n + 1):
             for shape in subspaces(n, m, _P, budget):
                 for side in ("left", "right"):
@@ -906,24 +913,19 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
                                        {"shape": {"side": side, "dim": m,
                                                   "basis": [list(r) for r in shape]}})
                     all_not_norm = all_not_norm and verdict == NOT_NORM
-        if n % 2 == 0:
-            half = n // 2
-            no_odd = [shape for shape in subspaces(n, half, _P, budget)
-                      if find_odd_char([list(r) for r in shape], n, _P,
-                                       budget) is None]
-            for s2 in no_odd:
-                for s4 in no_odd:
-                    # bilinearity: the constraint on sums of left and
-                    # right characters reduces to all basis cross pairs
-                    if not all(admissible_pair(a, b, signs, _P)
-                               for a in s2 for b in s4):
-                        continue
-                    verdict = run_case([list(r) for r in s2],
-                                       [list(r) for r in s4],
-                                       {"shape": {"side": "paired",
-                                                  "basis_left": [list(r) for r in s2],
-                                                  "basis_right": [list(r) for r in s4]}})
-                    all_not_norm = all_not_norm and verdict == NOT_NORM
+        for s2 in no_odd:
+            for s4 in no_odd:
+                # bilinearity: the constraint on sums of left and right
+                # characters reduces to all basis cross pairs
+                if not all(admissible_pair(a, b, signs, _P)
+                           for a in s2 for b in s4):
+                    continue
+                verdict = run_case([list(r) for r in s2],
+                                   [list(r) for r in s4],
+                                   {"shape": {"side": "paired",
+                                              "basis_left": [list(r) for r in s2],
+                                              "basis_right": [list(r) for r in s4]}})
+                all_not_norm = all_not_norm and verdict == NOT_NORM
         scope = {"mode": "abstract", "shape_cases": len(cases)}
 
     report = {"operation": "mutant_sum_obstruction",

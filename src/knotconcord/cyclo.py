@@ -12,7 +12,9 @@ trial division up to MAX_TRIAL_DIVISOR, with euler_phi and is_prime read
 off it.
 
 Field elements are coefficient vectors on the power basis 1, zeta, ...,
-zeta^(phi(n)-1).  Conjugation is the ring involution zeta -> 1/zeta.
+zeta^(phi(n)-1).  Products, conjugates (the ring involution zeta ->
+1/zeta) and powers of zeta are all reduced by one rule: fold modulo
+x^n - 1, then eliminate by Phi_n.
 Inverses come from the extended Euclidean algorithm modulo Phi_n, run
 over the integers (_euclid, which also computes gcds in Q[t]).  Signs of
 nonzero real (self-conjugate) elements are certified in integer fixed
@@ -238,7 +240,7 @@ class _CyclotomicField:
     """Q(zeta_n) on the power basis, with packed integer arithmetic.
 
     A packed element is a pair (nums, den): a list of phi(n) integers and a
-    positive integer denominator.
+    positive integer denominator; every reduction goes through _reduce.
     """
 
     def __init__(self, n):
@@ -247,25 +249,9 @@ class _CyclotomicField:
         self.n = n
         self.phi = cyclotomic_polynomial(n)
         self.deg = len(self.phi) - 1
-        # x^deg mod Phi, and reduction rows x^(deg+i) for i = 0 .. deg-2
-        self.redbase = [-c for c in self.phi[:-1]]
-        self.red = [self.redbase]
-        for _ in range(self.deg - 2):
-            self.red.append(self._times_zeta(self.red[-1]))
+        # (j, c) for each nonzero coefficient c of x^j, j < deg, in Phi_n
+        self._low = [(j, c) for j, c in enumerate(self.phi[:-1]) if c]
         self._cos_tables = {}
-        # conj_mat[j] = zeta^(n-j) = zeta^-j, one multiplication by 1/zeta
-        # per row; for deg > 1, n > 2 and Phi_n(0) = 1, so
-        # 1/zeta = -(phi_1 + phi_2 zeta + ... + zeta^(deg-1))
-        self.conj_mat = [self.one()[0]]
-        if self.deg > 1:
-            inv = [-c for c in self.phi[1:]]
-            self.conj_mat.append(inv)
-            while len(self.conj_mat) < self.deg:
-                v = self.conj_mat[-1]
-                w = v[1:] + [0]
-                if v[0]:
-                    w = [x + v[0] * y for x, y in zip(w, inv)]
-                self.conj_mat.append(w)
 
     # -- basis vectors ------------------------------------------------
 
@@ -278,25 +264,32 @@ class _CyclotomicField:
         return v, 1
 
     def zeta_pow(self, k):
-        """Integer coefficient vector of zeta^k on the power basis."""
+        """Integer coefficient vector of zeta^k: x^k reduced, or, as zeta^k
+        = conj(zeta^(n-k)), x^(n-k+deg-1) reduced and reversed (see conj),
+        whichever exponent is less."""
         k %= self.n
-        if 0 < self.n - k < self.deg:
-            return list(self.conj_mat[self.n - k])
-        v = [0] * self.deg
-        # multiply x^(deg-1) by x repeatedly, reducing at each step
-        v[min(k, self.deg - 1)] = 1
-        for _ in range(k - self.deg + 1):
-            v = self._times_zeta(v)
-        return v
+        e = min(k, self.n - k + self.deg - 1)
+        v = [0] * max(e + 1, self.deg)
+        v[e] = 1
+        return self._reduce(v) if e == k else self._reduce(v)[::-1]
 
-    def _times_zeta(self, v):
-        """Coefficient vector of zeta * v."""
-        carry = v[-1]
-        v = [0] + v[:-1]
-        if carry:
-            for j in range(self.deg):
-                v[j] += carry * self.redbase[j]
-        return v
+    def _reduce(self, v):
+        """v (integers, low degree first, at least deg long; consumed)
+        modulo Phi_n: x^i is folded onto x^(i-n) for i >= n, as Phi_n
+        divides x^n - 1, then eliminated from the top down by the monic
+        Phi_n, through its nonzero lower coefficients _low."""
+        n, deg, low = self.n, self.deg, self._low
+        if len(v) > n:
+            for i in range(len(v) - 1, n - 1, -1):
+                v[i - n] += v[i]
+            del v[n:]
+        for i in range(len(v) - 1, deg - 1, -1):
+            c = v[i]
+            if c:
+                base = i - deg
+                for j, p in low:
+                    v[base + j] -= c * p
+        return v[:deg] if len(v) > deg else v
 
     def zeta_elt(self, k):
         """zeta^k as a packed field element."""
@@ -305,6 +298,7 @@ class _CyclotomicField:
     # -- packed arithmetic ---------------------------------------------
 
     def mul(self, a, b):
+        """a * b: the schoolbook product of the numerators, then _reduce."""
         an, ad = a
         bn, bd = b
         deg = self.deg
@@ -318,16 +312,7 @@ class _CyclotomicField:
                     bj = bn[j]
                     if bj:
                         raw[i + j] += ai * bj
-        # reduce x^i, i >= deg, with the precomputed rows
-        out = raw[:deg]
-        red = self.red
-        for i in range(deg, 2 * deg - 1):
-            c = raw[i]
-            if c:
-                row = red[i - deg]
-                for j in range(deg):
-                    out[j] += c * row[j]
-        return self.normalize((out, ad * bd))
+        return self.normalize((self._reduce(raw), ad * bd))
 
     def add(self, a, b):
         an, ad = a
@@ -366,17 +351,12 @@ class _CyclotomicField:
         return an, ad
 
     def conj(self, a):
-        """Image under zeta -> 1/zeta, from the basis images conj_mat."""
+        """Image under zeta -> 1/zeta: x^(deg-1) a(x) reduced and reversed,
+        since its reduction r(x) agrees with it at 1/zeta, a root of Phi_n
+        too, so a(1/zeta) = zeta^(deg-1) r(1/zeta)."""
         an, ad = a
-        deg = self.deg
-        out = [0] * deg
-        for j in range(deg):
-            c = an[j]
-            if c:
-                img = self.conj_mat[j]
-                for i in range(deg):
-                    out[i] += c * img[i]
-        return self.normalize((out, ad))
+        return self.normalize(
+            (self._reduce([0] * (self.deg - 1) + an)[::-1], ad))
 
     def is_zero(self, a):
         return not any(a[0])

@@ -12,10 +12,17 @@ from .errors import InternalInvariantViolation, PreconditionError
 def hermitian_inertia(field, packed_matrix):
     """Inertia (n_plus, n_minus, n_zero) of a Hermitian matrix over a
     cyclotomic field.  `packed_matrix` is a square list-of-lists of packed
-    field elements; Hermitian-ness is the caller's responsibility."""
+    field elements.  Only its upper triangle is read: the lower triangle
+    is taken as the conjugate of the upper one, and a diagonal entry that
+    is not self-conjugate is a PreconditionError."""
     size = len(packed_matrix)
     if any(len(row) != size for row in packed_matrix):
         raise PreconditionError("Hermitian matrix must be square")
+    for i, row in enumerate(packed_matrix):
+        if not field.is_zero(field.sub(row[i], field.conj(row[i]))):
+            raise PreconditionError(
+                "Hermitian matrix has a diagonal entry that is not "
+                "self-conjugate at row %d" % i)
     pivots, zero_dim = _inertia_py.hermitian_pivots(field, packed_matrix)
     plus = minus = 0
     for p in pivots:

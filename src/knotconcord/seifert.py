@@ -186,7 +186,8 @@ def _alexander_coeffs(entries):
 # drivers evaluate at arc points (arc_point), where the benchmark workloads
 # reach phi <= 6; only a direct lt_signature call at t = k/d works over
 # Q(zeta_d) itself, as the tests do up to phi = 96 (t = k/97).  The trefoil
-# takes about 0.5 s at t = 1/1021 (phi = 1020) and 2 s at 1/4620 (phi = 960).
+# takes about 0.18 s at t = 1/1021 (phi = 1020) and 0.15 s at 1/4620
+# (phi = 960), in-process on a 2-core Xeon VM.
 MAX_FIELD_DEGREE = 1024
 
 

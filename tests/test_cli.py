@@ -40,6 +40,16 @@ def fx(name):
     return os.path.join(FIXTURES, name)
 
 
+@pytest.fixture(autouse=True)
+def child_processes_import_the_package(monkeypatch):
+    # pyproject's pytest pythonpath puts src on this process's sys.path
+    # only; the fresh `python -m knotconcord.cli` processes need it too
+    src = os.path.dirname(os.path.dirname(knotconcord.__file__))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+
+
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
@@ -229,22 +239,42 @@ def test_obstruct_mutant_sum_mode_override(capsys):
     assert report["result"]["obstructed"] is True
 
 
-def test_obstruct_mutant_sum_abstract_budget(tmp_path):
-    # four summands need 8123302 shapes, over the default budget: refused
-    # before the walk, in a fresh process
-    spec = tmp_path / "four.json"
-    spec.write_text(json.dumps({"companions": [[[-1, 1], [0, 3]]] * 4}))
+def test_obstruct_mutant_sum_abstract_budget(capsys, monkeypatch, tmp_path):
+    # four summands: 802 one-sided shapes, and of the 2,850 half shapes
+    # only the 108 with no odd-weight vector are paired, 108 of the pairs
+    # admissibly, so the request fits the default budget
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    companion = [[-1, 1], [0, 3]]
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({"companions": [companion] * 4}))
+    r = run_json(capsys, ["obstruct-mutant-sum", "--knot", str(four),
+                          "--mode", "abstract"])["result"]
+    assert r["shape_cases"] == len(r["cases"]) == 910
+    assert sum(c["shape"]["side"] == "paired" for c in r["cases"]) == 108
+    assert r["obstructed"] is True
+    # six summands walk 13769720 one-sided and 48177200 half shapes:
+    # refused before any walk, in a fresh process, and also under a budget
+    # that covers the one-sided shapes alone
+    six = tmp_path / "six.json"
+    six.write_text(json.dumps({"companions": [companion] * 6}))
+    refusal = ("budget exceeded: abstract character-space enumeration "
+               "needs 61946920 shapes\n")
     env = {k: v for k, v in os.environ.items() if k != BUDGET_ENV}
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "knotconcord.cli", "obstruct-mutant-sum",
-         "--knot", str(spec), "--mode", "abstract"],
+         "--knot", str(six), "--mode", "abstract"],
         capture_output=True, text=True, timeout=10, env=env)
     assert time.monotonic() - start < 1
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("budget exceeded: abstract character-space "
-                           "enumeration needs 8123302 shapes\n")
+    assert proc.stderr == refusal
+    start = time.monotonic()
+    code = main(["obstruct-mutant-sum", "--knot", str(six), "--mode",
+                 "abstract", "--budget", "14000000"])
+    assert time.monotonic() - start < 1
+    assert code == 3
+    assert capsys.readouterr() == ("", refusal)
 
 
 # ---------------------------------------------------------------------------

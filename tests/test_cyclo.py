@@ -133,21 +133,114 @@ def test_inverse_large_fields(n, count):
     assert F.inverse(F.zeta_elt(1)) == F.normalize(F.zeta_elt(n - 1))
 
 
+# Oracles: the dense tables the field once kept.  times_zeta is one step
+# of the walk by zeta, with x^deg = -(Phi_0 + ... + Phi_(deg-1) x^(deg-1));
+# red[i] = x^(deg+i) reduces a schoolbook product row by row; conj_mat[j]
+# = zeta^-j, one multiplication by 1/zeta = -(Phi_1 + ... + x^(deg-1)) per
+# row (Phi_n(0) = 1 for n > 1).
+
+
+def oracle_times_zeta(F, v):
+    carry = v[-1]
+    v = [0] + v[:-1]
+    return [x - carry * c for x, c in zip(v, F.phi)]
+
+
+def oracle_red(F):
+    rows = [[-c for c in F.phi[:-1]]]
+    for _ in range(F.deg - 2):
+        rows.append(oracle_times_zeta(F, rows[-1]))
+    return rows
+
+
+def oracle_conj_mat(F):
+    rows = [F.one()[0]]
+    if F.deg > 1:
+        inv = [-c for c in F.phi[1:]]
+        rows.append(inv)
+        while len(rows) < F.deg:
+            v = rows[-1]
+            w = v[1:] + [0]
+            if v[0]:
+                w = [x + v[0] * y for x, y in zip(w, inv)]
+            rows.append(w)
+    return rows
+
+
+def oracle_mul(F, a, b):
+    (an, ad), (bn, bd) = a, b
+    raw = [0] * (2 * F.deg - 1)
+    for i, x in enumerate(an):
+        for j, y in enumerate(bn):
+            raw[i + j] += x * y
+    out = raw[:F.deg]
+    for c, row in zip(raw[F.deg:], oracle_red(F)):
+        out = [x + c * y for x, y in zip(out, row)]
+    return F.normalize((out, ad * bd))
+
+
+def oracle_conj(F, a):
+    an, ad = a
+    out = [0] * F.deg
+    for c, row in zip(an, oracle_conj_mat(F)):
+        out = [x + c * y for x, y in zip(out, row)]
+    return F.normalize((out, ad))
+
+
 @pytest.mark.parametrize("ns", [range(1, 301), [4620]], ids=["1-300", "4620"])
 def test_conjugation_rows_match_the_walk_by_zeta(ns):
-    # conj_mat[j] = zeta^(n - j) and zeta_pow near both ends, against the
-    # powers reached by multiplying by zeta one step at a time
+    # zeta_pow(e) against the powers reached by multiplying by zeta one
+    # step at a time, and conj(zeta^j) = zeta^(n - j).  Every e <= n is
+    # checked for n <= 300, with e - n and zeta^j zeta^(deg-1), whose
+    # product runs past x^n for prime n > 3; at n = 4620 every e <= deg
+    # and e >= n - deg, and every 211th between them, whose reductions
+    # cost up to about (n - deg) / 4 * 342 steps each
     for n in ns:
         F = _CyclotomicField(n)
+        small = n <= 300
+        checked = {*range(F.deg + 1), *range(n - F.deg, n + 1),
+                   *range(0, n, 1 if small else 211)}
         v = F.one()[0]
         powers = {0: v}
         for e in range(1, n + 1):
-            v = F._times_zeta(v)
-            if e <= F.deg or e >= n - F.deg:
+            v = oracle_times_zeta(F, v)
+            if e in checked:
                 powers[e] = v
-        assert F.conj_mat == [powers[n - j] for j in range(F.deg)]
-        for e, v in powers.items():
-            assert F.zeta_pow(e) == v
+        assert powers[n] == powers[0]
+        assert oracle_conj_mat(F) == [powers[n - j] for j in range(F.deg)]
+        for e in checked:
+            assert F.zeta_pow(e) == powers[e], (n, e)
+            if small:
+                assert F.zeta_pow(e - n) == powers[e], (n, e)
+        top = F.zeta_elt(F.deg - 1)
+        for j in range(F.deg):
+            assert F.conj(F.zeta_elt(j)) == (powers[n - j], 1), (n, j)
+            if small:
+                assert F.mul(F.zeta_elt(j), top) == (
+                    powers[(j + F.deg - 1) % n], 1), (n, j)
+
+
+@st.composite
+def element_pairs(draw):
+    # Phi_105 is the first cyclotomic polynomial with a coefficient -2
+    F = CyclotomicField(draw(st.one_of(st.integers(1, 120),
+                                       st.sampled_from([97, 105, 210]))))
+    coeff = st.integers(-10 ** 6, 10 ** 6)
+
+    def element():
+        nums = draw(st.lists(coeff, min_size=F.deg, max_size=F.deg))
+        return F.normalize((nums, draw(st.integers(1, 30))))
+
+    return F, element(), element()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(element_pairs())
+def test_mul_and_conj_match_the_dense_tables(case):
+    F, a, b = case
+    assert F.mul(a, b) == oracle_mul(F, a, b)
+    assert F.conj(a) == oracle_conj(F, a)
+    assert F.conj(b) == oracle_conj(F, b)
 
 
 def test_cyclotomic_field_rejects_bad_order():

@@ -141,6 +141,19 @@ def test_non_square_matrix_is_a_precondition_error():
         hermitian_inertia(F, [[F.one(), F.zero()]])
 
 
+def test_diagonal_that_is_not_self_conjugate_is_a_precondition_error():
+    # only the upper triangle is read, so the diagonal is the one place a
+    # non-Hermitian input could get in: [[zeta_5]] once read as (1, 0, 0)
+    F = CyclotomicField(5)
+    with pytest.raises(PreconditionError, match="self-conjugate at row 0"):
+        hermitian_inertia(F, [[F.zeta_elt(1)]])
+    real = F.add(F.zeta_elt(1), F.zeta_elt(4))
+    with pytest.raises(PreconditionError, match="self-conjugate at row 1"):
+        hermitian_inertia(F, [[real, F.zero()], [F.zero(), F.zeta_elt(2)]])
+    assert hermitian_inertia(F, [[real, F.zeta_elt(2)],
+                                 [F.zeta_elt(3), F.one()]]) == (1, 1, 0)
+
+
 @st.composite
 def hermitian_pairs(draw):
     """A field and two Hermitian matrices over it; a matrix may have an
