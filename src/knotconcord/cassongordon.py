@@ -559,12 +559,17 @@ def _case_expression(a_vec, b_vec, model_summands, keys):
         residual_token(summand.token, _canonical_char_token(a, b))
         for summand, a, b in zip(model_summands, a_vec, b_vec)
         if summand.token is not None))
+    # every lift of every infection by one companion in one merge, which
+    # adds the same multiplicities as a merge per infection
+    lifts = {}
     for key, summand, a, b in zip(keys, model_summands, a_vec, b_vec):
         for inf in summand.infections:
             if inf.pattern != "triple_lift":
                 raise PreconditionError("discriminant assembly expects "
                                         "triple_lift infections")
-            expr = satellite_delta(expr, key, _lift_values(a, b, inf.param))
+            lifts.setdefault(key, []).extend(_lift_values(a, b, inf.param))
+    for key, values in lifts.items():
+        expr = satellite_delta(expr, key, values)
     return expr
 
 
@@ -839,19 +844,25 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
 
     cases = []
     all_not_norm = True
+    # (expression JSON, verdict) of each character met so far: cases that
+    # emit one character share one evaluation
+    evaluated = {}
 
     def run_case(rows2, rows4, where):
         branch, a_vec, b_vec = _charspace_case(rows2, rows4, n, signs, budget)
         if not admissible_pair(a_vec, b_vec, signs):
             raise InternalInvariantViolation(
                 "emitted character violates the metabolizer pairing constraint")
-        expr = _case_expression(a_vec, b_vec, summands, keys)
-        verdict = norm_test(expr, record)
+        char = (tuple(a_vec), tuple(b_vec))
+        if char not in evaluated:
+            expr = _case_expression(a_vec, b_vec, summands, keys)
+            evaluated[char] = (expr.to_json(), norm_test(expr, record))
+        expression, verdict = evaluated[char]
         case = dict(where)
         case.update({"branch": branch,
                      "character": {"a": list(a_vec), "b": list(b_vec)},
                      "admissible": True,
-                     "expression": expr.to_json(),
+                     "expression": expression,
                      "verdict": verdict})
         cases.append(case)
         return verdict

@@ -20,6 +20,7 @@ from functools import cache
 from math import gcd, lcm, prod
 
 from . import linalg
+from .cyclo import factor
 from .errors import (BudgetExceeded, InfiniteHomology,
                      InternalInvariantViolation, PreconditionError,
                      UnsupportedShape)
@@ -32,8 +33,43 @@ MAX_LAYERED_SIZE = 64
 
 
 def unit_roots_mod(d, m):
-    """Sorted solutions of x^d = 1 in Z_m."""
-    return [x for x in range(1, m) if gcd(x, m) == 1 and pow(x, d, m) == 1]
+    """Sorted solutions of x^d = 1 in Z_m, m >= 2.
+
+    The units mod m are the product of the units mod each prime power q
+    dividing m.  Mod q they are generated by a primitive root, of order
+    phi(q), for q odd, and by -1 and 5, of orders 2 and q / 4, for q = 2^e
+    (-1 alone for q = 4).  A product of powers g^c of these generators
+    solves x^d = 1 exactly when each c is a multiple of o / gcd(d, o), o
+    the order of g, so the roots are the products of those powers, each
+    generator lifted to the unit that is 1 mod the other prime powers."""
+    if m < 2:
+        return []
+    gens = []
+    for p, e in factor(m):
+        q = p ** e
+        if p > 2:
+            gens.append((_primitive_root(p, e), q // p * (p - 1), q))
+        if p == 2 and e >= 2:
+            gens.append((-1, 2, q))
+        if p == 2 and e >= 3:
+            gens.append((5, q // 4, q))
+    roots = [1]
+    for g, o, q in gens:
+        rest = m // q
+        unit = (g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % m
+        step = pow(unit, o // gcd(d, o), m)
+        roots = [r * pow(step, c, m) % m for r in roots
+                 for c in range(gcd(d, o))]
+    return sorted(roots)
+
+
+def _primitive_root(p, e):
+    """A generator of the units mod p^e, p an odd prime: the least
+    primitive root h mod p, or h + p when h^(p-1) = 1 (mod p^2)."""
+    ells = [ell for ell, _ in factor(p - 1)]
+    h = next(h for h in range(2, p)
+             if all(pow(h, (p - 1) // ell, p) != 1 for ell in ells))
+    return h + p if e > 1 and pow(h, p - 1, p * p) == 1 else h
 
 
 def _alexander_root_order(V, d):

@@ -32,7 +32,17 @@ t_0 + (den / h) Z in the box.  Each solution is a candidate; it is kept
 if it pairs to zero with itself and the rows so far contain the relation
 f_i e_i = g row - g t, g = f_i / diag[i].  The rows below span every
 f_m e_m, so the relation holds at once when g t_m = 0 (mod f_m) for
-every m, and is otherwise reduced against the rows.
+every m, always so when every f_m below divides g, as on (Z/p)^k, and
+is otherwise reduced against the rows.
+
+The walk reads the Gram numerators and the deck as sparse rows, the
+nonzero (column, entry) pairs of each, built once per search: the
+linking form of a connected sum is an orthogonal sum, so both are
+block-diagonal, and each pairing, linear form and deck image reads only
+nonzero entries.  A row's linear forms are read only by a row above it
+that is not forced, so they are computed only when there is one; once
+every row above is forced, the walk charges them in one step and keeps
+the basis.
 
 For deck-invariant metabolizers each fixed row contributes the linear
 forms of its whole deck orbit, and a candidate must also pair to zero
@@ -142,14 +152,29 @@ def _canonical_basis(rows, group):
     return hnf
 
 
-def _pairs_to_zero(N, den, r, s):
+def _sparse(M):
+    """Each row of M as the tuple of its nonzero (column, entry) pairs."""
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in M)
+
+
+def _apply(cols, v):
+    """M v from the nonzero coordinates of v, cols the _sparse rows of the
+    transpose of M: the sum of the columns of M weighted by v."""
+    acc = [0] * len(v)
+    for b, x in enumerate(v):
+        if x:
+            for a, y in cols[b]:
+                acc[a] += x * y
+    return acc
+
+
+def _pairs_to_zero(gram, den, r, s):
+    """Whether r N s = 0 (mod den), gram the _sparse rows of N."""
     acc = 0
     for a, x in enumerate(r):
         if x:
-            row = N[a]
-            for b, y in enumerate(s):
-                if y:
-                    acc += x * row[b] * y
+            for b, y in gram[a]:
+                acc += x * y * s[b]
     return acc % den == 0
 
 
@@ -234,8 +259,10 @@ def _eigenspace_pair(group, N, den, deck):
     if (lam * mu - 1) % p or (lam * lam - 1) % p == 0 or len(U) != len(W):
         return None
 
+    rows = _sparse(N)
+
     def gram(X, Y):
-        forms = [_linear_form(N, den, x) for x in X]
+        forms = [_linear_form(rows, den, x) for x in X]
         return [[sum(a * b for a, b in zip(form, y)) * (q // den) % q
                  for y in Y] for form in forms]
 
@@ -328,6 +355,11 @@ class _Search:
     forms a later row must pair to zero with; found holds the Hermite
     bases of the finished subgroups.
 
+    The form and the deck are read as sparse rows, and linear forms are
+    computed only where a row above reads them, as the module docstring
+    says.  Rows are tuples when they are built, and a forced row is the
+    one tuple f_i e_i of the search.
+
     The recursion lives in methods and module-level generators, never in
     closures defined per node or per diagonal: such a closure refers to
     itself, and the cycle stays in memory until the garbage collector
@@ -337,38 +369,45 @@ class _Search:
 
     def __init__(self, group, N, den, deck, budget):
         """The form N / den on group; deck: its deck for an invariant
-        search, else None."""
+        search, else None.  Both are kept as _sparse rows, the deck by its
+        columns, which _apply reads."""
+        k = len(group)
         self.group = group
-        self.N, self.den = N, den
-        self.deck = deck
+        self.gram, self.den = _sparse(N), den
+        self.deck = None if deck is None else _sparse(linalg.transpose(deck))
         self.budget = budget
         self.nodes = 0
         self.found = []
-        self.rows = [None] * len(group)
-        self.forms = [None] * len(group)
+        self.rows = [None] * k
+        self.forms = [None] * k
+        self.forced = [(0,) * i + (f,) + (0,) * (k - i - 1)
+                       for i, f in enumerate(group)]
         self.interned = {}
+        self.diag = None
+        self.free = 0
 
     def fill(self, diag, i):
-        group, rows, N, den = self.group, self.rows, self.N, self.den
+        group, rows, gram, den = self.group, self.rows, self.gram, self.den
         k = len(group)
-        if i < 0:
-            if self.deck is not None:
-                for r in rows:
-                    image = linalg.mat_vec(self.deck, r)
-                    if not _suffix_member(rows, diag, image, 0):
-                        return
-            self.found.append(tuple(self.interned.setdefault(r, r)
-                                    for r in map(tuple, rows)))
+        if diag is not self.diag:
+            # the first row that is not forced, k when all of them are
+            self.diag = diag
+            self.free = next((j for j, (d, f) in enumerate(zip(diag, group))
+                              if d != f), k)
+        if i < self.free:
+            # rows 0..i are forced: the relation f_m e_m is row m minus its
+            # tail, so the tail lies in the span of the rows below, where a
+            # Hermite tail is 0; each is one candidate, f_m e_m, zero in the
+            # group, with no form
+            self.charge(i + 1)
+            rows[:i + 1] = self.forced[:i + 1]
+            self.finish(diag)
             return
         if diag[i] == group[i]:
-            # the relation f_i e_i is row i minus its tail, so the tail lies
-            # in the span of the rows below, where a Hermite tail is 0: the
-            # one candidate is f_i e_i, zero in the group, with no form
-            self.charge()
-            rows[i] = [0] * i + [diag[i]] + [0] * (k - i - 1)
+            self.charge(1)
+            rows[i] = self.forced[i]
             self.forms[i] = ()
             self.fill(diag, i - 1)
-            rows[i] = None
             return
         by_col = _echelon(self.system(diag, i), k - i - 1, den)
         if by_col is None:
@@ -377,29 +416,46 @@ class _Search:
         rel[i] = group[i]
         g = group[i] // diag[i]
         below = group[i + 1:]
+        # the relation f_i e_i = g row - g tail must lie in the span of rows
+        # i..k-1; the rows below span every f_m e_m, so it does when
+        # g t_m = 0 (mod f_m) for each m, always so when each f_m divides g,
+        # and otherwise it is reduced
+        check = any(g % f for f in below)
+        head = (0,) * i + (diag[i],)
+        deck = self.deck
         for tail in _tail_walk(by_col, diag[i + 1:], den):
-            self.charge()
-            row = [0] * i + [diag[i]] + tail
-            if not _pairs_to_zero(N, den, row, row):
+            self.charge(1)
+            row = head + tuple(tail)
+            if not _pairs_to_zero(gram, den, row, row):
                 continue
-            orbit = [row]
-            if self.deck is not None:
-                orbit = _deck_orbit(self.deck, group, row)
-                if not all(_pairs_to_zero(N, den, row, v) for v in orbit[1:]):
+            orbit = (row,)
+            if deck is not None:
+                orbit = _deck_orbit(deck, group, row)
+                if not all(_pairs_to_zero(gram, den, row, v)
+                           for v in orbit[1:]):
                     continue
             rows[i] = row
-            # the relation f_i e_i = g row - g tail must lie in the span of
-            # rows i..k-1; the rows below span every f_m e_m, so it does when
-            # g t_m = 0 (mod f_m) for each m, and otherwise it is reduced
-            if (all(g * t % f == 0 for t, f in zip(tail, below))
+            if (not check or all(g * t % f == 0 for t, f in zip(tail, below))
                     or _suffix_member(rows, diag, rel, i)):
-                self.forms[i] = [_linear_form(N, den, v) for v in orbit]
+                if i > self.free:
+                    self.forms[i] = [_linear_form(gram, den, v)
+                                     for v in orbit]
                 self.fill(diag, i - 1)
-            rows[i] = None
 
-    def charge(self):
-        """Count one candidate against the budget."""
-        self.nodes += 1
+    def finish(self, diag):
+        """Keep the basis in rows, when the deck maps its subgroup into
+        itself; its rows are interned."""
+        rows = self.rows
+        if self.deck is not None:
+            for r in rows:
+                if not _suffix_member(rows, diag, _apply(self.deck, r), 0):
+                    return
+        self.found.append(tuple([self.interned.setdefault(r, r)
+                                 for r in rows]))
+
+    def charge(self, count):
+        """Count count candidates against the budget."""
+        self.nodes += count
         if self.nodes > self.budget:
             raise BudgetExceeded(
                 "metabolizer search visited more than %d candidates"
@@ -437,18 +493,15 @@ def _is_scalar(deck, group):
     return True
 
 
-def _linear_form(N, den, v):
-    """N v mod den from the nonzero coordinates of v: N is symmetric, so
-    N v is the sum of its rows N[a] weighted by v[a]."""
-    acc = [0] * len(v)
-    for a, x in enumerate(v):
-        if x:
-            acc = [s + x * y for s, y in zip(acc, N[a])]
-    return [s % den for s in acc]
+def _linear_form(gram, den, v):
+    """N v mod den, gram the _sparse rows of N: N is symmetric, so they are
+    also the rows of its transpose."""
+    return [s % den for s in _apply(gram, v)]
 
 
-def _deck_orbit(deck, group, vec):
-    """vec and its deck images, reduced mod the group, until one repeats.
+def _deck_orbit(cols, group, vec):
+    """vec and its deck images, reduced mod the group, until one repeats;
+    cols are the _sparse columns of the deck.
 
     An invariant subgroup holds all of them, so an isotropic one pairs
     each of them to zero with every element."""
@@ -456,7 +509,7 @@ def _deck_orbit(deck, group, vec):
     orbit = [v]
     seen = {v}
     while True:
-        v = tuple(x % f for x, f in zip(linalg.mat_vec(deck, v), group))
+        v = tuple([x % f for x, f in zip(_apply(cols, v), group)])
         if v in seen:
             return orbit
         orbit.append(v)

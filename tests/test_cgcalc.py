@@ -803,22 +803,87 @@ def test_case_expression_matches_counter_oracle(summands):
     assert e.tokens == dict(tokens)
 
 
+MUTANT_SUMS = {
+    "mutant_equal_pair": ([COMP_A, COMP_A], [1, 1]),
+    "mutant_mixed_pair": ([COMP_A, COMP_B], [1, -1]),
+    "mutant_triple": ([COMP_A, COMP_A, COMP_B], [1, 1, 1]),
+}
+
+
+def _characters(rep):
+    return {(tuple(case["character"]["a"]), tuple(case["character"]["b"]))
+            for case in rep["cases"]}
+
+
 @pytest.mark.parametrize("mode", ["enumerate", "abstract"])
-def test_one_satellite_delta_call_per_infection_per_case(monkeypatch, mode):
+@pytest.mark.parametrize("name", ["mutant_equal_pair", "mutant_mixed_pair"])
+def test_one_satellite_delta_call_per_companion_per_character(
+        monkeypatch, name, mode):
+    # each distinct character is evaluated once, with one merge of all the
+    # lifts of each companion key: 3 lifts x 2 bands x the summands
+    # carrying that key
     calls = []
     rule = cassongordon.satellite_delta
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return rule(*args, **kwargs)
+    def counted(base, J, lift_values, p=None):
+        calls.append((tuple(J), len(lift_values)))
+        return rule(base, J, lift_values, p)
 
     monkeypatch.setattr(cassongordon, "satellite_delta", counted)
-    spec = Path(__file__).parent / "fixtures" / "mutant_equal_pair.json"
-    companions = json.loads(spec.read_text())["companions"]
-    rep = mutant_sum_obstruction(companions, mode=mode)
-    assert rep["cases"]
-    # two summands, each with both bands infected
-    assert len(calls) == 2 * 2 * len(rep["cases"])
+    companions, signs = MUTANT_SUMS[name]
+    rep = mutant_sum_obstruction(companions, signs=signs, mode=mode)
+    keys = [tuple(KEY_A if c == COMP_A else KEY_B) for c in companions]
+    chars = _characters(rep)
+    if mode == "enumerate":
+        # metabolizers that share a character share its evaluation
+        assert len(chars) < len(rep["cases"])
+    per_char = sorted((key, 6 * keys.count(key)) for key in set(keys))
+    assert sorted(calls) == sorted(per_char * len(chars))
+
+
+def _expression_afresh(a_vec, b_vec, companions):
+    """The case expression with one satellite_delta step per infection,
+    built anew for every case."""
+    summands = [CARRIER_SUMMANDS[(KEY_A if c == COMP_A else KEY_B, True)]
+                for c in companions]
+    expr = DiscExpr(7, tokens=Counter(
+        residual_token(summand.token, _canonical_char_token(a, b))
+        for summand, a, b in zip(summands, a_vec, b_vec)
+        if summand.token is not None))
+    for comp, summand, a, b in zip(companions, summands, a_vec, b_vec):
+        key = KEY_A if comp == COMP_A else KEY_B
+        for inf in summand.infections:
+            expr = satellite_delta(expr, key, _lift_values(a, b, inf.param))
+    return expr
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "abstract"])
+@pytest.mark.parametrize("name", list(MUTANT_SUMS))
+def test_mutant_sum_report_bytes_match_fresh_evaluation(
+        capsys, tmp_path, name, mode):
+    from knotconcord.cli import main
+
+    companions, signs = MUTANT_SUMS[name]
+    spec = tmp_path / "sum.json"
+    spec.write_text(json.dumps({"companions": companions, "signs": signs}))
+    assert main(["obstruct-mutant-sum", "--knot", str(spec), "--mode", mode,
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    result = report["result"]
+    verdicts = []
+    for case in result["cases"]:
+        expr = _expression_afresh(case["character"]["a"],
+                                  case["character"]["b"], companions)
+        fresh = json.loads(json.dumps(expr.to_json()))
+        assert (case["expression"], case["verdict"]) == (fresh,
+                                                          norm_test(expr))
+        case["expression"], case["verdict"] = fresh, norm_test(expr)
+        verdicts.append(case["verdict"])
+    result["all_not_norm"] = all(v == NOT_NORM for v in verdicts)
+    result["obstructed"] = result["all_not_norm"] and bool(verdicts)
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":"),
+                             check_circular=False) + "\n"
 
 
 def test_mutant_family_shares_abelian_invariants():

@@ -50,6 +50,33 @@ def test_unit_roots_mod():
     assert unit_roots_mod(4, 5) == [1, 2, 3, 4]
 
 
+def _unit_roots_scan(d, m):
+    """x^d = 1 in Z_m by testing every residue."""
+    return [x for x in range(1, m) if gcd(x, m) == 1 and pow(x, d, m) == 1]
+
+
+def test_unit_roots_mod_matches_scan():
+    # every prime power below 2000, and every modulus below 300, for the
+    # primitive roots, the 2-power generators and their joins
+    moduli = [m for m in range(2, 2000)
+              if m < 300 or len(sp.factorint(m)) == 1]
+    for m in moduli:
+        for d in range(1, 13):
+            assert unit_roots_mod(d, m) == _unit_roots_scan(d, m), (d, m)
+
+
+def test_unit_roots_mod_past_any_scan():
+    # the units mod 7^30 are cyclic of order 6 * 7^29, so x^d = 1 has
+    # gcd(d, 6 * 7^29) roots; mod 2^40 they are <-1> x <5>, of orders 2 and
+    # 2^38, so x^4 = 1 has 2 * 4 roots.  The least primitive root 5 of
+    # 40487 has 5^40486 = 1 (mod 40487^2), so it generates no p-part there
+    for d, m, count in ((3, 7 ** 30, 3), (7, 7 ** 30, 7), (5, 7 ** 30, 1),
+                        (4, 2 ** 40, 8), (40487, 40487 ** 2, 40487)):
+        roots = unit_roots_mod(d, m)
+        assert len(set(roots)) == count
+        assert all(pow(x, d, m) == 1 for x in roots)
+
+
 def test_double_branched_covers_of_twisted_doubles():
     # doubled knots with a clasps give cyclic groups of square order
     for a in range(1, 7):

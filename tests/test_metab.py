@@ -10,11 +10,11 @@ import itertools
 import json
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotconcord.cassongordon import satellite_base_matrix
@@ -22,10 +22,8 @@ from knotconcord.cover import LinkingForm, direct_sum, linking_form
 from knotconcord import linalg, metabolizers
 from knotconcord.errors import BudgetExceeded, InternalInvariantViolation
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
-                                      _canonical_basis, _deck_orbit,
-                                      _diag_choices, _echelon,
-                                      _eigenspace_pair, _is_scalar,
-                                      _linear_form, _pairs_to_zero,
+                                      _canonical_basis, _diag_choices,
+                                      _echelon, _eigenspace_pair, _is_scalar,
                                       _suffix_member, _tail_walk, _walk,
                                       _weight, admissible_pair,
                                       enumerate_metabolizers, find_odd_char,
@@ -38,6 +36,45 @@ GENUS2_MODEL = SeifertMatrix([[-1, 1, 1, 1],
                               [0, 2, 0, 0],
                               [1, 0, -1, 1],
                               [1, 0, 0, 2]])
+
+
+# ---------------------------------------------------------------------------
+# dense oracles of the walk's pairing, linear forms and deck orbits, which
+# read every entry of the Gram numerators N and of the deck
+
+
+def _pairs_to_zero(N, den, r, s):
+    acc = 0
+    for a, x in enumerate(r):
+        if x:
+            row = N[a]
+            for b, y in enumerate(s):
+                if y:
+                    acc += x * row[b] * y
+    return acc % den == 0
+
+
+def _linear_form(N, den, v):
+    """N v mod den: N is symmetric, so N v is the sum of its rows N[a]
+    weighted by v[a]."""
+    acc = [0] * len(v)
+    for a, x in enumerate(v):
+        if x:
+            acc = [s + x * y for s, y in zip(acc, N[a])]
+    return [s % den for s in acc]
+
+
+def _deck_orbit(deck, group, vec):
+    """vec and its deck images, reduced mod the group, until one repeats."""
+    v = tuple(x % f for x, f in zip(vec, group))
+    orbit = [v]
+    seen = {v}
+    while True:
+        v = tuple(x % f for x, f in zip(linalg.mat_vec(deck, v), group))
+        if v in seen:
+            return orbit
+        orbit.append(v)
+        seen.add(v)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +487,63 @@ def test_metabolizer_counts_match_closed_forms(signs, q, d, total, invariant):
     assert len(enumerate_metabolizers(L, invariant_only=True)) == invariant
 
 
+# Lagrangian counts in closed form (Taylor, "The Geometry of the Classical
+# Groups", 1992), independent of the walk: a nondegenerate symmetric form on
+# F_p^(2m), p odd, has prod_{i<m} (p^i + 1) maximal totally isotropic
+# subspaces when it is split, that is when (-1)^m det is a square mod p, and
+# none otherwise; an alternating form on F_2^(2m) has prod_{i=1..m} (2^i + 1).
+def _symmetric(p, k, entries, alternating):
+    N = [[0] * k for _ in range(k)]
+    it = iter(entries)
+    for i in range(k):
+        for j in range(i, k):
+            if i != j or not alternating:
+                N[i][j] = N[j][i] = next(it) % p
+    return N
+
+
+@st.composite
+def _nondegenerate_forms(draw):
+    """(p, m, N): N the numerators of a nondegenerate symmetric form on
+    (Z/p)^(2m), dense or a sum of 2 x 2 blocks; alternating when p = 2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 3))
+    k, alt = 2 * m, p == 2
+    if draw(st.booleans()):
+        size = k * (k - 1) // 2 if alt else k * (k + 1) // 2
+        N = draw(st.lists(st.integers(0, p - 1), min_size=size,
+                          max_size=size)
+                 .map(lambda e: _symmetric(p, k, e, alt))
+                 .filter(lambda N: linalg.det_bareiss(N) % p))
+    else:
+        N = [[0] * k for _ in range(k)]
+        for c in range(m):
+            block = draw(st.lists(st.integers(0, p - 1), min_size=3,
+                                  max_size=3)
+                         .map(lambda e: _symmetric(p, 2, e, alt))
+                         .filter(lambda B: linalg.det_bareiss(B) % p))
+            for i in range(2):
+                for j in range(2):
+                    N[2 * c + i][2 * c + j] = block[i][j]
+    return p, m, N
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_nondegenerate_forms())
+@example((7, 3, [[1 if j == i ^ 1 else 0 for j in range(6)]
+                 for i in range(6)]))
+def test_lagrangian_counts_match_closed_forms(form):
+    p, m, N = form
+    L = LinkingForm((p,) * (2 * m), [[F(x, p) for x in row] for row in N])
+    if p == 2:
+        want = prod(2 ** i + 1 for i in range(1, m + 1))
+    elif pow((-1) ** m * linalg.det_bareiss(N), (p - 1) // 2, p) == 1:
+        want = prod(p ** i + 1 for i in range(m))
+    else:
+        want = 0
+    assert len(enumerate_metabolizers(L)) == want
+
+
 # Every form of the cover_metab benchmark workload: the (Z/2)^8, (Z/5)^6,
 # (Z/3)^6, (Z/25)^4 and (Z/7)^4 sums of its cover operations and the
 # (Z/49)^4 and (Z/49)^2 forms of its mutant sums.
@@ -598,7 +692,61 @@ def test_zeroed_columns_walk_matches_old_system(name, invariant_only):
             _fresh_search(cls, L, invariant_only, budget=count - 1)
 
 
-class _PerTailSearch(_Search):
+class _DenseSearch(_Search):
+    """The walk on the dense Gram numerators and deck: every pairing,
+    linear form and deck image reads each entry, every forced row is
+    charged on its own, every row's forms are computed and its relation
+    tested, and each basis is made tuples at its leaf."""
+
+    def __init__(self, group, N, den, deck, budget):
+        super().__init__(group, N, den, deck, budget)
+        self.N, self.deck = N, deck
+
+    def fill(self, diag, i):
+        group, rows, N, den = self.group, self.rows, self.N, self.den
+        k = len(group)
+        if i < 0:
+            if self.deck is not None:
+                for r in rows:
+                    image = linalg.mat_vec(self.deck, r)
+                    if not _suffix_member(rows, diag, image, 0):
+                        return
+            self.found.append(tuple(self.interned.setdefault(r, r)
+                                    for r in map(tuple, rows)))
+            return
+        if diag[i] == group[i]:
+            self.charge(1)
+            rows[i] = [0] * i + [diag[i]] + [0] * (k - i - 1)
+            self.forms[i] = ()
+            self.fill(diag, i - 1)
+            rows[i] = None
+            return
+        by_col = _echelon(self.system(diag, i), k - i - 1, den)
+        if by_col is None:
+            return
+        rel = [0] * k
+        rel[i] = group[i]
+        g = group[i] // diag[i]
+        below = group[i + 1:]
+        for tail in _tail_walk(by_col, diag[i + 1:], den):
+            self.charge(1)
+            row = [0] * i + [diag[i]] + tail
+            if not _pairs_to_zero(N, den, row, row):
+                continue
+            orbit = [row]
+            if self.deck is not None:
+                orbit = _deck_orbit(self.deck, group, row)
+                if not all(_pairs_to_zero(N, den, row, v) for v in orbit[1:]):
+                    continue
+            rows[i] = row
+            if (all(g * t % f == 0 for t, f in zip(tail, below))
+                    or _suffix_member(rows, diag, rel, i)):
+                self.forms[i] = [_linear_form(N, den, v) for v in orbit]
+                self.fill(diag, i - 1)
+            rows[i] = None
+
+
+class _PerTailSearch(_DenseSearch):
     """The walk as it was before forced rows and the relation shortcut: a
     row whose diagonal entry is its invariant factor solves and tries
     every tail, and every kept row's relation is reduced by
@@ -621,7 +769,7 @@ class _PerTailSearch(_Search):
         rel = [0] * k
         rel[i] = group[i]
         for tail in _tail_walk(by_col, diag[i + 1:], den):
-            self.charge()
+            self.charge(1)
             row = [0] * i + [diag[i]] + tail
             if not _pairs_to_zero(N, den, row, row):
                 continue
@@ -662,6 +810,58 @@ def test_forced_rows_walk_matches_per_tail_walk_on_genus_one_sums(pairs, d):
         new = _fresh_search(_Search, L, invariant_only, 10 ** 9)
         assert new.found == old.found
         assert new.nodes <= old.nodes
+
+
+def _hyperbolic_form(p, m, lams, S):
+    """The hyperbolic form on (Z/p)^(2m), sum of m planes [[0, 1], [1, 0]],
+    with the isometry diag(lam, lam^-1) on each plane, in the coordinates
+    x -> S x: a dense Gram S^t H S and deck S^-1 T S."""
+    k = 2 * m
+    H = [[1 if j == i ^ 1 else 0 for j in range(k)] for i in range(k)]
+    T = [[0] * k for _ in range(k)]
+    for c, lam in enumerate(lams):
+        T[2 * c][2 * c], T[2 * c + 1][2 * c + 1] = lam, pow(lam, -1, p)
+    gram = linalg.modm_mat_mul(linalg.modm_mat_mul(linalg.transpose(S), H, p),
+                               S, p)
+    deck = linalg.modm_mat_mul(
+        linalg.modm_mat_mul(linalg.modm_inverse(S, p), T, p), S, p)
+    return LinkingForm((p,) * k, [[F(x, p) for x in row] for row in gram],
+                       deck)
+
+
+@st.composite
+def _dense_hyperbolic_forms(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(1, 3 if p == 3 else 2))
+    k = 2 * m
+    S = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
+                               max_size=k), min_size=k, max_size=k)
+             .filter(lambda S: linalg.det_bareiss(S) % p))
+    lams = draw(st.lists(st.integers(1, p - 1), min_size=m, max_size=m))
+    return _hyperbolic_form(p, m, lams, S)
+
+
+def _assert_sparse_walk_matches_dense(L):
+    for invariant_only in (False, True):
+        dense = _fresh_search(_DenseSearch, L, invariant_only, 10 ** 9)
+        sparse = _fresh_search(_Search, L, invariant_only, 10 ** 9)
+        assert sparse.found == dense.found
+        assert sparse.nodes == dense.nodes
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=3),
+       st.sampled_from([2, 3]))
+def test_sparse_walk_matches_dense_walk_on_genus_one_sums(pairs, d):
+    # the same bases in the same discovery order, and the same candidates
+    _assert_sparse_walk_matches_dense(_genus_one_sum(pairs, d))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_dense_hyperbolic_forms())
+def test_sparse_walk_matches_dense_walk_on_dense_grams(L):
+    _assert_sparse_walk_matches_dense(L)
 
 
 def _top_fills(monkeypatch):
