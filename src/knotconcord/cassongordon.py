@@ -27,8 +27,8 @@ from .cyclo import factor, is_prime, poly_gcd
 from .errors import (PreconditionError, UnsupportedShape, HypothesisUnverified,
                      BudgetExceeded, InternalInvariantViolation)
 from .metabolizers import (DEFAULT_BUDGET, enumerate_metabolizers,
-                           vanishing_chars, find_odd_char, admissible_pair,
-                           span_vectors, subspaces, subspace_count)
+                           vanishing_chars, span_vectors, subspaces,
+                           subspace_count)
 from .seifert import (SeifertMatrix, KnotModel, build, alexander, check_size,
                       signature, torus_matrix, twisted_double_matrix, _integer)
 
@@ -509,10 +509,7 @@ def _dual_eigenpair(form, sign=1):
     if form.group != (_P * _P, _P * _P) or form.den != _P * _P:
         raise InternalInvariantViolation("block must be homogeneous of height two")
     action = [[x % _P for x in col] for col in zip(*form.deck)]
-    # a direct sum carries no homology; the order of the action is then
-    # its degree
-    degree = form.homology.degree if form.homology is not None else None
-    eigen, split = deck_eigenspaces(action, _P, 1, degree)
+    eigen, split = deck_eigenspaces(action, _P, 1)
     if not split or [len(eigen.get(lam, ())) for lam in (1, 2, 4)] != [0, 1, 1]:
         raise InternalInvariantViolation(
             "block does not carry the split 2/4 eigencharacter calculus")
@@ -573,25 +570,90 @@ def _case_expression(a_vec, b_vec, model_summands, keys):
     return expr
 
 
-def _paired_character(rows2, rows4, n, signs):
-    """Even-case character from eigen-split bases with no odd vectors:
-    both sides reduce to half-dimensional echelon bases whose first rows
-    couple through a single shared column; the emitted character adds the
-    first-summand-signed right row to the left row."""
-    red2, piv2 = linalg.modp_rref([list(r) for r in rows2], _P)
-    red2 = [r for r in red2 if any(r)]
-    red4, piv4 = linalg.modp_rref([list(r) for r in rows4], _P)
-    red4 = [r for r in red4 if any(r)]
+def _weight(vec):
+    return sum(1 for x in vec if x)
+
+
+def _pivot(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _reduced(rows):
+    """The nonzero rows of the reduced echelon form of rows mod 7."""
+    if not rows:
+        return []
+    red, _ = linalg.modp_rref([list(r) for r in rows], _P)
+    return [r for r in red if any(r)]
+
+
+def find_odd_char(red, n, budget=DEFAULT_BUDGET):
+    """A vector mod 7 with an odd number of nonzero entries in the span of
+    red, the nonzero rows of a reduced echelon basis of width n, or None.
+
+    None comes with an exhaustive certificate; spans wider than half the
+    ambient dimension always produce a vector constructively.
+    """
+    if any(len(row) != n for row in red):
+        raise ValueError("basis width does not match the summand count")
+    m = len(red)
+    if m == 0:
+        return None
+    for row in red:
+        if _weight(row) % 2:
+            return tuple(row)
+    # all reduced rows even, so every non-pivot block has odd weight and
+    # in particular is nonzero
+    pivots = [_pivot(row) for row in red]
+    free = [j for j in range(n) if j not in pivots]
+    if not free:
+        raise InternalInvariantViolation("even pivot rows must have free part")
+    B = [[row[j] for j in free] for row in red]
+    dep = linalg.modp_kernel(linalg.transpose(B), _P)
+    if dep:
+        s = list(dep[0])
+        combo = [sum(s[i] * red[i][j] for i in range(m)) % _P
+                 for j in range(n)]
+        if _weight(s) % 2:
+            if _weight(combo) % 2 == 0:
+                raise InternalInvariantViolation("parity argument failed")
+            return tuple(combo)
+        j = next(i for i in range(m) if s[i])
+        f = next(c for c in range(1, _P) if c != s[j])
+        vec = [(combo[c] - f * red[j][c]) % _P for c in range(n)]
+        if _weight(vec) % 2 == 0:
+            raise InternalInvariantViolation("parity argument failed")
+        return tuple(vec)
+    # the m x (n - m) free block has independent rows, so m <= n - m (one
+    # even row of weight 2 at n = 3, say): certify by exhausting the span
+    return next((v for v in span_vectors(red, _P, budget) if _weight(v) % 2),
+                None)
+
+
+def admissible_pair(a, b, signs):
+    """Orthogonality constraint binding the two eigenspace halves of a
+    vanishing character: sum of sign-weighted products is zero mod 7."""
+    if not (len(a) == len(b) == len(signs)):
+        raise ValueError("coordinate vectors and signs must align")
+    return sum(e * x * y for e, x, y in zip(signs, a, b)) % _P == 0
+
+
+def _paired_character(red2, red4, n, signs):
+    """Even-case character from eigen-split spaces with no odd vectors,
+    given by the nonzero rows of their reduced echelon bases: both are
+    half-dimensional, and their first rows couple through a single shared
+    column; the emitted character adds the first-summand-signed right row
+    to the left row.  Returns (a_vec, b_vec)."""
     if 2 * len(red2) != n or 2 * len(red4) != n:
         raise InternalInvariantViolation(
             "no-odd character spaces must have exactly half dimension")
     alpha2 = red2[0]
-    p0 = piv2[0]
+    p0 = _pivot(alpha2)
     support2 = [k for k in range(n) if k != p0 and alpha2[k]]
     if len(support2) != 1:
         raise InternalInvariantViolation(
             "echelon row without odd vectors must couple one pair of summands")
     q0 = support2[0]
+    piv4 = [_pivot(r) for r in red4]
     if p0 not in piv4:
         raise InternalInvariantViolation(
             "right eigenspace does not pair with the left pivot")
@@ -600,23 +662,24 @@ def _paired_character(rows2, rows4, n, signs):
     if support4 != [q0]:
         raise InternalInvariantViolation(
             "eigen-split bases do not couple the same summand pair")
-    a = [x % _P for x in alpha2]
-    b = [(signs[0] * x) % _P for x in alpha4]
-    return a, b
+    return list(alpha2), [(signs[0] * x) % _P for x in alpha4]
 
 
 def _charspace_case(rows2, rows4, n, signs, budget):
-    """Decision tree on an eigen-split character space: take an odd-weight
-    vector in either eigenspace if one exists, else the paired even-case
-    character.  Returns (branch, a_vec, b_vec)."""
-    v = find_odd_char(rows2, n, _P, budget)
+    """Decision tree on an eigen-split character space, rows2 spanning its
+    left and rows4 its right eigenspace: take an odd-weight vector in either
+    eigenspace if one exists, else the paired even-case character.  Each
+    side is reduced mod 7 once, the right one only when the left has no
+    odd vector.  Returns (branch, a_vec, b_vec)."""
+    red2 = _reduced(rows2)
+    v = find_odd_char(red2, n, budget)
     if v is not None:
-        return "odd_left", [x % _P for x in v], [0] * n
-    v = find_odd_char(rows4, n, _P, budget)
+        return "odd_left", list(v), [0] * n
+    red4 = _reduced(rows4)
+    v = find_odd_char(red4, n, budget)
     if v is not None:
-        return "odd_right", [0] * n, [x % _P for x in v]
-    a, b = _paired_character(rows2, rows4, n, signs)
-    return "paired", a, b
+        return "odd_right", [0] * n, list(v)
+    return ("paired",) + _paired_character(red2, red4, n, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +725,8 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
     cases = []
     obstructed = all_positive and bool(mets)
     for A in mets:
-        S = vanishing_chars(form, A, p)
-        chars = list(span_vectors(S.basis, p, budget))
+        basis = vanishing_chars(form, A, p)
+        chars = list(span_vectors(basis, p, budget))
         coeffs = {}
         for u in chars:
             coeffs[u] = sum(sig[x] for x in u if x)
@@ -677,7 +740,7 @@ def twisted_double_obstruction(a, n=1, budget=DEFAULT_BUDGET):
         positive = all(c > 0 for c in coeffs.values())
         obstructed = obstructed and positive
         cases.append({"metabolizer": A.to_json(),
-                      "character_dim": S.dim,
+                      "character_dim": len(basis),
                       "characters_checked": len(chars),
                       "all_coefficients_positive": positive,
                       "min_coefficient": min(coeffs.values()),
@@ -748,8 +811,7 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
     obstructed = bool(mets)
     canonical = None
     for A in mets:
-        S = vanishing_chars(form, A, p)
-        chars = list(span_vectors(S.basis, p, budget))
+        chars = list(span_vectors(vanishing_chars(form, A, p), p, budget))
         entries = []
         nonzero_found = False
         for u in sorted(chars):
@@ -768,7 +830,7 @@ def order2_obstruction(i, j, budget=DEFAULT_BUDGET):
                 if acc.coefficient != c:
                     raise InternalInvariantViolation(
                         "satellite rule disagrees with the tabulated coefficients")
-        obstructed = obstructed and (nonzero_found or i == j) and i != j
+        obstructed = obstructed and nonzero_found and i != j
         cases.append({"metabolizer": A.to_json(),
                       "characters": entries,
                       "has_nonzero": nonzero_found})
@@ -848,8 +910,7 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
     # emit one character share one evaluation
     evaluated = {}
 
-    def run_case(rows2, rows4, where):
-        branch, a_vec, b_vec = _charspace_case(rows2, rows4, n, signs, budget)
+    def run_case(branch, a_vec, b_vec, where):
         if not admissible_pair(a_vec, b_vec, signs):
             raise InternalInvariantViolation(
                 "emitted character violates the metabolizer pairing constraint")
@@ -878,23 +939,29 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
             for row in _dual_eigenpair(f, signs[s]):
                 to_eigen.append([0] * (2 * s) + row + [0] * (2 * (n - s - 1)))
         form = direct_sum(*forms) if n > 1 else forms[0]
+        # the deck on the mod-7 characters: every invariant factor is 49,
+        # so it is the transposed deck mod 7 on all coordinates
+        action = [[x % _P for x in col] for col in zip(*form.deck)]
         mets = enumerate_metabolizers(form, invariant_only=True, budget=budget)
         for A in mets:
-            S = vanishing_chars(form, A, _P)
-            if not S.split:
+            eigen, _ = deck_eigenspaces(
+                action, _P, 1, [[x % _P for x in row] for row in A.basis])
+            dim = len(vanishing_chars(form, A, _P))
+            if sum(map(len, eigen.values())) != dim:
                 raise InternalInvariantViolation(
                     "vanishing characters do not split under the deck action")
             rows = {2: [], 4: []}
             for lam, side in ((2, 0), (4, 1)):
-                for vec in S.eigen.get(lam, ()):
+                for vec in eigen.get(lam, ()):
                     coords = [x % _P for x in linalg.mat_vec(to_eigen, vec)]
                     if any(coords[1 - side::2]):
                         raise InternalInvariantViolation(
                             "eigenvector mixes the two eigencoordinates")
                     rows[lam].append(coords[side::2])
-            verdict = run_case(rows[2], rows[4],
+            verdict = run_case(*_charspace_case(rows[2], rows[4], n, signs,
+                                                budget),
                                {"metabolizer": A.to_json(),
-                                "charspace": {"dim": S.dim,
+                                "charspace": {"dim": dim,
                                               "dim_left": len(rows[2]),
                                               "dim_right": len(rows[4])}})
             all_not_norm = all_not_norm and verdict == NOT_NORM
@@ -903,7 +970,8 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
         # the one-sided shapes and the half shapes are counted before any
         # walk; of the half shapes only those with no odd-weight vector are
         # paired, so the pairs are counted after the half shapes are walked
-        # and filtered
+        # and filtered.  The shapes are reduced echelon bases already, and
+        # the filter certifies that neither side of a pair has an odd vector
         needs = "abstract character-space enumeration needs %d shapes"
         one_sided = sum(2 * subspace_count(n, m, _P)
                         for m in range(n // 2 + 1, n + 1))
@@ -912,27 +980,33 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
             raise BudgetExceeded(needs % walked, budget)
         no_odd = [] if n % 2 else [
             shape for shape in subspaces(n, n // 2, _P, budget)
-            if find_odd_char([list(r) for r in shape], n, _P, budget) is None]
+            if find_odd_char(shape, n, budget) is None]
         if one_sided + len(no_odd) ** 2 > budget:
             raise BudgetExceeded(needs % (one_sided + len(no_odd) ** 2), budget)
+        zero = [0] * n
         for m in range(n // 2 + 1, n + 1):
             for shape in subspaces(n, m, _P, budget):
-                for side in ("left", "right"):
-                    rows2 = [list(r) for r in shape] if side == "left" else []
-                    rows4 = [list(r) for r in shape] if side == "right" else []
-                    verdict = run_case(rows2, rows4,
+                v = find_odd_char(shape, n, budget)
+                if v is None:
+                    raise InternalInvariantViolation(
+                        "a span wider than half the summands has no "
+                        "odd-weight vector")
+                basis = [list(r) for r in shape]
+                for side, a_vec, b_vec in (("left", list(v), zero),
+                                           ("right", zero, list(v))):
+                    verdict = run_case("odd_" + side, a_vec, b_vec,
                                        {"shape": {"side": side, "dim": m,
-                                                  "basis": [list(r) for r in shape]}})
+                                                  "basis": basis}})
                     all_not_norm = all_not_norm and verdict == NOT_NORM
         for s2 in no_odd:
             for s4 in no_odd:
                 # bilinearity: the constraint on sums of left and right
                 # characters reduces to all basis cross pairs
-                if not all(admissible_pair(a, b, signs, _P)
+                if not all(admissible_pair(a, b, signs)
                            for a in s2 for b in s4):
                     continue
-                verdict = run_case([list(r) for r in s2],
-                                   [list(r) for r in s4],
+                verdict = run_case("paired",
+                                   *_paired_character(s2, s4, n, signs),
                                    {"shape": {"side": "paired",
                                               "basis_left": [list(r) for r in s2],
                                               "basis_right": [list(r) for r in s4]}})

@@ -362,45 +362,25 @@ def direct_sum(*forms):
     return LinkingForm(group, gram, deck)
 
 
-class CharSpace:
-    """A space of Z_p characters with its deck eigenspaces.
-
-    Coordinates are dual to the homology generators whose invariant
-    factor p divides.  basis spans the characters vanishing on a
-    metabolizer; eigen maps each root of x^degree = 1 mod p to a basis of
-    its eigenspace inside that subspace, and split says the eigenspaces
-    span it.
-    """
-
-    def __init__(self, p, basis, eigen):
-        self.p = p
-        self.basis = tuple(tuple(v) for v in basis)
-        self.dim = len(self.basis)
-        self.eigen = {lam: tuple(tuple(v) for v in vecs)
-                      for lam, vecs in eigen.items()}
-        self.split = sum(len(vecs) for vecs in self.eigen.values()) == self.dim
-
-
-def deck_eigenspaces(T, p, e, degree, constraints=()):
+def deck_eigenspaces(T, p, e, constraints=()):
     """Deck eigenspaces of T acting on column vectors over Z_q, q = p^e.
 
-    For each root lam of x^degree = 1 mod q, the Lagrange projector
-    P_lam = prod_{mu != lam} (T - mu) / (lam - mu) mod q is applied to the
-    mod-p kernel basis of [constraints; T - lam].  Returns
-    ({lam: basis}, split), where split means T P_lam = lam P_lam mod q for
-    every root, so that the projectors decompose (Z_q)^k into eigenspaces.
-    P_lam fixes every lam-eigenvector mod p, so for e = 1 each basis is
-    the kernel basis itself, whether or not T splits; for e > 1 and a
-    split T it is the lift of that basis to the image of P_lam.  Roots
-    that agree mod p (possible only when p divides degree and e > 1)
-    raise UnsupportedShape.  A degree of None stands for the order of T
-    mod q.
+    For each root lam of x^o = 1 mod q, o the order of T mod q, the
+    Lagrange projector P_lam = prod_{mu != lam} (T - mu) / (lam - mu) mod q
+    is applied to the mod-p kernel basis of [constraints; T - lam].
+    Returns ({lam: basis}, split), where split means T P_lam = lam P_lam
+    mod q for every root, so that the projectors decompose (Z_q)^k into
+    eigenspaces.  P_lam fixes every lam-eigenvector mod p, so for e = 1
+    each basis is the kernel basis itself, whether or not T splits; for
+    e > 1 and a split T it is the lift of that basis to the image of
+    P_lam.  Roots that agree mod p (possible only when p divides o and
+    e > 1) raise UnsupportedShape.
 
-    Only the kernels depend on the constraints: the roots, the shifted
-    matrices T - lam, the projectors and split are computed once per
-    process for each (T, p, e, degree) by _deck_split.
+    Only the kernels depend on the constraints: the order, the roots, the
+    shifted matrices T - lam, the projectors and split are computed once
+    per process for each (T, p, e) by _deck_split.
     """
-    parts, split = _deck_split(tuple(map(tuple, T)), p, e, degree)
+    parts, split = _deck_split(tuple(map(tuple, T)), p, e)
     q = p ** e
     eigen = {}
     for lam, shifted, proj in parts:
@@ -411,15 +391,14 @@ def deck_eigenspaces(T, p, e, degree, constraints=()):
 
 
 @cache
-def _deck_split(T, p, e, degree):
+def _deck_split(T, p, e):
     """([(lam, T - lam, P_lam) for each root lam], split), the part of
     deck_eigenspaces that does not depend on the constraints; kept for the
     life of the process, and an exception is not stored."""
     q = p ** e
     k = len(T)
-    if degree is None:
-        degree = _matrix_order_mod(T, q)
-    roots = unit_roots_mod(degree, q)
+    order = _matrix_order_mod(T, q)
+    roots = unit_roots_mod(order, q)
 
     def shifted(lam):
         return [[T[i][j] - (lam if i == j else 0) for j in range(k)]
@@ -434,7 +413,7 @@ def _deck_split(T, p, e, degree):
                 if (lam - mu) % p == 0:
                     raise UnsupportedShape(
                         "roots %d and %d of x^%d = 1 agree mod %d, so no "
-                        "projector separates them" % (mu, lam, degree, p))
+                        "projector separates them" % (mu, lam, order, p))
                 c = pow(lam - mu, -1, q)
                 proj = [[x * c % q for x in row]
                         for row in linalg.modm_mat_mul(shifted(mu), proj, q)]

@@ -1,4 +1,4 @@
-"""Metabolizers of finite linking forms and their character spaces.
+"""Metabolizers of finite linking forms and the characters vanishing on them.
 
 A metabolizer is a subgroup equal to its own annihilator under the
 pairing; for a nonsingular form that is the same as a self-annihilating
@@ -85,7 +85,7 @@ from functools import cache
 from math import gcd, isqrt, prod
 
 from . import linalg
-from .cover import CharSpace, deck_eigenspaces
+from .cover import deck_eigenspaces
 from .cyclo import factor
 from .errors import (BudgetExceeded, InternalInvariantViolation,
                      UnsupportedShape)
@@ -247,7 +247,7 @@ def _eigenspace_pair(group, N, den, deck):
         if len(primes) != 1:
             return None
         (p, e), = primes
-        eigen, split = deck_eigenspaces(deck, p, e, None)
+        eigen, split = deck_eigenspaces(deck, p, e)
     except (BudgetExceeded, UnsupportedShape):
         # a prime power q too large to factor, or a deck whose roots
         # agree mod p or whose order passes the cap: the walk decides
@@ -612,15 +612,12 @@ def _suffix_member(rows, diag, vec, start):
 
 
 def vanishing_chars(L, A, p):
-    """Z_p characters vanishing on A, with the deck eigenspace split."""
+    """A basis of the Z_p characters vanishing on A: the mod-p kernel of
+    its basis rows, in coordinates dual to the generators whose invariant
+    factor p divides."""
     idx = [i for i, f in enumerate(L.group) if f % p == 0]
-    constraints = [[row[i] % p for i in idx] for row in A.basis]
-    action = [[L.deck[i][j] % p for i in idx] for j in idx]
-    # a direct sum carries no homology; the order of the action is then
-    # its degree
-    degree = L.homology.degree if L.homology is not None else None
-    eigen, _ = deck_eigenspaces(action, p, 1, degree, constraints)
-    return CharSpace(p, linalg.modp_kernel(constraints, p), eigen)
+    return linalg.modp_kernel([[row[i] % p for i in idx] for row in A.basis],
+                              p)
 
 
 def span_vectors(basis, p, budget=DEFAULT_BUDGET):
@@ -651,61 +648,3 @@ def span_vectors(basis, p, budget=DEFAULT_BUDGET):
         coeffs[j] += 1
         vec = [(a + b) % p for a, b in zip(vec, steps[j])]
         yield tuple(vec)
-
-
-def _weight(vec):
-    return sum(1 for x in vec if x)
-
-
-def find_odd_char(basis, n, p=7, budget=DEFAULT_BUDGET):
-    """A vector with an odd number of nonzero entries in the span, or None.
-
-    None comes with an exhaustive certificate; spans wider than half the
-    ambient dimension always produce a vector constructively.
-    """
-    rows = [[x % p for x in row] for row in basis]
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("basis width does not match the summand count")
-    if rows:
-        red, pivots = linalg.modp_rref(rows, p)
-        red = [r for r in red if any(r)]
-    else:
-        red, pivots = [], []
-    m = len(red)
-    if m == 0:
-        return None
-    for row in red:
-        if _weight(row) % 2:
-            return tuple(row)
-    # all reduced rows even, so every non-pivot block has odd weight and
-    # in particular is nonzero
-    free = [j for j in range(n) if j not in pivots]
-    if not free:
-        raise InternalInvariantViolation("even pivot rows must have free part")
-    B = [[row[j] for j in free] for row in red]
-    dep = linalg.modp_kernel(linalg.transpose(B), p)
-    if dep:
-        s = list(dep[0])
-        combo = [sum(s[i] * red[i][j] for i in range(m)) % p for j in range(n)]
-        if _weight(s) % 2:
-            if _weight(combo) % 2 == 0:
-                raise InternalInvariantViolation("parity argument failed")
-            return tuple(combo)
-        j = next(i for i in range(m) if s[i])
-        f = next(c for c in range(1, p) if c != s[j])
-        vec = [(combo[c] - f * red[j][c]) % p for c in range(n)]
-        if _weight(vec) % 2 == 0:
-            raise InternalInvariantViolation("parity argument failed")
-        return tuple(vec)
-    # square nonsingular reduced block: certify by exhausting the span
-    return next((v for v in span_vectors(red, p, budget) if _weight(v) % 2),
-                None)
-
-
-def admissible_pair(a, b, signs, p=7):
-    """Orthogonality constraint binding the two eigenspace halves of a
-    vanishing character: sum of sign-weighted products is zero mod p."""
-    if not (len(a) == len(b) == len(signs)):
-        raise ValueError("coordinate vectors and signs must align")
-    return sum(e * x * y for e, x, y in zip(signs, a, b)) % p == 0

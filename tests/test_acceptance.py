@@ -27,7 +27,7 @@ from fractions import Fraction as F
 from knotconcord import linalg
 from knotconcord.cassongordon import (DiscExpr, HypothesisRecord,
                                       NORM, NOT_NORM, _lift_values,
-                                      mutant_sum_obstruction,
+                                      admissible_pair, mutant_sum_obstruction,
                                       mutant_family_spec, norm_test,
                                       order2_obstruction,
                                       residual_token, satellite_base_matrix,
@@ -37,7 +37,7 @@ from knotconcord.cover import (LinkingForm, branched_cover, deck_eigenspaces,
 from knotconcord.diagram import MetacyclicGroup, classify_characters, \
     labeling_space, parse_pd
 from knotconcord.errors import EndpointCollision, SingularAtT
-from knotconcord.metabolizers import admissible_pair, enumerate_metabolizers
+from knotconcord.metabolizers import enumerate_metabolizers
 from knotconcord.seifert import (SeifertMatrix, alexander, build,
                                  lt_signature, torus_matrix,
                                  twisted_double_matrix)
@@ -113,7 +113,7 @@ def test_04_character_eigenspaces():
     H = branched_cover(satellite_base_matrix(), 3)
     assert all(f % 7 == 0 for f in H.factors) and H.rank == 2
     action = [[x % 7 for x in col] for col in zip(*H.deck)]
-    eigen, split = deck_eigenspaces(action, 7, 1, H.degree)
+    eigen, split = deck_eigenspaces(action, 7, 1)
     assert split
     assert sorted(lam for lam, vecs in eigen.items() if vecs) == [2, 4]
     assert all(len(eigen[lam]) == 1 for lam in (2, 4))

@@ -18,23 +18,26 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotconcord import cassongordon
+from knotconcord import cassongordon, cover, linalg, metabolizers
 from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       NORM, NOT_NORM, UNKNOWN,
-                                      check_poly_hypotheses,
+                                      admissible_pair, check_poly_hypotheses,
                                       mutant_family_spec,
                                       mutant_sum_obstruction, norm_test,
                                       order2_obstruction,
-                                      residual_token,
+                                      residual_token, satellite_base_matrix,
                                       satellite_delta, satellite_sigma,
                                       twisted_double_obstruction,
                                       _canonical_char_token, _case_expression,
-                                      _lift_values, _squarefree_part)
-from knotconcord.cover import branched_cover
+                                      _dual_eigenpair, _lift_values,
+                                      _squarefree_part, _weight)
+from knotconcord.cover import (branched_cover, deck_eigenspaces, direct_sum,
+                               linking_form)
 from knotconcord.errors import (BudgetExceeded, HypothesisUnverified,
+                                InternalInvariantViolation,
                                 PreconditionError, SingularAtT,
                                 UnsupportedShape)
-from knotconcord.metabolizers import admissible_pair
+from knotconcord.metabolizers import span_vectors, subspace_count, subspaces
 from knotconcord.seifert import SeifertMatrix, alexander, build, torus_matrix
 
 # quadratic companions used throughout: Alexander polynomials 3t^2-7t+3
@@ -572,6 +575,21 @@ def test_order2_rejects_bad_multiplicities():
         order2_obstruction(1, -1)
 
 
+def test_growth_drivers_split_no_deck_eigenspace(monkeypatch):
+    # the twisted-double and order-two drivers read only the basis of the
+    # vanishing characters, so neither asks for a deck eigen-split
+    def refuse(*args, **kwargs):
+        raise RuntimeError("deck_eigenspaces called")
+
+    runs = [(twisted_double_obstruction, (2, 2)),
+            (order2_obstruction, (1, 2))]
+    reports = [run(*args) for run, args in runs]
+    assert all(rep["obstructed"] and rep["cases"] for rep in reports)
+    for module in (cover, metabolizers, cassongordon):
+        monkeypatch.setattr(module, "deck_eigenspaces", refuse)
+    assert [run(*args) for run, args in runs] == reports
+
+
 # ---------------------------------------------------------------------------
 # mutated satellite sum driver
 
@@ -682,9 +700,9 @@ def test_mutant_sum_budget_reaches_find_odd_char(monkeypatch, capsys, mode):
     budgets = []
     find = cassongordon.find_odd_char
 
-    def recorded(basis, n, p=7, budget=None):
+    def recorded(red, n, budget=None):
         budgets.append(budget)
-        return find(basis, n, p, budget)
+        return find(red, n, budget)
 
     monkeypatch.setattr(cassongordon, "find_odd_char", recorded)
     spec = Path(__file__).parent / "fixtures" / "mutant_equal_pair.json"
@@ -857,13 +875,188 @@ def _expression_afresh(a_vec, b_vec, companions):
     return expr
 
 
-@pytest.mark.parametrize("mode", ["enumerate", "abstract"])
-@pytest.mark.parametrize("name", list(MUTANT_SUMS))
-def test_mutant_sum_report_bytes_match_fresh_evaluation(
-        capsys, tmp_path, name, mode):
+# ---------------------------------------------------------------------------
+# the mod-7 decision as it was when every caller handed it raw rows and each
+# side was reduced on every look: the oracle of the driver's decision
+
+def _find_odd_char_oracle(basis, n, p=7, budget=10 ** 6):
+    rows = [[x % p for x in row] for row in basis]
+    if rows:
+        red, pivots = linalg.modp_rref(rows, p)
+        red = [r for r in red if any(r)]
+    else:
+        red, pivots = [], []
+    m = len(red)
+    if m == 0:
+        return None
+    for row in red:
+        if _weight(row) % 2:
+            return tuple(row)
+    free = [j for j in range(n) if j not in pivots]
+    B = [[row[j] for j in free] for row in red]
+    dep = linalg.modp_kernel(linalg.transpose(B), p)
+    if dep:
+        s = list(dep[0])
+        combo = [sum(s[i] * red[i][j] for i in range(m)) % p for j in range(n)]
+        if _weight(s) % 2:
+            return tuple(combo)
+        j = next(i for i in range(m) if s[i])
+        f = next(c for c in range(1, p) if c != s[j])
+        return tuple((combo[c] - f * red[j][c]) % p for c in range(n))
+    return next((v for v in span_vectors(red, p, budget) if _weight(v) % 2),
+                None)
+
+
+def _paired_character_oracle(rows2, rows4, n, signs):
+    red2, piv2 = linalg.modp_rref([list(r) for r in rows2], 7)
+    red2 = [r for r in red2 if any(r)]
+    red4, piv4 = linalg.modp_rref([list(r) for r in rows4], 7)
+    red4 = [r for r in red4 if any(r)]
+    if 2 * len(red2) != n or 2 * len(red4) != n:
+        raise InternalInvariantViolation(
+            "no-odd character spaces must have exactly half dimension")
+    alpha2 = red2[0]
+    p0 = piv2[0]
+    support2 = [k for k in range(n) if k != p0 and alpha2[k]]
+    if len(support2) != 1:
+        raise InternalInvariantViolation(
+            "echelon row without odd vectors must couple one pair of summands")
+    q0 = support2[0]
+    if p0 not in piv4:
+        raise InternalInvariantViolation(
+            "right eigenspace does not pair with the left pivot")
+    alpha4 = red4[piv4.index(p0)]
+    support4 = [k for k in range(n) if k != p0 and alpha4[k]]
+    if support4 != [q0]:
+        raise InternalInvariantViolation(
+            "eigen-split bases do not couple the same summand pair")
+    return ([x % 7 for x in alpha2], [(signs[0] * x) % 7 for x in alpha4])
+
+
+def _charspace_case_oracle(rows2, rows4, n, signs):
+    v = _find_odd_char_oracle(rows2, n)
+    if v is not None:
+        return "odd_left", [x % 7 for x in v], [0] * n
+    v = _find_odd_char_oracle(rows4, n)
+    if v is not None:
+        return "odd_right", [0] * n, [x % 7 for x in v]
+    a, b = _paired_character_oracle(rows2, rows4, n, signs)
+    return "paired", a, b
+
+
+def _decision_outcome(decide, rows2, rows4, n, signs):
+    try:
+        return decide(rows2, rows4, n, signs)
+    except InternalInvariantViolation as exc:
+        return str(exc)
+
+
+def _decide(rows2, rows4, n, signs):
+    return cassongordon._charspace_case(rows2, rows4, n, signs, 10 ** 6)
+
+
+@st.composite
+def eigen_split_spaces(draw):
+    """(rows2, rows4, n, signs): raw spanning rows mod 7 of the two sides
+    of a character space on n summands, dependent rows and all."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    rows2 = draw(st.lists(vec, max_size=n + 1))
+    rows4 = draw(st.lists(vec, max_size=n + 1))
+    signs = [1] + draw(st.lists(st.sampled_from([1, -1]), min_size=n - 1,
+                                max_size=n - 1))
+    return rows2, rows4, n, signs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(eigen_split_spaces())
+def test_charspace_decision_matches_oracle(space):
+    # branch, a and b, or the same refusal, on raw rows
+    assert (_decision_outcome(_decide, *space)
+            == _decision_outcome(_charspace_case_oracle, *space))
+
+
+def test_charspace_decision_matches_oracle_on_every_half_shape():
+    # every half shape of (Z/7)^4 on either side, and every pair of the
+    # half shapes with no odd-weight vector, each given by an unreduced
+    # basis: the rows r_0 + r_1 and 3 r_1
+    n, signs = 4, [1, 1, -1, -1]
+    shapes = [[[(x + y) % 7 for x, y in zip(*shape)],
+               [3 * y % 7 for y in shape[1]]]
+              for shape in subspaces(n, 2, 7)]
+    assert len(shapes) == subspace_count(n, 2, 7) == 2850
+    for rows in shapes:
+        for rows2, rows4 in ((rows, []), ([], rows)):
+            assert (_decision_outcome(_decide, rows2, rows4, n, signs)
+                    == _decision_outcome(_charspace_case_oracle,
+                                         rows2, rows4, n, signs))
+    no_odd = [rows for rows in shapes
+              if _find_odd_char_oracle(rows, n) is None]
+    # a coupling of the summands into two pairs, with a unit on each
+    assert len(no_odd) == 3 * 6 * 6
+    branches = Counter()
+    for rows2 in no_odd:
+        for rows4 in no_odd:
+            outcome = _decision_outcome(_decide, rows2, rows4, n, signs)
+            assert outcome == _decision_outcome(_charspace_case_oracle,
+                                                rows2, rows4, n, signs)
+            branches[outcome[0] if isinstance(outcome, tuple) else "refused"] += 1
+    assert branches["paired"] and branches["refused"]
+
+
+class _OracleRoute:
+    """The character of each case of a mutant-sum report as the oracle
+    decides it: from the shape bases in abstract mode, and in enumerate
+    mode from the deck eigenspaces inside the characters vanishing on the
+    case's metabolizer, read in the summands' eigencoordinates."""
+
+    def __init__(self, companions, signs, mode):
+        self.n, self.signs = len(companions), signs
+        if mode == "enumerate":
+            base = satellite_base_matrix()
+            forms = [linking_form(base if s == 1 else base.mirror(), 3)
+                     for s in signs]
+            n = self.n
+            self.to_eigen = [
+                [0] * (2 * s) + row + [0] * (2 * (n - s - 1))
+                for s, f in enumerate(forms)
+                for row in _dual_eigenpair(f, signs[s])]
+            deck = direct_sum(*forms).deck
+            self.action = [[x % 7 for x in col] for col in zip(*deck)]
+
+    def sides(self, case):
+        shape = case.get("shape")
+        if shape is None:
+            constraints = [[x % 7 for x in g]
+                           for g in case["metabolizer"]["generators"]]
+            eigen, _ = deck_eigenspaces(self.action, 7, 1, constraints)
+            kernel = linalg.modp_kernel(constraints, 7)
+            assert sum(map(len, eigen.values())) == len(kernel)
+            sides = []
+            for lam, side in ((2, 0), (4, 1)):
+                coords = [[x % 7 for x in linalg.mat_vec(self.to_eigen, v)]
+                          for v in eigen[lam]]
+                sides.append([c[side::2] for c in coords])
+            assert case["charspace"] == {"dim": len(kernel),
+                                         "dim_left": len(sides[0]),
+                                         "dim_right": len(sides[1])}
+            return sides
+        if shape["side"] == "paired":
+            return shape["basis_left"], shape["basis_right"]
+        return ((shape["basis"], []) if shape["side"] == "left"
+                else ([], shape["basis"]))
+
+    def character(self, case):
+        rows2, rows4 = self.sides(case)
+        return _charspace_case_oracle(rows2, rows4, self.n, self.signs)
+
+
+def _report_bytes_match_oracle(capsys, tmp_path, companions, signs, mode):
+    """The --json report of the mutant sum, with every case's branch and
+    character taken from the oracle route and its expression and verdict
+    evaluated afresh, renders to the same bytes."""
     from knotconcord.cli import main
 
-    companions, signs = MUTANT_SUMS[name]
     spec = tmp_path / "sum.json"
     spec.write_text(json.dumps({"companions": companions, "signs": signs}))
     assert main(["obstruct-mutant-sum", "--knot", str(spec), "--mode", mode,
@@ -871,10 +1064,12 @@ def test_mutant_sum_report_bytes_match_fresh_evaluation(
     out = capsys.readouterr().out
     report = json.loads(out)
     result = report["result"]
+    oracle = _OracleRoute(companions, signs, mode)
     verdicts = []
     for case in result["cases"]:
-        expr = _expression_afresh(case["character"]["a"],
-                                  case["character"]["b"], companions)
+        branch, a_vec, b_vec = oracle.character(case)
+        case["branch"], case["character"] = branch, {"a": a_vec, "b": b_vec}
+        expr = _expression_afresh(a_vec, b_vec, companions)
         fresh = json.loads(json.dumps(expr.to_json()))
         assert (case["expression"], case["verdict"]) == (fresh,
                                                           norm_test(expr))
@@ -884,6 +1079,21 @@ def test_mutant_sum_report_bytes_match_fresh_evaluation(
     result["obstructed"] = result["all_not_norm"] and bool(verdicts)
     assert out == json.dumps(report, sort_keys=True, separators=(",", ":"),
                              check_circular=False) + "\n"
+    return result
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "abstract"])
+@pytest.mark.parametrize("name", list(MUTANT_SUMS))
+def test_mutant_sum_report_bytes_match_fresh_evaluation(
+        capsys, tmp_path, name, mode):
+    companions, signs = MUTANT_SUMS[name]
+    _report_bytes_match_oracle(capsys, tmp_path, companions, signs, mode)
+
+
+def test_four_companion_report_bytes_match_oracle_route(capsys, tmp_path):
+    result = _report_bytes_match_oracle(capsys, tmp_path, [COMP_A] * 4,
+                                        [1] * 4, "abstract")
+    assert len(result["cases"]) == 910 and result["obstructed"]
 
 
 def test_mutant_family_shares_abelian_invariants():

@@ -305,7 +305,7 @@ def test_genus2_model_char_space():
     H = branched_cover(GENUS2_MODEL, 3)
     action = _char_action(H, 7)
     assert len(action) == 2
-    eigen, split = deck_eigenspaces(action, 7, 1, H.degree)
+    eigen, split = deck_eigenspaces(action, 7, 1)
     assert sorted(lam for lam, vecs in eigen.items() if vecs) == [2, 4]
     assert len(eigen[2]) == 1
     assert len(eigen[4]) == 1
@@ -315,13 +315,14 @@ def test_genus2_model_char_space():
 
 def test_char_space_needs_coprime_modulus():
     # the 3-fold cover has no mod-3 characters, and a modulus dividing the
-    # degree leaves no eigen-split: the cube roots of unity 1, 4 and 7
-    # mod 9 all agree mod 3
+    # order of the deck leaves no eigen-split: 4 has order 3 mod 9, and the
+    # cube roots of unity 1, 4 and 7 mod 9 all agree mod 3
     H = branched_cover(GENUS2_MODEL, 3)
     assert _char_action(H, 3) == []
+    assert _matrix_order_mod([[4]], 9) == 3
     assert unit_roots_mod(3, 9) == [1, 4, 7]
     with pytest.raises(UnsupportedShape):
-        deck_eigenspaces(linalg.identity(2), 3, 2, H.degree)
+        deck_eigenspaces([[4]], 3, 2)
 
 
 def test_genus2_model_linking_form():
@@ -340,8 +341,7 @@ def _dual_pairing(L, p, e):
     the Gram matrix of the pairing through the inverse of N mod p^e."""
     q = p ** e
     assert set(L.group) == {q} and L.den == q
-    degree = L.homology.degree if L.homology is not None else None
-    eigen, split = deck_eigenspaces(linalg.transpose(L.deck), p, e, degree)
+    eigen, split = deck_eigenspaces(linalg.transpose(L.deck), p, e)
     assert split
     labels = [lam for lam, vecs in eigen.items() for _ in vecs]
     basis = [v for vecs in eigen.values() for v in vecs]
@@ -385,8 +385,8 @@ def test_dual_eigenpair_frames():
 
 
 def test_dual_eigenpair_on_a_form_without_homology():
-    # the same Gram matrix and deck built by hand: the degree is then the
-    # order of the deck mod 7
+    # the same Gram matrix and deck built by hand, with no homology
+    # attached, give the same frame
     L = linking_form(GENUS2_MODEL, 3)
     bare = LinkingForm(L.group, L.gram, L.deck)
     assert bare.homology is None
@@ -530,7 +530,8 @@ def test_abstract_form_rejects_bad_gram():
 
 @st.composite
 def split_actions(draw):
-    """(T, p, e, degree, eigenvalue list) with T = U diag(lam) U^-1 mod p^e,
+    """(T, p, e, eigenvalue list) with T = U diag(lam) U^-1 mod p^e, the
+    eigenvalues roots of x^d = 1 for a divisor d of p - 1,
     U unit lower triangular times upper triangular with unit diagonal."""
     p, e = draw(st.sampled_from([(7, 1), (7, 2), (5, 1), (5, 2)]))
     q = p ** e
@@ -548,16 +549,16 @@ def split_actions(draw):
     D = [[lams[i] if i == j else 0 for j in range(k)] for i in range(k)]
     T = linalg.modm_mat_mul(linalg.modm_mat_mul(U, D, q),
                             linalg.modm_inverse(U, q), q)
-    return T, p, e, degree, lams
+    return T, p, e, lams
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(split_actions())
 def test_deck_eigenspaces_split_actions(case):
-    T, p, e, degree, lams = case
+    T, p, e, lams = case
     q = p ** e
     k = len(T)
-    eigen, split = deck_eigenspaces(T, p, e, degree)
+    eigen, split = deck_eigenspaces(T, p, e)
     assert split
     columns = []
     for lam, basis in eigen.items():
@@ -575,14 +576,12 @@ def test_deck_eigenspaces_split_actions(case):
     assert linalg.det_bareiss([list(r) for r in zip(*columns)]) % p
 
 
-def _deck_eigenspaces_oracle(T, p, e, degree, constraints=()):
+def _deck_eigenspaces_oracle(T, p, e, constraints=()):
     """deck_eigenspaces as it was before its constraint-free part was
-    kept: roots, projectors and split recomputed on every call."""
+    kept: order, roots, projectors and split recomputed on every call."""
     q = p ** e
     k = len(T)
-    if degree is None:
-        degree = _matrix_order_mod(T, q)
-    roots = unit_roots_mod(degree, q)
+    roots = unit_roots_mod(_matrix_order_mod(T, q), q)
 
     def shifted(lam):
         return [[T[i][j] - (lam if i == j else 0) for j in range(k)]
@@ -610,24 +609,22 @@ def _deck_eigenspaces_oracle(T, p, e, degree, constraints=()):
 @given(split_actions(), st.data())
 def test_cached_deck_split_matches_uncached(case, data):
     # the first call may store the split, the later ones read it; each
-    # agrees with a full recomputation, for an explicit degree and for
-    # the degree None that stands for the order of T
-    T, p, e, degree, _ = case
+    # agrees with a full recomputation
+    T, p, e, _ = case
     k = len(T)
     rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
                                        max_size=k), max_size=k))
-    for deg in (degree, None):
-        for constraints in ((), rows, rows[:1]):
-            assert (deck_eigenspaces(T, p, e, deg, constraints)
-                    == _deck_eigenspaces_oracle(T, p, e, deg, constraints))
+    for constraints in ((), rows, rows[:1]):
+        assert (deck_eigenspaces(T, p, e, constraints)
+                == _deck_eigenspaces_oracle(T, p, e, constraints))
     # the mod-p action of a direct sum, where T need not split and its
     # order may exceed the cap: the same answer or the same refusal
     action = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
                                          max_size=k), min_size=k, max_size=k))
     if linalg.modp_rref(action, p)[1] == list(range(k)):
         for constraints in ((), rows, ()):
-            assert (_outcome(deck_eigenspaces, action, p, 1, None, constraints)
-                    == _outcome(_deck_eigenspaces_oracle, action, p, 1, None,
+            assert (_outcome(deck_eigenspaces, action, p, 1, constraints)
+                    == _outcome(_deck_eigenspaces_oracle, action, p, 1,
                                 constraints))
 
 
@@ -643,7 +640,7 @@ def test_dual_linking_refuses_non_split_deck():
     # vector mod 2, so x^3 = 1 has no root mod 2 that carries it
     H = branched_cover(torus_matrix(2, 3), 3)
     assert H.factors == (2, 2)
-    eigen, split = deck_eigenspaces(_char_action(H, 2), 2, 1, H.degree)
+    eigen, split = deck_eigenspaces(_char_action(H, 2), 2, 1)
     assert not split
     assert eigen[1] == []
     # the same deck on (Z_49)^2 has no eigenvalue mod 7 either, and the
@@ -658,12 +655,13 @@ def test_deck_eigenspaces_refuses_roots_equal_mod_p():
     # roots 1 and 7 of x^6 = 1 mod 8 agree mod 2
     L = linking_form(SeifertMatrix([[-1, 1], [0, 1]]), 6)
     assert L.group == (8, 40)
-    # the deck on the 2-part, generated by g_1 and 5 g_2
+    # the deck on the 2-part, generated by g_1 and 5 g_2, has order 6
     cof = [f // 8 for f in L.group]
     T = [[L.deck[a][b] * cof[b] * pow(cof[a], -1, 8) % 8 for b in range(2)]
          for a in range(2)]
+    assert _matrix_order_mod(linalg.transpose(T), 8) == 6
     with pytest.raises(UnsupportedShape):
-        deck_eigenspaces(linalg.transpose(T), 2, 3, L.homology.degree)
+        deck_eigenspaces(linalg.transpose(T), 2, 3)
 
 
 def test_homology_json_round_trip():

@@ -17,16 +17,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotconcord.cassongordon import satellite_base_matrix
-from knotconcord.cover import LinkingForm, direct_sum, linking_form
+from knotconcord.cassongordon import (_weight, admissible_pair,
+                                      find_odd_char, satellite_base_matrix)
+from knotconcord.cover import (LinkingForm, deck_eigenspaces, direct_sum,
+                               linking_form)
 from knotconcord import linalg, metabolizers
 from knotconcord.errors import BudgetExceeded, InternalInvariantViolation
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
                                       _canonical_basis, _diag_choices,
                                       _echelon, _eigenspace_pair, _is_scalar,
                                       _suffix_member, _tail_walk, _walk,
-                                      _weight, admissible_pair,
-                                      enumerate_metabolizers, find_odd_char,
+                                      enumerate_metabolizers,
                                       span_vectors, subspace_count,
                                       subspaces, vanishing_chars)
 from knotconcord.seifert import SeifertMatrix, build
@@ -430,30 +431,37 @@ def test_every_enumerated_metabolizer_passes_brute_force():
 def test_vanishing_chars_z25():
     L = LinkingForm((25,), ((F(1, 25),),))
     A = enumerate_metabolizers(L)[0]
-    S = vanishing_chars(L, A, 5)
-    assert S.dim == 1
-    assert S.basis == ((1,),)
+    assert vanishing_chars(L, A, 5) == [(1,)]
 
 
 def test_vanishing_chars_full_space_for_trivial_subgroup():
     L = LinkingForm((7, 7), ((F(1, 7), F(0)), (F(0), F(1, 7))))
     A = Metabolizer((7, 7), _canonical_basis([], (7, 7)))
-    S = vanishing_chars(L, A, 7)
-    assert S.dim == 2
+    assert len(vanishing_chars(L, A, 7)) == 2
+
+
+def _char_eigenspaces(L, A, p):
+    """The deck eigenspaces inside the Z_p characters vanishing on A, on a
+    form whose invariant factors p all divide, as the mutant-sum driver
+    splits them: the transposed deck mod p, constrained by A's rows."""
+    action = [[x % p for x in col] for col in zip(*L.deck)]
+    constraints = [[x % p for x in row] for row in A.basis]
+    return deck_eigenspaces(action, p, 1, constraints)
 
 
 def test_vanishing_chars_model_eigen_structure():
     L = linking_form(GENUS2_MODEL, 3)
     for A in enumerate_metabolizers(L, invariant_only=True):
-        S = vanishing_chars(L, A, 7)
-        assert S.split
-        dims = {lam: len(b) for lam, b in S.eigen.items()}
+        dim = len(vanishing_chars(L, A, 7))
+        eigen, _ = _char_eigenspaces(L, A, 7)
+        dims = {lam: len(b) for lam, b in eigen.items()}
+        assert sum(dims.values()) == dim
         if A.basis == ((7, 0), (0, 7)):
             # 7-torsion: every mod 7 character vanishes
-            assert S.dim == 2 and dims[2] == 1 and dims[4] == 1
+            assert dim == 2 and dims[2] == 1 and dims[4] == 1
         else:
             # eigenline: one eigencharacter survives
-            assert S.dim == 1
+            assert dim == 1
             assert sorted(dims.values()) == [0, 0, 1]
 
 
@@ -461,9 +469,10 @@ def test_vanishing_dimension_at_least_summand_count():
     Lm = linking_form(GENUS2_MODEL, 3)
     L = direct_sum(Lm, Lm)
     for A in enumerate_metabolizers(L, invariant_only=True):
-        S = vanishing_chars(L, A, 7)
-        assert S.dim >= 2
-        assert S.split
+        dim = len(vanishing_chars(L, A, 7))
+        assert dim >= 2
+        eigen, _ = _char_eigenspaces(L, A, 7)
+        assert sum(map(len, eigen.values())) == dim
 
 
 def _torus_sum(signs, q):
@@ -1374,7 +1383,7 @@ def test_find_odd_char_wide_spans_constructive():
         red, piv = linalg.modp_rref(basis, 7)
         if len(piv) <= n // 2:
             continue
-        v = find_odd_char(basis, n)
+        v = find_odd_char([r for r in red if any(r)], n)
         assert v is not None
         assert sum(1 for x in v if x) % 2 == 1
         assert _in_span_mod_p(basis, v, 7)

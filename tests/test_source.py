@@ -229,3 +229,29 @@ def test_test_only_guard_catches_planted_definitions():
     assert _unlisted({"m.py": src}, {"m.run": "paper", "m.probe": "oracle",
                                      "m.helper": "oracle", "m.gone": "paper"}
                      ) == ["stale m.gone", "stale m.helper"]
+
+
+def _homology_reads(source, name="<source>"):
+    """The `.homology` attribute reads in a module's source, as name:line
+    strings."""
+    return ["%s:%d" % (name, node.lineno)
+            for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.Attribute) and node.attr == "homology"]
+
+
+def test_only_cover_reads_the_homology_of_a_form():
+    # a linking form carries its cover's homology for cover.py alone: the
+    # deck's own order stands in for the cover degree everywhere else
+    found = []
+    for path in sorted(Path(knotconcord.__file__).parent.glob("*.py")):
+        if path.name != "cover.py":
+            found += _homology_reads(path.read_text(), path.name)
+    assert found == []
+    assert _homology_reads(
+        (Path(knotconcord.__file__).parent / "cover.py").read_text())
+
+
+def test_homology_guard_catches_planted_reads():
+    src = ("d = L.homology.degree\nh = getattr(L, 'x')\n"
+           "def f(form):\n    return form.homology is None\n")
+    assert _homology_reads(src) == ["<source>:1", "<source>:4"]
