@@ -509,6 +509,9 @@ def _dual_eigenpair(form, sign=1):
     if form.group != (_P * _P, _P * _P) or form.den != _P * _P:
         raise InternalInvariantViolation("block must be homogeneous of height two")
     action = [[x % _P for x in col] for col in zip(*form.deck)]
+    # a singular action has no finite order for deck_eigenspaces to find
+    if linalg.det_bareiss(action) % _P == 0:
+        raise InternalInvariantViolation("block deck is singular mod 7")
     eigen, split = deck_eigenspaces(action, _P, 1)
     if not split or [len(eigen.get(lam, ())) for lam in (1, 2, 4)] != [0, 1, 1]:
         raise InternalInvariantViolation(
@@ -665,17 +668,15 @@ def _paired_character(red2, red4, n, signs):
     return list(alpha2), [(signs[0] * x) % _P for x in alpha4]
 
 
-def _charspace_case(rows2, rows4, n, signs, budget):
-    """Decision tree on an eigen-split character space, rows2 spanning its
-    left and rows4 its right eigenspace: take an odd-weight vector in either
-    eigenspace if one exists, else the paired even-case character.  Each
-    side is reduced mod 7 once, the right one only when the left has no
-    odd vector.  Returns (branch, a_vec, b_vec)."""
-    red2 = _reduced(rows2)
+def _charspace_case(red2, red4, n, signs, budget):
+    """Decision tree on an eigen-split character space, red2 and red4 the
+    nonzero rows of the reduced echelon bases of its left and right
+    eigenspaces: take an odd-weight vector in either eigenspace if one
+    exists, else the paired even-case character.  Returns
+    (branch, a_vec, b_vec)."""
     v = find_odd_char(red2, n, budget)
     if v is not None:
         return "odd_left", list(v), [0] * n
-    red4 = _reduced(rows4)
     v = find_odd_char(red4, n, budget)
     if v is not None:
         return "odd_right", [0] * n, list(v)
@@ -939,31 +940,24 @@ def mutant_sum_obstruction(companions, signs=None, budget=DEFAULT_BUDGET,
             for row in _dual_eigenpair(f, signs[s]):
                 to_eigen.append([0] * (2 * s) + row + [0] * (2 * (n - s - 1)))
         form = direct_sum(*forms) if n > 1 else forms[0]
-        # the deck on the mod-7 characters: every invariant factor is 49,
-        # so it is the transposed deck mod 7 on all coordinates
-        action = [[x % _P for x in col] for col in zip(*form.deck)]
         mets = enumerate_metabolizers(form, invariant_only=True, budget=budget)
         for A in mets:
-            eigen, _ = deck_eigenspaces(
-                action, _P, 1, [[x % _P for x in row] for row in A.basis])
-            dim = len(vanishing_chars(form, A, _P))
-            if sum(map(len, eigen.values())) != dim:
+            # every invariant factor is 49, so the mod-7 characters
+            # vanishing on A are read in all coordinates.  In
+            # eigencoordinates they lie in the sum of their a- and b-halves;
+            # equal dimensions make them that sum, the deck eigen-split
+            basis = vanishing_chars(form, A, _P)
+            coords = [linalg.mat_vec(to_eigen, v) for v in basis]
+            red2 = _reduced([c[0::2] for c in coords])
+            red4 = _reduced([c[1::2] for c in coords])
+            if len(red2) + len(red4) != len(basis):
                 raise InternalInvariantViolation(
                     "vanishing characters do not split under the deck action")
-            rows = {2: [], 4: []}
-            for lam, side in ((2, 0), (4, 1)):
-                for vec in eigen.get(lam, ()):
-                    coords = [x % _P for x in linalg.mat_vec(to_eigen, vec)]
-                    if any(coords[1 - side::2]):
-                        raise InternalInvariantViolation(
-                            "eigenvector mixes the two eigencoordinates")
-                    rows[lam].append(coords[side::2])
-            verdict = run_case(*_charspace_case(rows[2], rows[4], n, signs,
-                                                budget),
+            verdict = run_case(*_charspace_case(red2, red4, n, signs, budget),
                                {"metabolizer": A.to_json(),
-                                "charspace": {"dim": dim,
-                                              "dim_left": len(rows[2]),
-                                              "dim_right": len(rows[4])}})
+                                "charspace": {"dim": len(basis),
+                                              "dim_left": len(red2),
+                                              "dim_right": len(red4)}})
             all_not_norm = all_not_norm and verdict == NOT_NORM
         scope = {"mode": "enumerate", "metabolizer_count": len(mets)}
     else:

@@ -72,22 +72,39 @@ def _choice(*names):
     return read
 
 
+def _unique_keys(pairs):
+    """The JSON object of pairs; a repeated key, of which json would keep
+    the last value, is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
+    text = _load_text(path)
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise PreconditionError(f"cannot read {path}: {e}")
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise PreconditionError(f"{path} is not valid JSON: {e}")
+    except ValueError as e:  # a repeated key, or too many digits for int()
+        raise PreconditionError(f"cannot read {path}: {e}")
+    except RecursionError:
+        raise PreconditionError(f"cannot read {path}: nested too deeply")
 
 
 def _load_text(path):
+    """The text of the file at path, decoded as strict UTF-8 whatever the
+    locale."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise PreconditionError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise PreconditionError(f"{path} is not UTF-8 text: {e}")
 
 
 def _budget(args):

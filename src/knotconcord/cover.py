@@ -362,39 +362,31 @@ def direct_sum(*forms):
     return LinkingForm(group, gram, deck)
 
 
-def deck_eigenspaces(T, p, e, constraints=()):
+def deck_eigenspaces(T, p, e):
     """Deck eigenspaces of T acting on column vectors over Z_q, q = p^e.
 
     For each root lam of x^o = 1 mod q, o the order of T mod q, the
     Lagrange projector P_lam = prod_{mu != lam} (T - mu) / (lam - mu) mod q
-    is applied to the mod-p kernel basis of [constraints; T - lam].
-    Returns ({lam: basis}, split), where split means T P_lam = lam P_lam
-    mod q for every root, so that the projectors decompose (Z_q)^k into
-    eigenspaces.  P_lam fixes every lam-eigenvector mod p, so for e = 1
-    each basis is the kernel basis itself, whether or not T splits; for
-    e > 1 and a split T it is the lift of that basis to the image of
-    P_lam.  Roots that agree mod p (possible only when p divides o and
-    e > 1) raise UnsupportedShape.
+    is applied to the mod-p kernel basis of T - lam.  Returns
+    ({lam: basis}, split), where split means T P_lam = lam P_lam mod q for
+    every root, so that the projectors decompose (Z_q)^k into eigenspaces.
+    P_lam fixes every lam-eigenvector mod p, so for e = 1 each basis is the
+    kernel basis itself, whether or not T splits; for e > 1 and a split T
+    it is the lift of that basis to the image of P_lam.  Roots that agree
+    mod p (possible only when p divides o and e > 1) raise
+    UnsupportedShape.
 
-    Only the kernels depend on the constraints: the order, the roots, the
-    shifted matrices T - lam, the projectors and split are computed once
-    per process for each (T, p, e) by _deck_split.
+    Computed once per process for each (T, p, e) by _eigenspaces; every
+    call gets a new dict of new lists of the stored vector tuples.
     """
-    parts, split = _deck_split(tuple(map(tuple, T)), p, e)
-    q = p ** e
-    eigen = {}
-    for lam, shifted, proj in parts:
-        kernel = linalg.modp_kernel(list(constraints) + list(shifted), p)
-        eigen[lam] = [tuple(x % q for x in linalg.mat_vec(proj, v))
-                      for v in kernel]
-    return eigen, split
+    eigen, split = _eigenspaces(tuple(map(tuple, T)), p, e)
+    return {lam: list(basis) for lam, basis in eigen}, split
 
 
 @cache
-def _deck_split(T, p, e):
-    """([(lam, T - lam, P_lam) for each root lam], split), the part of
-    deck_eigenspaces that does not depend on the constraints; kept for the
-    life of the process, and an exception is not stored."""
+def _eigenspaces(T, p, e):
+    """((lam, basis) for each root lam, split) of deck_eigenspaces, kept
+    for the life of the process; an exception is not stored."""
     q = p ** e
     k = len(T)
     order = _matrix_order_mod(T, q)
@@ -404,7 +396,7 @@ def _deck_split(T, p, e):
         return [[T[i][j] - (lam if i == j else 0) for j in range(k)]
                 for i in range(k)]
 
-    parts = []
+    eigen = []
     split = True
     for lam in roots:
         proj = linalg.identity(k)
@@ -420,9 +412,10 @@ def _deck_split(T, p, e):
         if linalg.modm_mat_mul(T, proj, q) != [[lam * x % q for x in row]
                                                for row in proj]:
             split = False
-        parts.append((lam, tuple(map(tuple, shifted(lam))),
-                      tuple(map(tuple, proj))))
-    return parts, split
+        kernel = linalg.modp_kernel(shifted(lam), p)
+        eigen.append((lam, tuple(tuple(x % q for x in linalg.mat_vec(proj, v))
+                                 for v in kernel)))
+    return tuple(eigen), split
 
 
 def _matrix_order_mod(T, m, cap=512):

@@ -31,8 +31,8 @@ from knotconcord.cassongordon import (DiscExpr, HypothesisRecord, SigGrowth,
                                       _canonical_char_token, _case_expression,
                                       _dual_eigenpair, _lift_values,
                                       _squarefree_part, _weight)
-from knotconcord.cover import (branched_cover, deck_eigenspaces, direct_sum,
-                               linking_form)
+from knotconcord.cover import (_matrix_order_mod, branched_cover, direct_sum,
+                               linking_form, unit_roots_mod)
 from knotconcord.errors import (BudgetExceeded, HypothesisUnverified,
                                 InternalInvariantViolation,
                                 PreconditionError, SingularAtT,
@@ -590,6 +590,38 @@ def test_growth_drivers_split_no_deck_eigenspace(monkeypatch):
     assert [run(*args) for run, args in runs] == reports
 
 
+@pytest.mark.parametrize("companions, count", [([COMP_A], 3),
+                                               ([COMP_A, COMP_A], 75)])
+def test_mutant_enumerate_splits_no_deck_per_metabolizer(
+        monkeypatch, companions, count):
+    # enumerate mode reads each metabolizer's character split off its
+    # vanishing characters: one deck split per summand frame, and at most
+    # one for the search's eigenspace route (none once the search is kept)
+    calls = []
+    split = cover.deck_eigenspaces
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    for module in (cover, metabolizers, cassongordon):
+        monkeypatch.setattr(module, "deck_eigenspaces", counted)
+    rep = mutant_sum_obstruction(companions, mode="enumerate")
+    assert rep["metabolizer_count"] == len(rep["cases"]) == count
+    assert len(companions) <= len(calls) <= len(companions) + 1
+
+
+def test_mutant_enumerate_refuses_characters_that_do_not_split(monkeypatch):
+    # a frame that is not the deck's eigenframe, here the identity, mixes
+    # the two halves of some metabolizer's characters; the rank check
+    # refuses that before any character is chosen
+    monkeypatch.setattr(cassongordon, "_dual_eigenpair",
+                        lambda form, sign=1: [[1, 0], [0, 1]])
+    with pytest.raises(InternalInvariantViolation,
+                       match="vanishing characters do not split"):
+        mutant_sum_obstruction([COMP_A], mode="enumerate")
+
+
 # ---------------------------------------------------------------------------
 # mutated satellite sum driver
 
@@ -822,9 +854,11 @@ def test_case_expression_matches_counter_oracle(summands):
 
 
 MUTANT_SUMS = {
+    "mutant_single": ([COMP_A], [1]),
     "mutant_equal_pair": ([COMP_A, COMP_A], [1, 1]),
     "mutant_mixed_pair": ([COMP_A, COMP_B], [1, -1]),
     "mutant_triple": ([COMP_A, COMP_A, COMP_B], [1, 1, 1]),
+    "mutant_triple_mixed": ([COMP_A, COMP_B, COMP_B], [1, -1, -1]),
 }
 
 
@@ -951,8 +985,15 @@ def _decision_outcome(decide, rows2, rows4, n, signs):
         return str(exc)
 
 
+def _rref7(rows):
+    red, _ = linalg.modp_rref([list(r) for r in rows], 7)
+    return [r for r in red if any(r)]
+
+
 def _decide(rows2, rows4, n, signs):
-    return cassongordon._charspace_case(rows2, rows4, n, signs, 10 ** 6)
+    # the decision reads reduced sides, as the driver hands them over
+    return cassongordon._charspace_case(_rref7(rows2), _rref7(rows4), n,
+                                        signs, 10 ** 6)
 
 
 @st.composite
@@ -1023,19 +1064,29 @@ class _OracleRoute:
                 for row in _dual_eigenpair(f, signs[s])]
             deck = direct_sum(*forms).deck
             self.action = [[x % 7 for x in col] for col in zip(*deck)]
+            self.roots = unit_roots_mod(_matrix_order_mod(self.action, 7), 7)
+
+    def eigenspace(self, constraints, lam):
+        """The mod-7 kernel of the constraints stacked on action - lam."""
+        k = len(self.action)
+        shifted = [[self.action[i][j] - (lam if i == j else 0)
+                    for j in range(k)] for i in range(k)]
+        return linalg.modp_kernel(constraints + shifted, 7)
 
     def sides(self, case):
         shape = case.get("shape")
         if shape is None:
             constraints = [[x % 7 for x in g]
                            for g in case["metabolizer"]["generators"]]
-            eigen, _ = deck_eigenspaces(self.action, 7, 1, constraints)
+            eigen = {lam: self.eigenspace(constraints, lam)
+                     for lam in self.roots}
             kernel = linalg.modp_kernel(constraints, 7)
             assert sum(map(len, eigen.values())) == len(kernel)
             sides = []
             for lam, side in ((2, 0), (4, 1)):
                 coords = [[x % 7 for x in linalg.mat_vec(self.to_eigen, v)]
                           for v in eigen[lam]]
+                assert not any(x for c in coords for x in c[1 - side::2])
                 sides.append([c[side::2] for c in coords])
             assert case["charspace"] == {"dim": len(kernel),
                                          "dim_left": len(sides[0]),

@@ -511,6 +511,39 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, command, text):
     assert captured.err.count("\n") == 1
 
 
+MALFORMED_FILES = {
+    "not-utf8": (b"\xff\xfe{}", "is not UTF-8 text"),
+    "deep-nesting": (b"[" * 10 ** 5 + b"]" * 10 ** 5, "nested too deeply"),
+    "too-many-digits": (b'{"kind":"matrix","entries":[[1,' + b"7" * 5000
+                        + b'],[0,1]]}', "Exceeds the limit"),
+    "duplicate-key": (b'{"kind":"torus","p":2,"q":3,"q":5}',
+                      "duplicate key 'q'"),
+    "pd-not-utf8": (b"\xff\xfeX[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+                    "is not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_FILES))
+def test_unreadable_input_file_exits_2(capsys, tmp_path, name):
+    # a file that is not strict UTF-8, nests deeper than the JSON decoder
+    # recurses, spells an integer past Python's digit limit or repeats a
+    # key is refused with one line, never read in part or coerced
+    data, message = MALFORMED_FILES[name]
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    if name.startswith("pd-"):
+        argv = ["labelings", "--pd", str(path), "--p", "3"]
+    else:
+        argv = ["alexander", "--knot", str(path)]
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violated: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_mutant_sum_unknown_field_exits_2(capsys, tmp_path):
     path = tmp_path / "sum.json"
     path.write_text(json.dumps({"companions": [[[-1, 1], [0, 3]]],

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from knotconcord.cassongordon import (_weight, admissible_pair,
                                       find_odd_char, satellite_base_matrix)
-from knotconcord.cover import (LinkingForm, deck_eigenspaces, direct_sum,
-                               linking_form)
+from knotconcord.cover import (LinkingForm, _matrix_order_mod, direct_sum,
+                               linking_form, unit_roots_mod)
 from knotconcord import linalg, metabolizers
 from knotconcord.errors import BudgetExceeded, InternalInvariantViolation
 from knotconcord.metabolizers import (DEFAULT_BUDGET, Metabolizer, _Search,
@@ -442,18 +442,25 @@ def test_vanishing_chars_full_space_for_trivial_subgroup():
 
 def _char_eigenspaces(L, A, p):
     """The deck eigenspaces inside the Z_p characters vanishing on A, on a
-    form whose invariant factors p all divide, as the mutant-sum driver
-    splits them: the transposed deck mod p, constrained by A's rows."""
+    form whose invariant factors p all divide: for each root lam of
+    x^o = 1 mod p, o the order of the transposed deck T mod p, the mod-p
+    kernel of A's rows stacked on T - lam."""
+    k = len(L.group)
     action = [[x % p for x in col] for col in zip(*L.deck)]
     constraints = [[x % p for x in row] for row in A.basis]
-    return deck_eigenspaces(action, p, 1, constraints)
+    eigen = {}
+    for lam in unit_roots_mod(_matrix_order_mod(action, p), p):
+        shifted = [[action[i][j] - (lam if i == j else 0) for j in range(k)]
+                   for i in range(k)]
+        eigen[lam] = linalg.modp_kernel(constraints + shifted, p)
+    return eigen
 
 
 def test_vanishing_chars_model_eigen_structure():
     L = linking_form(GENUS2_MODEL, 3)
     for A in enumerate_metabolizers(L, invariant_only=True):
         dim = len(vanishing_chars(L, A, 7))
-        eigen, _ = _char_eigenspaces(L, A, 7)
+        eigen = _char_eigenspaces(L, A, 7)
         dims = {lam: len(b) for lam, b in eigen.items()}
         assert sum(dims.values()) == dim
         if A.basis == ((7, 0), (0, 7)):
@@ -471,7 +478,7 @@ def test_vanishing_dimension_at_least_summand_count():
     for A in enumerate_metabolizers(L, invariant_only=True):
         dim = len(vanishing_chars(L, A, 7))
         assert dim >= 2
-        eigen, _ = _char_eigenspaces(L, A, 7)
+        eigen = _char_eigenspaces(L, A, 7)
         assert sum(map(len, eigen.values())) == dim
 
 
